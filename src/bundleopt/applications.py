@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .demand import compute_profiles, sales_volume
+from .demand import compute_profiles, profit_curve, sales_volume, virtual_surplus
 from .dominance import EPS_Q, build_dominance, check_union_elasticity
 from .menu import solve_nested_menu
 from .model import (
@@ -26,9 +25,19 @@ from .model import (
     TypeDistribution,
     load_spec,
 )
-from .numerics import bracketed_max, count_descents_to_ascents
+from .numerics import count_descents_to_ascents, rising_root
 
 TIE_TOL = 1e-9
+UNIT_VALUE = MonomialSum(terms=((1.0, 1.0),))  # v(t) = t
+
+
+def _lone_product(
+    value: MonomialSum, cost: float, dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE
+) -> ProblemSpec:
+    """One-item spec for a product sold alone: its demand, profit and sales volume."""
+    return ProblemSpec(
+        n_items=1, values={1: value}, costs={1: float(cost)}, dist=dist, grid_size=grid_size
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +195,15 @@ def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
 
 def is_regular(dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE) -> bool:
     """Virtual value t - (1-F)/f strictly increasing (1e-10 slack)."""
-    t = np.linspace(dist.lo, dist.hi, grid_size)
-    vv = t - dist.inv_hazard(t)
+    unit = _lone_product(UNIT_VALUE, 0.0, dist, grid_size)
+    vv = virtual_surplus(unit, 1, unit.t_grid)
     return bool(np.all(np.diff(vv) > -1e-10))
-
-
-def unit_mr(dist: TypeDistribution, q: float) -> float:
-    """Marginal revenue of the unit-value demand curve at quantity q."""
-    t = dist.quantile(1.0 - q)
-    return float(t - dist.inv_hazard(t))
 
 
 def unit_mr_inverse(dist: TypeDistribution, c: float) -> float:
     """Quantity where the unit-value marginal revenue equals c (regular F)."""
-    g = lambda t: t - dist.inv_hazard(t) - c
-    if g(dist.hi) <= 0.0:
-        return 0.0
-    if g(dist.lo) >= 0.0:
-        return 1.0
-    t_root = brentq(g, dist.lo, dist.hi, xtol=1e-13)
+    unit = _lone_product(UNIT_VALUE, c, dist)
+    t_root = rising_root(lambda t: virtual_surplus(unit, 1, t), dist.lo, dist.hi, xtol=1e-13)
     return float(1.0 - dist.cdf(t_root))
 
 
@@ -300,21 +299,6 @@ class ScreeningReport:
     messages: list = field(default_factory=list)
 
 
-def _opt_out_volume(problem: ScreeningProblem, j: int) -> float:
-    """Sales volume of the hypothetical product 'skip action j'."""
-    dist = problem.dist
-    c = problem.action_costs[j]
-
-    def profit(q):
-        return float(c(dist.quantile(1.0 - q)) * q)
-
-    def slope(q):
-        t = dist.quantile(1.0 - q)
-        return float(c(t) - dist.inv_hazard(t) * c.slope(t))
-
-    return bracketed_max(profit, 0.0, 1.0, coarse=1001, tol=1e-10, slope=slope)
-
-
 def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     """Is requiring a costly action part of every optimal mechanism?
 
@@ -325,10 +309,11 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     """
     t = np.linspace(problem.dist.lo, problem.dist.hi, problem.grid_size)
     messages: list[str] = []
+    u = [np.asarray(v(t), dtype=float) for v in problem.utilities]
+    cv = [np.asarray(c(t), dtype=float) for c in problem.action_costs]
 
-    for j, c in enumerate(problem.action_costs):
-        cv = np.asarray(c(t), dtype=float)
-        if np.any(np.diff(cv) <= 0.0) or np.any(cv < -1e-12):
+    for j, c in enumerate(cv):
+        if np.any(np.diff(c) <= 0.0) or np.any(c < -1e-12):
             raise ValueError(
                 f"disutility of action {j} must be nonnegative and strictly increasing "
                 "in type; nonincreasing disutilities never support costly screening "
@@ -337,36 +322,23 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
 
     n = len(problem.qualities)
     m = len(problem.action_costs)
-    dist = problem.dist
+    # each quality, and skipping each action, as a product sold alone
+    goods = [
+        _lone_product(v, c, problem.dist, problem.grid_size)
+        for v, c in zip(problem.utilities, problem.production_costs)
+    ]
+    opt_outs = [_lone_product(c, 0.0, problem.dist, problem.grid_size) for c in problem.action_costs]
+    pi_x = [profit_curve(g, 1, g.q_grid) for g in goods]
+    pi_y = [profit_curve(o, 1, o.q_grid) for o in opt_outs]
+    d_x = np.array([sales_volume(g, 1) for g in goods])
+    d_y = np.array([sales_volume(o, 1) for o in opt_outs])
 
-    def quality_profit_curve(i):
-        q = np.linspace(0.0, 1.0, problem.grid_size)
-        price = np.asarray(problem.utilities[i](dist.quantile(1.0 - q)), dtype=float)
-        return (price - problem.production_costs[i]) * q
-
-    def quality_volume(i):
-        u = problem.utilities[i]
-
-        def profit(q):
-            return float((u(dist.quantile(1.0 - q)) - problem.production_costs[i]) * q)
-
-        def slope(q):
-            tt = dist.quantile(1.0 - q)
-            return float(u(tt) - problem.production_costs[i] - dist.inv_hazard(tt) * u.slope(tt))
-
-        return bracketed_max(profit, 0.0, 1.0, coarse=1001, tol=1e-10, slope=slope)
-
-    d_x = np.array([quality_volume(i) for i in range(n)])
-    d_y = np.array([_opt_out_volume(problem, j) for j in range(m)])
-
-    # surplus-positive allocations
-    surplus_pairs = []
-    for i in range(n):
-        ui = np.asarray(problem.utilities[i](t), dtype=float)
-        for j in range(m):
-            cj = np.asarray(problem.action_costs[j](t), dtype=float)
-            if np.max(ui - cj - problem.production_costs[i]) > 1e-12:
-                surplus_pairs.append((i, j))
+    surplus_pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(m)
+        if np.max(u[i] - cv[j] - problem.production_costs[i]) > 1e-12
+    ]
 
     x_star = int(np.flatnonzero(d_x >= d_x.max() - TIE_TOL)[-1])
     y_star = int(np.flatnonzero(d_y <= d_y.min() + TIE_TOL)[0])
@@ -393,9 +365,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
 
     # a surplus-positive allocation whose net value falls in type screens trivially
     for i, j in surplus_pairs:
-        net = np.asarray(problem.utilities[i](t), dtype=float) - np.asarray(
-            problem.action_costs[j](t), dtype=float
-        )
+        net = u[i] - cv[j]
         pos = net[:-1] > 1e-12
         if np.any(pos) and np.all(np.diff(net)[pos] < 1e-12) and np.any(np.diff(net)[pos] < -1e-12):
             report.status = "trivially_optimal"
@@ -408,30 +378,21 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     checked = set(surplus_pairs) | {(x_star, y_star)}
     failures = []
     for i, j in sorted(checked):
-        net = np.asarray(problem.utilities[i](t), dtype=float) - np.asarray(
-            problem.action_costs[j](t), dtype=float
-        )
+        net = u[i] - cv[j]
         pos = net[:-1] > 1e-12
         if np.any(pos & (np.diff(net) < -1e-10)):
             failures.append(f"net value of quality {i} minus action {j} not increasing where positive")
-        pi_x = quality_profit_curve(i)
-        q = np.linspace(0.0, 1.0, problem.grid_size)
-        pi_y = np.asarray(
-            problem.action_costs[j](dist.quantile(1.0 - q)), dtype=float
-        ) * q
         k = int(min(d_x[i], d_y[j]) * (problem.grid_size - 1))
-        if k >= 2 and count_descents_to_ascents(pi_x[: k + 1] - pi_y[: k + 1]) > 0:
+        if k >= 2 and count_descents_to_ascents(pi_x[i][: k + 1] - pi_y[j][: k + 1]) > 0:
             failures.append(
                 f"net profit of quality {i} minus action {j} multi-peaked below both volumes"
             )
 
-    for i in range(n):
-        if count_descents_to_ascents(quality_profit_curve(i)) > 0:
+    for i, pi in enumerate(pi_x):
+        if count_descents_to_ascents(pi) > 0:
             failures.append(f"profit curve of quality {i} is multi-peaked")
-    q = np.linspace(0.0, 1.0, problem.grid_size)
-    for j in range(m):
-        pi_y = np.asarray(problem.action_costs[j](dist.quantile(1.0 - q)), dtype=float) * q
-        if count_descents_to_ascents(pi_y) > 0:
+    for j, pi in enumerate(pi_y):
+        if count_descents_to_ascents(pi) > 0:
             failures.append(f"opt-out profit curve of action {j} is multi-peaked")
 
     if failures:

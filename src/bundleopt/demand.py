@@ -37,9 +37,13 @@ def profit_curve(spec: ProblemSpec, b: int, q) -> float:
     return (demand_price(spec, b, q) - spec.cost(b)) * np.asarray(q, dtype=float)
 
 
-def marginal_profit(spec: ProblemSpec, b: int, q) -> float:
-    """Analytic d profit / d quantity: v - C - (1-F)/f * v_t at the marginal type."""
-    t = spec.dist.quantile(1.0 - np.asarray(q, dtype=float))
+def virtual_surplus(spec: ProblemSpec, b: int, t):
+    """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
+
+    The marginal profit of selling bundle b alone at the quantity whose
+    marginal consumer has type t.  May be -inf at the bottom of the support
+    when the value has a fractional-exponent term there.
+    """
     return (
         spec.value(b, t)
         - spec.cost(b)
@@ -47,13 +51,21 @@ def marginal_profit(spec: ProblemSpec, b: int, q) -> float:
     )
 
 
-def sales_volume(spec: ProblemSpec, b: int) -> float:
-    """Profit-maximizing quantity D*(b) on [0, 1].
+def marginal_profit(spec: ProblemSpec, b: int, q):
+    """Analytic d profit / d quantity: the virtual surplus at the marginal type."""
+    return virtual_surplus(spec, b, spec.dist.quantile(1.0 - np.asarray(q, dtype=float)))
 
-    A 1001-point coarse scan brackets the peak, golden section refines it,
-    and the analytic marginal profit polishes the stationary point.  Warns
-    (via numerics.MultiplePeaksWarning) when near-tied maxima suggest the
-    uniqueness assumption is violated, returning the smallest.
+
+def sales_volume(spec: ProblemSpec, b: int) -> float:
+    """Profit-maximizing quantity D*(b) of bundle b sold alone, on [0, 1].
+
+    The profit curve is evaluated in one array call on a 1001-point grid
+    that brackets the peak; golden section refines it and the analytic
+    marginal profit polishes the stationary point (numerics.bracketed_max).
+    Warns (via numerics.MultiplePeaksWarning) when near-tied maxima suggest
+    the uniqueness assumption is violated, returning the smallest.  The
+    screening criterion calls this on one-item specs for each quality and
+    opt-out product.
     """
     return bracketed_max(
         lambda q: profit_curve(spec, b, q),
@@ -68,35 +80,36 @@ def sales_volume(spec: ProblemSpec, b: int) -> float:
 
 
 def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False) -> float:
-    """Price elasticity P/(q dP/dq); cost-adjusted variant uses P - C(b).
+    """Price elasticity P/(q dP/dq) at one quantity; cost-adjusted variant uses P - C(b).
 
-    dP/dq is a centered finite difference with step max(1e-6, 1e-4 q),
-    evaluation points clipped to [0, 1].  Degenerate points (q at 0,
-    vanishing price, flat demand) return -inf so sweeps stay rectangular;
-    the cost-adjusted variant raises UnsellableError when P <= C(b).
+    Evaluates the grid formula (see ``elasticity_grid``) at q.  Raises
+    ValueError for q outside [0, 1] and, in the cost-adjusted variant,
+    UnsellableError when P <= C(b).
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantity {q} outside [0, 1]")
-    p = demand_price(spec, b, q)
-    base = p - spec.cost(b) if cost_adjusted else p
-    if cost_adjusted and base <= 0.0:
+    eta, price = _elasticity(spec, b, np.array([q], dtype=float), cost_adjusted)
+    if cost_adjusted and price[0] <= spec.cost(b):
         raise UnsellableError(
-            f"price {p:.6g} does not cover cost {spec.cost(b):.6g} "
+            f"price {price[0]:.6g} does not cover cost {spec.cost(b):.6g} "
             f"for {format_bundle(b)} at q={q:.6g}"
         )
-    if q <= 0.0 or base <= 0.0:
-        return NEG_INF
-    h = max(1e-6, 1e-4 * q)
-    qp, qm = min(q + h, 1.0), max(q - h, 0.0)
-    dp = (demand_price(spec, b, qp) - demand_price(spec, b, qm)) / (qp - qm)
-    if dp == 0.0:
-        return NEG_INF
-    return float(base / (q * dp))
+    return float(eta[0])
 
 
 def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> np.ndarray:
     """Vectorized elasticity over the shared q grid, -inf at degenerate points."""
-    q = spec.q_grid
+    return _elasticity(spec, b, spec.q_grid, cost_adjusted)[0]
+
+
+def _elasticity(spec: ProblemSpec, b: int, q: np.ndarray, cost_adjusted: bool):
+    """Elasticities at the quantities q and the prices there.
+
+    dP/dq is a centered finite difference with step max(1e-6, 1e-4 q),
+    evaluation points clipped to [0, 1].  Degenerate points (q at 0,
+    vanishing price or margin, flat demand) get -inf so sweeps stay
+    rectangular.
+    """
     p = demand_price(spec, b, q)
     base = p - spec.cost(b) if cost_adjusted else p
     h = np.maximum(1e-6, 1e-4 * q)
@@ -106,7 +119,7 @@ def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> n
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = base / (q * dp)
     eta[(q <= 0.0) | (base <= 0.0) | (dp == 0.0) | ~np.isfinite(eta)] = NEG_INF
-    return eta
+    return eta, p
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .demand import DemandProfile, marginal_profit, profit_curve
+from .demand import DemandProfile, marginal_profit, profit_curve, virtual_surplus
 from .dominance import EPS_Q, DominanceRelation
 from .model import ProblemSpec, format_bundle, is_subset
-from .numerics import bracketed_max, count_descents_to_ascents
+from .numerics import count_descents_to_ascents, rising_root, scanned_max
 
 PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
 REVENUE_EQ_TOL = 1e-5
@@ -38,21 +37,7 @@ class MultiPeakError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# virtual surplus
-
-
-def virtual_surplus(spec: ProblemSpec, b: int, t):
-    """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
-
-    Interpretable as the marginal profit for bundle b at the quantity whose
-    marginal consumer has type t.  May be -inf at the bottom of the support
-    when the value has a fractional-exponent term there.
-    """
-    return (
-        spec.value(b, t)
-        - spec.cost(b)
-        - spec.dist.inv_hazard(t) * spec.value_slope(b, t)
-    )
+# virtual surplus (demand.virtual_surplus) on the type grid
 
 
 def virtual_surplus_grid(spec: ProblemSpec, b: int) -> np.ndarray:
@@ -86,17 +71,14 @@ def last_crossing(spec: ProblemSpec, b1: int, b2: int) -> CrossingRecord:
         s = float(t[-1])
     else:
         k = int(nonpos[-1])
-        if delta[k] == 0.0:
+        s = rising_root(
+            lambda x: virtual_surplus(spec, b2, x) - virtual_surplus(spec, b1, x),
+            float(t[k]),
+            float(t[k + 1]),
+            xtol=1e-9,
+        )
+        if s is None:
             s = float(t[k])
-        else:
-            s = float(
-                brentq(
-                    lambda x: float(virtual_surplus(spec, b2, x) - virtual_surplus(spec, b1, x)),
-                    t[k],
-                    t[k + 1],
-                    xtol=1e-9,
-                )
-            )
     return CrossingRecord(b_small=b1, b_big=b2, s=s, chi=float(virtual_surplus(spec, b1, s)))
 
 
@@ -204,6 +186,17 @@ def _chain_prices(spec: ProblemSpec, bundles: Sequence[int], cutoffs: Sequence[f
     return prices_up
 
 
+def _boundary(gap, lo: float, hi: float) -> float:
+    """Exact switch point in a grid cell where the choice moves to a new option.
+
+    ``gap`` is the new option's advantage over the old one; the cell end is
+    kept when the advantage does not rise through zero inside the cell, and
+    ``hi`` when that cannot be decided.
+    """
+    cut = rising_root(gap, lo, hi)
+    return hi if cut is None else cut
+
+
 def simulate_menu(
     spec: ProblemSpec,
     bundles: Sequence[int],
@@ -261,14 +254,7 @@ def simulate_menu(
         def gap(x):
             return float((spec.value(bb, x) - pb) - (spec.value(ba, x) - pa))
 
-        lo_g, hi_g = float(t[k]), float(t[k + 1])
-        g_lo, g_hi = gap(lo_g), gap(hi_g)
-        if g_lo >= 0.0:
-            cut = lo_g
-        elif g_hi <= 0.0:
-            cut = hi_g
-        else:
-            cut = float(brentq(gap, lo_g, hi_g, xtol=1e-12))
+        cut = _boundary(gap, float(t[k]), float(t[k + 1]))
         segments.append((start, cut, ba, pa))
         start = cut
     last = int(pick[-1])
@@ -378,13 +364,9 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
             below = virtual_surplus(spec, chain[j - 1], x) if j > 0 else 0.0
             return float(virtual_surplus(spec, b, x) - below)
 
-        cut = float(t[k])
-        try:
-            s_lo, s_hi = slope(lo), slope(hi)
-            if np.isfinite(s_lo) and np.isfinite(s_hi) and s_lo < 0.0 < s_hi:
-                cut = float(brentq(slope, lo, hi, xtol=1e-12))
-        except ValueError:
-            pass
+        cut = rising_root(slope, lo, hi)
+        if cut is None or not lo < cut < hi:
+            cut = float(t[k])
         if cutoffs and cut < cutoffs[-1]:
             cut = cutoffs[-1]
         cutoffs.append(cut)
@@ -524,14 +506,9 @@ class NestedMenu:
 
 def _incremental_peaks(values: np.ndarray) -> list[float]:
     """Values of local maxima of a scanned curve (interior strict + endpoints)."""
-    peaks = []
-    n = values.size
-    for k in range(n):
-        left = values[k - 1] if k > 0 else -np.inf
-        right = values[k + 1] if k < n - 1 else -np.inf
-        if values[k] >= left and values[k] >= right:
-            peaks.append(float(values[k]))
-    return sorted(peaks, reverse=True)
+    padded = np.concatenate(([-np.inf], values, [-np.inf]))
+    top = (values >= padded[:-2]) & (values >= padded[2:])
+    return sorted(values[top].tolist(), reverse=True)
 
 
 def solve_nested_menu(
@@ -569,12 +546,13 @@ def solve_nested_menu(
         b_hat, q_hat = stack[-1]
 
         def inc(q, b_i=b_i, b_hat=b_hat):
-            return float(profit_curve(spec, b_i, q) - profit_curve(spec, b_hat, q))
+            return profit_curve(spec, b_i, q) - profit_curve(spec, b_hat, q)
 
         def inc_slope(q, b_i=b_i, b_hat=b_hat):
-            return float(marginal_profit(spec, b_i, q) - marginal_profit(spec, b_hat, q))
+            return marginal_profit(spec, b_i, q) - marginal_profit(spec, b_hat, q)
 
-        scan = np.array([inc(q) for q in np.linspace(0.0, q_hat, 1001)])
+        qs = np.linspace(0.0, q_hat, 1001)
+        scan = inc(qs)
         if count_descents_to_ascents(scan, noise=1e-14) > 0:
             peaks = _incremental_peaks(scan)
             if len(peaks) >= 2 and peaks[0] - peaks[1] > PEAK_SPLIT_TOL:
@@ -590,7 +568,7 @@ def solve_nested_menu(
                 stacklevel=2,
             )
             invalid_reasons.append("multi-peaked incremental profit")
-        q_star = bracketed_max(inc, 0.0, q_hat, coarse=1001, tol=1e-10, slope=inc_slope)
+        q_star = scanned_max(inc, qs, scan, tol=1e-10, slope=inc_slope)
 
         if q_star >= q_hat - EPS_Q:
             stack.pop()
@@ -665,16 +643,8 @@ def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> Mecha
             below = virtual_surplus(spec, b_old, x) if b_old != 0 else 0.0
             return float(virtual_surplus(spec, b_new, x) - below)
 
-        lo_t, hi_t = float(t[k]), float(t[k + 1])
-        g_lo, g_hi = gap(lo_t), gap(hi_t)
-        if g_lo >= 0.0:
-            cut = lo_t
-        elif g_hi <= 0.0:
-            cut = hi_t
-        else:
-            cut = float(brentq(gap, lo_t, hi_t, xtol=1e-12))
         used.append(b_new)
-        cutoffs.append(cut)
+        cutoffs.append(_boundary(gap, float(t[k]), float(t[k + 1])))
     if not used:
         # a single bundle covers the whole support (or nothing does)
         top = int(pick[-1])

@@ -1,4 +1,4 @@
-"""Shared scalar-search helpers: bracketed maximization and peak counting."""
+"""Shared numeric primitives: array-scanned maximization, root polishing, peak counting."""
 
 from __future__ import annotations
 
@@ -13,6 +13,25 @@ INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
 
 class MultiplePeaksWarning(UserWarning):
     """Raised when a scan finds several near-tied local maxima."""
+
+
+def rising_root(
+    g: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12
+) -> Optional[float]:
+    """Where g rises through zero on [lo, hi], clamped to the bracket.
+
+    Returns lo when g(lo) >= 0, hi when g(hi) <= 0, and otherwise the Brent
+    root of g(lo) < 0 < g(hi) polished to ``xtol``; None when that sign
+    change cannot be decided because an end value is NaN.
+    """
+    g_lo, g_hi = float(g(lo)), float(g(hi))
+    if g_lo >= 0.0:
+        return float(lo)
+    if g_hi <= 0.0:
+        return float(hi)
+    if np.isnan(g_lo) or np.isnan(g_hi):
+        return None
+    return float(brentq(g, lo, hi, xtol=xtol))
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -34,7 +53,7 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1
 
 
 def bracketed_max(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float,
     hi: float,
     coarse: int = 1001,
@@ -45,18 +64,35 @@ def bracketed_max(
 ) -> float:
     """Argmax of f on [lo, hi]: coarse scan, golden-section refinement, slope polish.
 
-    The coarse grid brackets the peak; golden section shrinks the bracket to
-    ``tol``.  Golden section alone stalls at ~sqrt(eps) accuracy because the
-    objective is flat at the peak, so when an analytic ``slope`` is supplied
-    and changes sign across the final bracket, the stationary point is
-    re-solved to near machine precision.  Non-adjacent grid maxima within
-    ``tie_tol`` of the best trigger MultiplePeaksWarning and the smallest
-    argmax is kept.
+    ``f`` must accept an array: the ``coarse``-point grid is evaluated in one
+    call, and the refinement then calls it on scalars.  See ``scanned_max``.
     """
     if hi <= lo:
         return lo
     xs = np.linspace(lo, hi, coarse)
-    ys = np.array([f(x) for x in xs])
+    return scanned_max(f, xs, f(xs), tol, tie_tol, slope, warn_label)
+
+
+def scanned_max(
+    f: Callable[[float], float],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    tol: float = 1e-10,
+    tie_tol: float = 1e-12,
+    slope: Optional[Callable[[float], float]] = None,
+    warn_label: str = "",
+) -> float:
+    """Argmax of f on [xs[0], xs[-1]] given its values ``ys`` on the sorted grid ``xs``.
+
+    The grid brackets the peak; golden section shrinks the bracket to
+    ``tol``.  Golden section alone stalls at ~sqrt(eps) accuracy because the
+    objective is flat at the peak, so when an analytic ``slope`` is supplied
+    and falls through zero across the final bracket, the stationary point is
+    re-solved to near machine precision.  Non-adjacent grid maxima within
+    ``tie_tol`` of the best trigger MultiplePeaksWarning and the smallest
+    argmax is kept.
+    """
+    ys = np.asarray(ys, dtype=float)
     best = np.max(ys)
     near = np.flatnonzero(ys >= best - tie_tol)
     # a 2-point adjacent tie is a peak sitting on a cell midpoint, not a
@@ -66,25 +102,17 @@ def bracketed_max(
             f"multiple near-tied maxima{' for ' + warn_label if warn_label else ''}; "
             "keeping the smallest argument",
             MultiplePeaksWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     k = int(near[0])
     a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse - 1)]
+    b = xs[min(k + 1, xs.size - 1)]
     x = golden_max(f, a, b, tol=tol) if b > a else xs[k]
     if slope is not None:
-        # golden section is function-value limited to ~sqrt(eps); when the
-        # analytic slope changes sign across the coarse bracket, the
-        # stationary point is recovered to near machine precision instead
-        try:
-            sa, sb = slope(a), slope(b)
-            if np.isfinite(sa) and np.isfinite(sb) and sa > 0.0 > sb:
-                r = brentq(slope, a, b, xtol=1e-14)
-                if f(r) >= f(x) - 1e-12:
-                    x = r
-        except ValueError:
-            pass
-    return float(min(max(x, lo), hi))
+        r = rising_root(lambda z: -slope(z), a, b, xtol=1e-14)
+        if r is not None and a < r < b and f(r) >= f(x) - 1e-12:
+            x = r
+    return float(min(max(x, xs[0]), xs[-1]))
 
 
 def count_descents_to_ascents(y: np.ndarray, noise: Optional[float] = None) -> int:
@@ -98,20 +126,4 @@ def count_descents_to_ascents(y: np.ndarray, noise: Optional[float] = None) -> i
     sign[d > noise] = 1
     sign[d < -noise] = -1
     sign = sign[sign != 0]
-    if sign.size == 0:
-        return 0
-    turns = 0
-    for prev, cur in zip(sign[:-1], sign[1:]):
-        if prev == -1 and cur == 1:
-            turns += 1
-    return turns
-
-
-def first_sign_change_from_top(t: np.ndarray, delta: np.ndarray) -> Optional[int]:
-    """Largest index k with delta[k] <= 0, ignoring non-finite entries; None if all positive."""
-    finite = np.isfinite(delta)
-    nonpos = finite & (delta <= 0.0)
-    idx = np.flatnonzero(nonpos)
-    if idx.size == 0:
-        return None
-    return int(idx[-1])
+    return int(np.count_nonzero((sign[:-1] == -1) & (sign[1:] == 1)))

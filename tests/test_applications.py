@@ -34,10 +34,10 @@ def _quality_doc(costs, qualities=(1.0, 2.0, 3.0), lo=0.0, hi=1.0):
     }
 
 
-def _screening_doc(scale, exponent):
+def _screening_doc(scale, exponent, cost=0.0):
     return {
         "qualities": [1.0],
-        "production_costs": [0.0],
+        "production_costs": [cost],
         "values": {"kind": "multiplicative"},
         "actions": [{"terms": [{"coef": scale, "exp": exponent}]}],
         "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
@@ -169,17 +169,23 @@ def test_regularity_check():
 
 
 @pytest.mark.parametrize(
-    "exponent,expect",
-    [(0.5, False), (1.0, False), (1.5, True), (3.0, True)],
+    "exponent,expect,cost",
+    [
+        pytest.param(0.5, False, 0.0, id="0.5-False"),
+        pytest.param(1.0, False, 0.0, id="1.0-False"),
+        pytest.param(1.5, True, 0.0, id="1.5-True"),
+        pytest.param(3.0, True, 0.0, id="3.0-True"),
+        pytest.param(1.5, False, 0.3, id="1.5-False-cost0.3"),
+    ],
 )
-def test_screening_threshold(exponent, expect):
-    # D*(y) = 1/(1+e) for c = k t^e; optimal iff it falls below D*(x) = 1/2
-    problem = ScreeningProblem.from_document(_screening_doc(0.3, exponent))
+def test_screening_threshold(exponent, expect, cost):
+    # D*(y) = 1/(1+e) for c = k t^e; optimal iff it falls below D*(x) = (1-C)/2
+    problem = ScreeningProblem.from_document(_screening_doc(0.3, exponent, cost))
     report = screening_optimal(problem)
     assert report.status == "ok"
     assert report.optimal is expect
     assert report.d_star_actions[0] == pytest.approx(1.0 / (1.0 + exponent), abs=1e-8)
-    assert report.d_star_qualities[0] == pytest.approx(0.5, abs=1e-9)
+    assert report.d_star_qualities[0] == pytest.approx((1.0 - cost) / 2.0, abs=1e-9)
 
 
 def test_screening_boundary_not_optimal():

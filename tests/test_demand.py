@@ -90,6 +90,18 @@ def test_sales_volume_matches_dense_argmax_on_random_instances():
             assert abs(prof.d_star - dense) <= 2e-5
 
 
+def test_array_scan_matches_pointwise_evaluation():
+    # sales_volume scans its grid in one array call and refines with scalar
+    # calls, so the two must agree to the last bit
+    for spec, profiles, _rel in generate_clean_specs(5, 3, grid_size=1025):
+        q = np.linspace(0.0, 1.0, 1001)
+        for b in profiles:
+            for curve in (profit_curve, marginal_profit):
+                scan = np.asarray(curve(spec, b, q), dtype=float)
+                points = np.array([curve(spec, b, x) for x in q], dtype=float)
+                assert np.array_equal(scan, points, equal_nan=True)
+
+
 def test_marginal_profit_single_zero_crossing_at_d_star():
     for spec, profiles, _rel in generate_clean_specs(13, 4, grid_size=1025):
         q = np.linspace(1e-6, 1.0 - 1e-6, 20001)
