@@ -17,7 +17,7 @@ import numpy as np
 from .demand import DemandProfile, marginal_profit, profit_curve, virtual_surplus
 from .dominance import EPS_Q, DominanceRelation
 from .model import ProblemSpec, format_bundle, is_subset
-from .numerics import count_descents_to_ascents, rising_root, scanned_max
+from .numerics import chain_dp, count_descents_to_ascents, rising_root, scanned_max
 
 PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
 REVENUE_EQ_TOL = 1e-5
@@ -289,76 +289,53 @@ def simulate_menu(
 # optimal cutoffs for a fixed chain
 
 
-def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
-    """Profit-maximizing cutoff types for a nested chain, by exact separable DP.
+def _chain_terms(spec: ProblemSpec, bundles: Sequence[int]):
+    """Continuum ``numerics.chain_dp`` terms Psi_b - Psi_p on the type grid.
 
-    With cutoffs t_1 <= ... <= t_l and segment profits written as top-down
-    cumulative integrals of virtual surplus, the objective separates into one
-    term per cutoff, so a running-max DP over the type grid finds the global
-    optimum subject to the ordering constraint; each cutoff is then polished
-    to the exact crossing of adjacent surplus curves.  Returns (cutoffs,
-    prices).
+    Psi_b is the top-down cumulative trapezoid of b's virtual surplus times the
+    density (Psi_0 = 0).  Cutoffs where the posted price v(b, t) would be
+    nonpositive are excluded, and so is a floored bottom point.
     """
-    chain = sorted(bundles)
-    for b1, b2 in zip(chain[:-1], chain[1:]):
-        if not is_subset(b1, b2):
-            raise ValueError("optimize_chain requires a nested chain")
     t = spec.t_grid
     f = spec.dist.pdf(t)
-    n = t.size
-
-    def reverse_cum(phi: np.ndarray) -> np.ndarray:
-        y = phi * f
-        cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-        out = np.zeros(n)
-        out[:-1] = np.cumsum(cells[::-1])[::-1]
-        return out
-
-    phis = {}
-    blocked = {}
-    for b in chain:
+    psi, blocked, sellable = {0: np.zeros(t.size)}, {0: False}, {}
+    for b in bundles:
         phi = virtual_surplus_grid(spec, b)
         bad = ~np.isfinite(phi)
         blocked[b] = bool(bad[0])
-        if np.any(bad):
-            phi = phi.copy()
-            phi[bad] = phi[np.flatnonzero(~bad)[0]]
-        phis[b] = phi
+        y = np.where(bad, phi[np.argmax(~bad)], phi) * f  # floored at the first finite value
+        cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
+        psi[b] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        sellable[b] = np.asarray(spec.value(b, t), dtype=float) > 0.0
 
-    terms = []
-    for j, b in enumerate(chain):
-        psi = reverse_cum(phis[b])
-        term = psi if j == 0 else psi - reverse_cum(phis[chain[j - 1]])
-        term = term.copy()
-        # a cutoff is a posted price v(b, t); exclude types where that price
-        # would be nonpositive, plus a floored bottom point
-        sellable = np.asarray(spec.value(b, t), dtype=float) > 0.0
-        term[~sellable] = -np.inf
-        if blocked[b] or (j > 0 and blocked[chain[j - 1]]):
-            term[0] = -np.inf
-        terms.append(term)
+    def term(p, b):
+        out = psi[b] - psi[p]
+        out[~sellable[b]] = -np.inf
+        if blocked[b] or blocked[p]:
+            out[0] = -np.inf
+        return out
 
-    # DP with the ordering constraint: cutoff indices must be nondecreasing
-    running = np.maximum.accumulate(terms[0])
-    arg = np.zeros((len(chain), n), dtype=int)
-    arg[0] = np.maximum.accumulate(np.where(terms[0] == running, np.arange(n), -1))
-    for j in range(1, len(chain)):
-        total = terms[j] + running
-        running = np.maximum.accumulate(total)
-        arg[j] = np.maximum.accumulate(np.where(total == running, np.arange(n), -1))
-    if not np.isfinite(running[-1]):
+    return term
+
+
+def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
+    """Profit-maximizing cutoff types for a nested chain, by exact separable DP.
+
+    Segment profits are top-down cumulative integrals of virtual surplus, so
+    the fixed-chain ``numerics.chain_dp`` finds the grid optimum under the
+    ordering t_1 <= ... <= t_l; each cutoff is then polished to the exact
+    crossing of adjacent surplus curves.  Returns (cutoffs, prices).
+    """
+    chain = sorted(bundles)
+    value, path = chain_dp(_chain_terms(spec, chain), chain, fixed=True)
+    if not np.isfinite(value):
         raise ValueError("no feasible positive-price cutoffs for this chain")
-    k_last = int(arg[-1][-1])
-    idx = [0] * len(chain)
-    idx[-1] = k_last
-    for j in range(len(chain) - 2, -1, -1):
-        idx[j] = int(arg[j][idx[j + 1]])
 
+    t = spec.t_grid
     cutoffs = []
-    for j, b in enumerate(chain):
-        k = idx[j]
+    for j, (b, k) in enumerate(path):
         lo = t[max(k - 1, 0)]
-        hi = t[min(k + 1, n - 1)]
+        hi = t[min(k + 1, t.size - 1)]
 
         def slope(x, j=j, b=b):
             below = virtual_surplus(spec, chain[j - 1], x) if j > 0 else 0.0
@@ -424,20 +401,6 @@ def evaluate_menu(
     return simulate_menu(spec, bundles, prices, types=types, weights=weights)
 
 
-def iter_chains(bundles: Sequence[int], max_size: Optional[int] = None):
-    """All nonempty chains (under set inclusion) drawn from the given bundles."""
-    cap = max_size or len(bundles)
-    chains: list[tuple[int, ...]] = [()]
-    for chain in chains:
-        for b in bundles:
-            if chain and (b <= chain[-1] or not is_subset(chain[-1], b)):
-                continue
-            new = chain + (b,)
-            if len(new) <= cap:
-                chains.append(new)
-    return [c for c in chains if c]
-
-
 def two_item_base_test(spec: ProblemSpec, profiles: dict[int, DemandProfile]):
     """Two-item suboptimality test via the best-selling item as menu base.
 
@@ -458,18 +421,17 @@ def two_item_base_test(spec: ProblemSpec, profiles: dict[int, DemandProfile]):
     return p_best < p_other - 1e-9, p_best, p_other
 
 
-def best_nested_menu(spec: ProblemSpec, max_size: Optional[int] = None):
+def best_nested_menu(spec: ProblemSpec):
     """Best profit over all nested menus with prices optimized per menu.
 
-    Enumerates every chain of bundles with nonzero value (grand bundle not
-    required); returns (solution, chain).
+    One ``numerics.chain_dp`` over the inclusion lattice of bundles with nonzero
+    value (grand bundle not required) finds the best chain on the type grid in
+    O(3^n * grid); only that chain is priced and simulated.  Returns (solution, chain).
     """
-    best: tuple[float, tuple, Optional[MechanismSolution]] = (-np.inf, (), None)
-    for chain in iter_chains(spec.nonzero_bundles(), max_size):
-        sol = evaluate_menu(spec, chain)
-        if sol.expected_profit > best[0]:
-            best = (sol.expected_profit, chain, sol)
-    return best[2], list(best[1])
+    bundles = spec.nonzero_bundles()
+    _value, path = chain_dp(_chain_terms(spec, bundles), bundles)
+    chain = [b for b, _k in path]
+    return evaluate_menu(spec, chain), chain
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Shared numeric primitives: array-scanned maximization, root polishing, peak counting."""
+"""Shared numeric primitives: array-scanned maximization, root polishing,
+the chain-profit DP over bundle masks, peak counting."""
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -113,6 +114,44 @@ def scanned_max(
         if r is not None and a < r < b and f(r) >= f(x) - 1e-12:
             x = r
     return float(min(max(x, xs[0]), xs[-1]))
+
+
+def chain_dp(term: Callable[[int, int], np.ndarray], bundles: Sequence[int], fixed: bool = False):
+    """Best chain of ascending bundle masks with ordered cutoff indices, by one DP.
+
+    A step from p to b with b's cutoff at index k earns term(p, b)[k]; paths
+    start at 0.  With ``fixed`` the path is the chain ``bundles`` and indices
+    never fall.  Otherwise b follows 0 or any proper subset among ``bundles``,
+    the path ends anywhere, and indices rise, so every member but the last
+    sells to some type.  The longest path, best[b] = max over p in preds[b] of
+    term(p, b) + cummax(best[p]) elementwise with best[0] = 0, costs
+    O(3^n * grid) on the lattice.  Ties keep the smallest predecessor, the last
+    index attaining each running max and the smallest final mask.  Returns
+    (value, [(bundle, index), ...]) in chain order.
+    """
+    if fixed:
+        if any(lo & ~hi for lo, hi in zip(bundles[:-1], bundles[1:])):
+            raise ValueError(f"masks {list(bundles)} are not a nested chain")
+        preds = {b: [p] for p, b in zip([0, *bundles[:-1]], bundles)}
+    else:
+        preds = {b: [0] + [p for p in bundles if p != b and p & ~b == 0] for b in bundles}
+    shift = 0 if fixed else 1
+    top, ahead, arg, src = {}, {}, {}, {}
+    for b in bundles:
+        cands = np.stack([term(p, b) if p == 0 else term(p, b) + ahead[p] for p in preds[b]])
+        j = np.argmax(cands, axis=0)  # first maximum: the smallest predecessor
+        total = cands[j, np.arange(j.size)]
+        peak = np.maximum.accumulate(total)
+        arg[b] = np.maximum.accumulate(np.where(total == peak, np.arange(total.size), -1))
+        ahead[b] = np.concatenate((np.full(shift, -np.inf), peak[: peak.size - shift]))
+        top[b], src[b] = float(peak[-1]), np.asarray(preds[b])[j]
+    b = bundles[-1] if fixed else max(bundles, key=top.get)
+    value, k, path = top[b], int(arg[b][-1]), []
+    while b != 0:
+        path.append((b, k))
+        b = int(src[b][k])
+        k = int(arg[b][k - shift]) if b else k
+    return value, path[::-1]
 
 
 def count_descents_to_ascents(y: np.ndarray, noise: Optional[float] = None) -> int:

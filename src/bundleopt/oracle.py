@@ -17,6 +17,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .model import ProblemSpec, format_bundle, is_subset
+from .numerics import chain_dp
 
 LP_TOL = 1e-7
 STOCHASTIC_TOL = 1e-5
@@ -194,43 +195,40 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     )
 
 
+def _chain_terms(instance: DiscretizedInstance):
+    """Discrete ``numerics.chain_dp`` terms, pricing each upgrade at its marginal buyer.
+
+    Stepping from p to b at marginal-type index k earns
+    ((v_b - v_p)(t_k) - (c_b - c_p)) * (m - k)/m; index m sells to nobody.
+    """
+    m = instance.m
+    mass = np.concatenate((np.arange(m, 0, -1), [0])) / m  # marginal index k -> (m-k)/m
+    sold = np.concatenate((np.ones(m), [0.0]))
+
+    def term(p, b):
+        inc = np.concatenate((instance.values[b] - instance.values[p], [0.0]))
+        return (inc - (instance.costs[b] - instance.costs[p]) * sold) * mass
+
+    return term
+
+
 def discrete_chain_profit(instance: DiscretizedInstance, chain) -> float:
     """Optimal profit from selling a nested chain on the discrete instance.
 
-    The optimal discrete prices extract the marginal buyer of each upgrade
-    fully, so the profit is a separable function of the marginal-type indices
-    and a running-max DP over nondecreasing indices solves it exactly.
+    The profit is separable in the marginal-type indices: the fixed-chain
+    ``numerics.chain_dp`` solves it exactly.
     """
     chain = sorted(set(int(b) for b in chain))
-    for b1, b2 in zip(chain[:-1], chain[1:]):
-        if not is_subset(b1, b2):
-            raise ValueError("discrete_chain_profit requires a nested chain")
-    m = instance.m
-    mass = np.concatenate((np.arange(m, 0, -1), [0])) / m  # marginal index k -> (m-k)/m
-    running = None
-    prev_v = np.zeros(m)
-    prev_c = 0.0
-    for b in chain:
-        v = instance.values[b]
-        c = instance.costs[b]
-        inc = np.concatenate((v - prev_v, [0.0]))
-        term = (inc - (c - prev_c) * np.concatenate((np.ones(m), [0.0]))) * mass
-        total = term if running is None else term + np.maximum.accumulate(running)[: m + 1]
-        running = total
-        prev_v, prev_c = v, c
-    return float(np.max(running))
+    return chain_dp(_chain_terms(instance), chain, fixed=True)[0]
 
 
 def best_nested_discrete(instance: DiscretizedInstance) -> tuple[float, tuple]:
-    """Best discrete-instance profit over every chain of sellable bundles."""
-    from .menu import iter_chains
+    """Best discrete-instance (profit, chain) over every chain of sellable bundles.
 
-    best = (-np.inf, ())
-    for chain in iter_chains(list(instance.sellable)):
-        profit = discrete_chain_profit(instance, chain)
-        if profit > best[0]:
-            best = (profit, chain)
-    return best
+    One ``numerics.chain_dp`` over their inclusion lattice, in O(3^n * m).
+    """
+    profit, path = chain_dp(_chain_terms(instance), instance.sellable)
+    return profit, tuple(b for b, _k in path)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Shared test helpers: canonical instances and a seeded instance generator."""
+"""Shared test helpers: canonical instances, a seeded instance generator, and
+the chain enumeration that cross-checks the chain DP."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from bundleopt import load_spec
+from bundleopt.model import is_subset
 
 
 def two_item_doc(beta, gamma, alpha=1.0, hi=2.0, grid_size=4097):
@@ -108,3 +110,14 @@ def generate_clean_specs(seed, count, n_items_choices=(2, 3), require_nested=Fal
     if len(out) < count:
         raise RuntimeError(f"generator produced only {len(out)}/{count} instances")
     return out
+
+
+def iter_chains(bundles):
+    """All nonempty chains (under set inclusion) drawn from the given bundles."""
+    chains: list[tuple[int, ...]] = [()]
+    for chain in chains:
+        for b in bundles:
+            if chain and (b <= chain[-1] or not is_subset(chain[-1], b)):
+                continue
+            chains.append(chain + (b,))
+    return [c for c in chains if c]

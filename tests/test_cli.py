@@ -1,6 +1,9 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +221,17 @@ def test_outputs_byte_identical_across_runs(spec_file, tmp_path):
         assert main(["solve", "--spec", spec_file, "--out", str(out), "--csv"]) == 0
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_perfbench_traced_names_resolve():
+    # the benchmark's tracer (perfbench/layers.py) rebinds these functions by
+    # name, so a rename or deletion here breaks `perfbench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    loader = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(layers)
+    for mod_name, attr in layers.TRACED:
+        obj = importlib.import_module(f"bundleopt.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"bundleopt.{mod_name}.{attr}"

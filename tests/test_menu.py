@@ -19,14 +19,13 @@ from bundleopt.menu import (
     MechanismSolution,
     NestingError,
     ic_report,
-    iter_chains,
     optimize_chain,
     simulate_menu,
     two_item_base_test,
     virtual_surplus_grid,
 )
 
-from support import generate_clean_specs, single_item_doc, two_item_spec
+from support import generate_clean_specs, iter_chains, single_item_doc, two_item_spec
 
 
 def _pipeline(beta, gamma, grid_size=4097):

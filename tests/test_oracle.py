@@ -21,7 +21,13 @@ from bundleopt.oracle import (
     solve_lp,
 )
 
-from support import generate_clean_specs, single_item_doc, two_item_spec
+from support import (
+    generate_clean_specs,
+    iter_chains,
+    random_instance_doc,
+    single_item_doc,
+    two_item_spec,
+)
 
 
 def _single_item_instance(m=201):
@@ -102,8 +108,6 @@ def test_lp_dominates_every_menu_on_same_instance():
     spec = two_item_spec(0.7, 0.5)
     inst = DiscretizedInstance.from_spec(spec, 101)
     lp = solve_lp(inst)
-    from bundleopt.menu import iter_chains
-
     for chain in iter_chains(spec.nonzero_bundles()):
         sol = evaluate_menu(
             spec, chain, types=inst.types, weights=inst.weights
@@ -145,6 +149,27 @@ def test_best_nested_discrete_matches_lp_under_nesting():
     profit, chain = best_nested_discrete(inst)
     assert abs(lp.objective - profit) <= 1e-8
     assert chain == (0b10, 0b11)
+
+
+@pytest.mark.parametrize("n_items", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_dp_matches_chain_enumeration(seed, n_items):
+    # seeds 0-3 give instances with and without costs, nested and non-nested
+    # undominated sets, and fractional exponents (bottom type blocked)
+    rng = np.random.default_rng(seed)
+    spec = load_spec(random_instance_doc(rng, n_items=n_items, grid_size=1025))
+    chains = iter_chains(spec.nonzero_bundles())
+    profits = [evaluate_menu(spec, chain).expected_profit for chain in chains]
+    best = int(np.argmax(profits))  # first chain attaining the max
+    sol, chain = best_nested_menu(spec)
+    assert chain == list(chains[best])
+    assert sol.expected_profit == pytest.approx(profits[best], abs=1e-12)
+
+    inst = DiscretizedInstance.from_spec(spec, 51)
+    enumerated = max(
+        ((discrete_chain_profit(inst, c), c) for c in chains), key=lambda pc: pc[0]
+    )
+    assert best_nested_discrete(inst) == enumerated
 
 
 def test_verdict_confirmed_low_gamma():
