@@ -23,6 +23,8 @@ from .model import (
     ProblemSpec,
     SpecError,
     TypeDistribution,
+    _parse_distribution,
+    _parse_expression,
     load_spec,
 )
 from .numerics import count_descents_to_ascents, rising_root
@@ -81,16 +83,10 @@ class QualityProblem:
             values = tuple(MonomialSum(terms=((x, 1.0),)) for x in xs)
         else:
             values = tuple(
-                MonomialSum(
-                    terms=tuple((float(t["coef"]), float(t["exp"])) for t in e.get("terms", [])),
-                    const=float(e.get("const", 0.0)),
-                )
-                for e in vspec["exprs"]
+                _parse_expression(e, f"quality {k + 1}") for k, e in enumerate(vspec["exprs"])
             )
         if len(values) != len(xs):
             raise SpecError("need one value expression per quality")
-        from .model import _parse_distribution
-
         dist = _parse_distribution(doc["distribution"])
         return QualityProblem(
             qualities=xs,
@@ -269,11 +265,7 @@ class ScreeningProblem:
             }
         )
         actions = tuple(
-            MonomialSum(
-                terms=tuple((float(t["coef"]), float(t["exp"])) for t in a.get("terms", [])),
-                const=float(a.get("const", 0.0)),
-            )
-            for a in doc["actions"]
+            _parse_expression(a, f"action {j + 1}") for j, a in enumerate(doc["actions"])
         )
         if not actions:
             raise SpecError("screening problem needs at least one costly action")

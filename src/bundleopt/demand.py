@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec, format_bundle
-from .numerics import bracketed_max
+from .numerics import scanned_max
 
 CORNER_TOL = 1e-9  # sales volume this close to 0 or 1 counts as a corner solution
 NEG_INF = float("-inf")
@@ -60,21 +60,19 @@ def sales_volume(spec: ProblemSpec, b: int) -> float:
     """Profit-maximizing quantity D*(b) of bundle b sold alone, on [0, 1].
 
     The profit curve is evaluated in one array call on a 1001-point grid
-    that brackets the peak; golden section refines it and the analytic
-    marginal profit polishes the stationary point (numerics.bracketed_max).
-    Warns (via numerics.MultiplePeaksWarning) when near-tied maxima suggest
-    the uniqueness assumption is violated, returning the smallest.  The
-    screening criterion calls this on one-item specs for each quality and
-    opt-out product.
+    whose maximum brackets the peak; the root of the analytic marginal profit
+    there is the stationary point (numerics.scanned_max).  Warns (via
+    numerics.MultiplePeaksWarning) when near-tied maxima suggest the
+    uniqueness assumption is violated, returning the smallest.  The screening
+    criterion calls this on one-item specs for each quality and opt-out
+    product.
     """
-    return bracketed_max(
+    qs = np.linspace(0.0, 1.0, 1001)
+    return scanned_max(
         lambda q: profit_curve(spec, b, q),
-        0.0,
-        1.0,
-        coarse=1001,
-        tol=1e-10,
-        tie_tol=1e-12,
-        slope=lambda q: marginal_profit(spec, b, q),
+        qs,
+        profit_curve(spec, b, qs),
+        lambda q: marginal_profit(spec, b, q),
         warn_label=f"profit of {format_bundle(b)}",
     )
 

@@ -324,7 +324,10 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
     Segment profits are top-down cumulative integrals of virtual surplus, so
     the fixed-chain ``numerics.chain_dp`` finds the grid optimum under the
     ordering t_1 <= ... <= t_l; each cutoff is then polished to the exact
-    crossing of adjacent surplus curves.  Returns (cutoffs, prices).
+    crossing of adjacent surplus curves.  A member the grid optimum prices
+    out (its cutoff index equals the next member's) sells to no type: the
+    next member is polished against the last member below that still sells,
+    and the priced-out member takes its cutoff.  Returns (cutoffs, prices).
     """
     chain = sorted(bundles)
     value, path = chain_dp(_chain_terms(spec, chain), chain, fixed=True)
@@ -332,21 +335,24 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
         raise ValueError("no feasible positive-price cutoffs for this chain")
 
     t = spec.t_grid
-    cutoffs = []
+    cutoffs, below = [], 0
     for j, (b, k) in enumerate(path):
+        if j + 1 < len(path) and path[j + 1][1] == k:
+            continue  # priced out: takes the cutoff of the next member that sells
         lo = t[max(k - 1, 0)]
         hi = t[min(k + 1, t.size - 1)]
 
-        def slope(x, j=j, b=b):
-            below = virtual_surplus(spec, chain[j - 1], x) if j > 0 else 0.0
-            return float(virtual_surplus(spec, b, x) - below)
+        def slope(x, b=b, below=below):
+            under = virtual_surplus(spec, below, x) if below else 0.0
+            return float(virtual_surplus(spec, b, x) - under)
 
         cut = rising_root(slope, lo, hi)
         if cut is None or not lo < cut < hi:
             cut = float(t[k])
         if cutoffs and cut < cutoffs[-1]:
             cut = cutoffs[-1]
-        cutoffs.append(cut)
+        cutoffs.extend([cut] * (j + 1 - len(cutoffs)))
+        below = b
 
     return cutoffs, _chain_prices(spec, chain, cutoffs)
 
@@ -530,7 +536,7 @@ def solve_nested_menu(
                 stacklevel=2,
             )
             invalid_reasons.append("multi-peaked incremental profit")
-        q_star = scanned_max(inc, qs, scan, tol=1e-10, slope=inc_slope)
+        q_star = scanned_max(inc, qs, scan, inc_slope)
 
         if q_star >= q_hat - EPS_Q:
             stack.pop()

@@ -317,15 +317,16 @@ def _parse_bundle_key(key: str, n_items: int) -> int:
     return mask_from_items(items, n_items)
 
 
-def _parse_expression(obj, key: str) -> MonomialSum:
+def _parse_expression(obj, label: str) -> MonomialSum:
+    """Value expression {"terms": [{"coef", "exp"}, ...], "const"} of ``label``."""
     if not isinstance(obj, dict):
-        raise SpecError(f"value for bundle {key} must be an object")
+        raise SpecError(f"value for {label} must be an object")
     terms = []
     for term in obj.get("terms", []):
         try:
             terms.append((float(term["coef"]), float(term["exp"])))
         except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed term {term!r} for bundle {key}") from exc
+            raise SpecError(f"malformed term {term!r} for {label}") from exc
     return MonomialSum(terms=tuple(terms), const=float(obj.get("const", 0.0)))
 
 
@@ -365,7 +366,7 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
     values: dict[int, MonomialSum] = {}
     for key, obj in (doc.get("values") or {}).items():
         mask = _parse_bundle_key(key, n_items)
-        expr = _parse_expression(obj, key)
+        expr = _parse_expression(obj, f"bundle {key}")
         if mask == 0 and not expr.is_zero():
             raise SpecError("the empty bundle must have identically zero value")
         if mask != 0:

@@ -1,5 +1,5 @@
-"""Shared numeric primitives: array-scanned maximization, root polishing,
-the chain-profit DP over bundle masks, peak counting."""
+"""Shared numeric primitives: maximization by a grid bracket and the root of
+the slope, root polishing, the chain-profit DP over bundle masks, peak counting."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
+TIE_TOL = 1e-12  # grid values this close to the maximum count as tied
 
 
 class MultiplePeaksWarning(UserWarning):
@@ -35,67 +35,26 @@ def rising_root(
     return float(brentq(g, lo, hi, xtol=xtol))
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi]; returns argmax."""
-    a, b = lo, hi
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def bracketed_max(
-    f: Callable,
-    lo: float,
-    hi: float,
-    coarse: int = 1001,
-    tol: float = 1e-10,
-    tie_tol: float = 1e-12,
-    slope: Optional[Callable[[float], float]] = None,
-    warn_label: str = "",
-) -> float:
-    """Argmax of f on [lo, hi]: coarse scan, golden-section refinement, slope polish.
-
-    ``f`` must accept an array: the ``coarse``-point grid is evaluated in one
-    call, and the refinement then calls it on scalars.  See ``scanned_max``.
-    """
-    if hi <= lo:
-        return lo
-    xs = np.linspace(lo, hi, coarse)
-    return scanned_max(f, xs, f(xs), tol, tie_tol, slope, warn_label)
-
-
 def scanned_max(
     f: Callable[[float], float],
     xs: np.ndarray,
     ys: np.ndarray,
-    tol: float = 1e-10,
-    tie_tol: float = 1e-12,
-    slope: Optional[Callable[[float], float]] = None,
+    slope: Callable[[float], float],
     warn_label: str = "",
 ) -> float:
     """Argmax of f on [xs[0], xs[-1]] given its values ``ys`` on the sorted grid ``xs``.
 
-    The grid brackets the peak; golden section shrinks the bracket to
-    ``tol``.  Golden section alone stalls at ~sqrt(eps) accuracy because the
-    objective is flat at the peak, so when an analytic ``slope`` is supplied
-    and falls through zero across the final bracket, the stationary point is
-    re-solved to near machine precision.  Non-adjacent grid maxima within
-    ``tie_tol`` of the best trigger MultiplePeaksWarning and the smallest
-    argmax is kept.
+    The grid maximum xs[k] brackets the peak between its two neighbours,
+    where the stationary point is the root of the analytic ``slope``, solved
+    to near machine precision.  The root is returned when it lies strictly
+    inside the bracket and f there is within 1e-12 of ys[k]; otherwise the
+    grid point is, so a peak at an end of the grid is returned exactly.
+    Non-adjacent grid maxima within ``TIE_TOL`` of the best trigger
+    MultiplePeaksWarning and the smallest argmax is kept.
     """
     ys = np.asarray(ys, dtype=float)
     best = np.max(ys)
-    near = np.flatnonzero(ys >= best - tie_tol)
+    near = np.flatnonzero(ys >= best - TIE_TOL)
     # a 2-point adjacent tie is a peak sitting on a cell midpoint, not a
     # uniqueness violation; larger or disconnected tie sets are
     if np.any(np.diff(near) > 1) or near.size >= 3:
@@ -103,17 +62,15 @@ def scanned_max(
             f"multiple near-tied maxima{' for ' + warn_label if warn_label else ''}; "
             "keeping the smallest argument",
             MultiplePeaksWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     k = int(near[0])
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, xs.size - 1)]
-    x = golden_max(f, a, b, tol=tol) if b > a else xs[k]
-    if slope is not None:
-        r = rising_root(lambda z: -slope(z), a, b, xtol=1e-14)
-        if r is not None and a < r < b and f(r) >= f(x) - 1e-12:
-            x = r
-    return float(min(max(x, xs[0]), xs[-1]))
+    r = rising_root(lambda z: -slope(z), a, b, xtol=1e-14)
+    if r is not None and a < r < b and f(r) >= ys[k] - 1e-12:
+        return r
+    return float(xs[k])
 
 
 def chain_dp(term: Callable[[int, int], np.ndarray], bundles: Sequence[int], fixed: bool = False):

@@ -19,7 +19,6 @@ from scipy.optimize import linprog
 from .model import ProblemSpec, format_bundle, is_subset
 from .numerics import chain_dp
 
-LP_TOL = 1e-7
 STOCHASTIC_TOL = 1e-5
 M_RANGE = (11, 401)
 
@@ -285,7 +284,11 @@ def compare(
 
 
 def dump_lp_text(instance: DiscretizedInstance) -> str:
-    """Instance as a plain-text LP for external solvers (CPLEX LP format)."""
+    """Instance as a plain-text LP for external solvers (CPLEX LP format).
+
+    Coefficients are written as round-trip floats, so the text is the LP
+    ``solve_lp`` solves.
+    """
     opts = list(instance.sellable)
     m = instance.m
     w = instance.weights
@@ -296,10 +299,10 @@ def dump_lp_text(instance: DiscretizedInstance) -> str:
     out = ["\\ discretized incentive-compatible pricing problem", "Maximize", " obj:"]
     terms = []
     for k in range(m):
-        terms.append(f" + {w[k]:.12g} p_{k}")
+        terms.append(f" + {float(w[k])!r} p_{k}")
         for j, b in enumerate(opts):
             if instance.costs[b] != 0.0:
-                terms.append(f" - {w[k] * instance.costs[b]:.12g} {a(k, j)}")
+                terms.append(f" - {float(w[k] * instance.costs[b])!r} {a(k, j)}")
     out.append("   " + " ".join(terms))
     out.append("Subject To")
     for k in range(m):
@@ -308,13 +311,13 @@ def dump_lp_text(instance: DiscretizedInstance) -> str:
                 continue
             lhs = []
             for j, b in enumerate(opts):
-                v = instance.values[b, k]
-                lhs.append(f" + {v:.12g} {a(kp, j)} - {v:.12g} {a(k, j)}")
+                v = float(instance.values[b, k])
+                lhs.append(f" + {v!r} {a(kp, j)} - {v!r} {a(k, j)}")
             out.append(
                 f" ic_{k}_{kp}:" + "".join(lhs) + f" + p_{k} - p_{kp} <= 0"
             )
         lhs = "".join(
-            f" - {instance.values[b, k]:.12g} {a(k, j)}" for j, b in enumerate(opts)
+            f" - {float(instance.values[b, k])!r} {a(k, j)}" for j, b in enumerate(opts)
         )
         out.append(f" ir_{k}: p_{k}{lhs} <= 0")
         out.append(

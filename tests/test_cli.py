@@ -160,6 +160,37 @@ def test_screening_artifacts(tmp_path, capsys):
     assert payload["optimal"] is True
 
 
+def test_quality_malformed_term_exit_code(tmp_path, capsys):
+    doc = {
+        "qualities": [1.0, 2.0],
+        "values": {"kind": "exprs", "exprs": [
+            {"terms": [{"coef": 1.0, "exp": 1.0}]},
+            {"terms": [{"coef": 2.0}]},
+        ]},
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    }
+    path = tmp_path / "quality.json"
+    path.write_text(json.dumps(doc))
+    code = main(["quality", "--spec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "validation" and "quality 2" in err["detail"]
+
+
+def test_screening_malformed_term_exit_code(tmp_path, capsys):
+    doc = {
+        "qualities": [1.0],
+        "actions": [{"terms": [{"exp": 3.0}]}],
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    }
+    path = tmp_path / "screening.json"
+    path.write_text(json.dumps(doc))
+    code = main(["screening", "--spec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "validation" and "action 1" in err["detail"]
+
+
 def test_screening_lp_crosscheck_flag(tmp_path, capsys):
     doc = {
         "qualities": [1.0],

@@ -25,7 +25,13 @@ from bundleopt.menu import (
     virtual_surplus_grid,
 )
 
-from support import generate_clean_specs, iter_chains, single_item_doc, two_item_spec
+from support import (
+    generate_clean_specs,
+    iter_chains,
+    random_instance_doc,
+    single_item_doc,
+    two_item_spec,
+)
 
 
 def _pipeline(beta, gamma, grid_size=4097):
@@ -346,6 +352,17 @@ def test_optimize_chain_with_costs():
     # FOC: 1 - 2q - c = 0 -> q = (1 - c)/2 -> cutoff t = (1 + c)/2
     assert cutoffs[0] == pytest.approx(0.65, abs=1e-9)
     assert prices[0] == pytest.approx(0.65, abs=1e-9)
+
+
+def test_optimize_chain_priced_out_member():
+    # the grid optimum of [{3}, {1,3}] prices {3} out: {1,3} must still be
+    # polished to its own crossing, so the chain earns what {1,3} alone does
+    spec = load_spec(random_instance_doc(np.random.default_rng(2), 3, grid_size=1025))
+    pair = evaluate_menu(spec, [0b100, 0b101]).expected_profit
+    alone = evaluate_menu(spec, [0b101]).expected_profit
+    assert pair >= alone - 1e-12
+    cutoffs, _prices = optimize_chain(spec, [0b100, 0b101])
+    assert cutoffs[0] == cutoffs[1] == optimize_chain(spec, [0b101])[0][0]
 
 
 def test_grid_price_search_matches_chain_dp_on_pairs():

@@ -5,44 +5,42 @@ import pytest
 
 from bundleopt.numerics import (
     MultiplePeaksWarning,
-    bracketed_max,
     count_descents_to_ascents,
-    golden_max,
     rising_root,
+    scanned_max,
 )
 
 
-def test_golden_max_quadratic():
-    assert golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-12) == pytest.approx(
-        0.3, abs=1e-8
-    )
+def _scan(f, slope, lo=0.0, hi=1.0, n=1001):
+    xs = np.linspace(lo, hi, n)
+    return scanned_max(f, xs, f(xs), slope)
 
 
-def test_bracketed_max_without_slope():
-    x = bracketed_max(lambda q: q * (1 - q), 0.0, 1.0)
-    assert x == pytest.approx(0.5, abs=1e-8)
-
-
-def test_bracketed_max_with_slope_polish():
-    x = bracketed_max(
+def test_scanned_max_slope_polish():
+    x = _scan(
         lambda q: q * (1 - q) ** 0.5,
-        0.0,
-        1.0,
-        slope=lambda q: (1 - q) ** 0.5 - 0.5 * q / max(1 - q, 1e-300) ** 0.5,
+        lambda q: (1 - q) ** 0.5 - 0.5 * q / max(1 - q, 1e-300) ** 0.5,
     )
     assert x == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_bracketed_max_boundary():
-    assert bracketed_max(lambda q: q, 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
-    assert bracketed_max(lambda q: -q, 0.0, 1.0) == pytest.approx(0.0, abs=1e-8)
+def test_scanned_max_boundary_is_exact():
+    # no stationary point inside the end cell: the grid end itself
+    assert _scan(lambda q: q, lambda q: 1.0) == 1.0
+    assert _scan(lambda q: -q, lambda q: -1.0) == 0.0
 
 
-def test_bracketed_max_warns_on_plateau():
+def test_scanned_max_keeps_grid_point_when_root_is_worse():
+    # a slope whose root lowers f by more than 1e-12 is not taken
+    x = _scan(lambda q: -((q - 0.5) ** 2), lambda q: -2.0 * (q - 0.55), n=11)
+    assert x == 0.5
+
+
+def test_scanned_max_warns_on_plateau():
     with pytest.warns(MultiplePeaksWarning):
-        x = bracketed_max(np.sin, 0.0, 6.0 * np.pi, coarse=601)
+        x = _scan(np.sin, np.cos, 0.0, 6.0 * np.pi, n=601)
     # two full humps tie at +1: the smaller argument wins
-    assert x == pytest.approx(np.pi / 2, abs=0.05)
+    assert x == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 def test_rising_root_interior():

@@ -1,5 +1,7 @@
 """Discretized LP oracle: objective benchmarks, IC/IR feasibility, verdicts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,10 @@ def test_dump_lp_text_structure():
     assert "Maximize" in text and "Subject To" in text and text.rstrip().endswith("End")
     assert text.count("ic_") == 11 * 10
     assert text.count("ir_") == 11
+    # every ic_ coefficient reads back as the exact value the LP uses
+    ic = [line for line in text.splitlines() if line.startswith(" ic_")]
+    for line in ic:
+        k = int(line.split("_")[1])
+        coefs = re.findall(r"[+-] (\S+) a_\d+_1\b", line)
+        assert len(coefs) == 2
+        assert all(float(c) == inst.values[0b1, k] for c in coefs)
