@@ -16,7 +16,7 @@ def _scan(f, slope, lo=0.0, hi=1.0, n=1001):
     return scanned_max(f, xs, f(xs), slope)
 
 
-def test_scanned_max_slope_polish():
+def test_bracketed_max_with_slope_polish():
     x = _scan(
         lambda q: q * (1 - q) ** 0.5,
         lambda q: (1 - q) ** 0.5 - 0.5 * q / max(1 - q, 1e-300) ** 0.5,
@@ -24,7 +24,7 @@ def test_scanned_max_slope_polish():
     assert x == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_scanned_max_boundary_is_exact():
+def test_bracketed_max_boundary():
     # no stationary point inside the end cell: the grid end itself
     assert _scan(lambda q: q, lambda q: 1.0) == 1.0
     assert _scan(lambda q: -q, lambda q: -1.0) == 0.0
@@ -36,7 +36,7 @@ def test_scanned_max_keeps_grid_point_when_root_is_worse():
     assert x == 0.5
 
 
-def test_scanned_max_warns_on_plateau():
+def test_bracketed_max_warns_on_plateau():
     with pytest.warns(MultiplePeaksWarning):
         x = _scan(np.sin, np.cos, 0.0, 6.0 * np.pi, n=601)
     # two full humps tie at +1: the smaller argument wins
