@@ -23,6 +23,7 @@ from .model import (
     ProblemSpec,
     SpecError,
     TypeDistribution,
+    _field,
     _parse_distribution,
     _parse_expression,
     load_spec,
@@ -72,7 +73,7 @@ class QualityProblem:
 
     @staticmethod
     def from_document(doc: dict) -> "QualityProblem":
-        xs = tuple(float(x) for x in doc["qualities"])
+        xs = tuple(float(x) for x in _field(doc, "qualities", "quality problem"))
         if any(x2 <= x1 for x1, x2 in zip(xs[:-1], xs[1:])) or any(x <= 0 for x in xs):
             raise SpecError("qualities must be positive and strictly increasing")
         costs = tuple(float(c) for c in doc.get("costs", [0.0] * len(xs)))
@@ -83,11 +84,12 @@ class QualityProblem:
             values = tuple(MonomialSum(terms=((x, 1.0),)) for x in xs)
         else:
             values = tuple(
-                _parse_expression(e, f"quality {k + 1}") for k, e in enumerate(vspec["exprs"])
+                _parse_expression(e, f"quality {k + 1}")
+                for k, e in enumerate(_field(vspec, "exprs", "non-multiplicative values"))
             )
         if len(values) != len(xs):
             raise SpecError("need one value expression per quality")
-        dist = _parse_distribution(doc["distribution"])
+        dist = _parse_distribution(_field(doc, "distribution", "quality problem"))
         return QualityProblem(
             qualities=xs,
             values=values,
@@ -255,17 +257,20 @@ class ScreeningProblem:
 
     @staticmethod
     def from_document(doc: dict) -> "ScreeningProblem":
+        label = "screening problem"
+        qualities = _field(doc, "qualities", label)
         quality = QualityProblem.from_document(
             {
-                "qualities": doc["qualities"],
-                "costs": doc.get("production_costs", [0.0] * len(doc["qualities"])),
+                "qualities": qualities,
+                "costs": doc.get("production_costs", [0.0] * len(qualities)),
                 "values": doc.get("values", {"kind": "multiplicative"}),
-                "distribution": doc["distribution"],
+                "distribution": _field(doc, "distribution", label),
                 "grid_size": doc.get("grid_size", DEFAULT_GRID_SIZE),
             }
         )
         actions = tuple(
-            _parse_expression(a, f"action {j + 1}") for j, a in enumerate(doc["actions"])
+            _parse_expression(a, f"action {j + 1}")
+            for j, a in enumerate(_field(doc, "actions", label))
         )
         if not actions:
             raise SpecError("screening problem needs at least one costly action")

@@ -22,11 +22,9 @@ from .menu import (
     NestingError,
     best_nested_menu,
     envelope_allocation,
-    relaxed_bound,
     solve_nested_menu,
-    virtual_surplus_grid,
 )
-from .model import ProblemSpec, SpecError, format_bundle, load_spec, validate_assumptions
+from .model import ProblemSpec, SpecError, format_bundle, load_spec
 from .oracle import DiscretizedInstance, compare, dump_lp_text, solve_lp
 
 EXIT_OK = 0
@@ -58,6 +56,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _bundle_slug(mask: int) -> str:
     return "-".join(str(j) for j in format_bundle(mask)[1:-1].split(",")) if mask else "none"
+
+
+def _benchmark_menu(spec: ProblemSpec, profiles, relation):
+    """(profit, bundles, prices) of the nested menu an LP verdict is measured against."""
+    if relation.nested:
+        menu = solve_nested_menu(spec, profiles, relation)
+        return menu.expected_profit, menu.bundles, list(menu.prices)
+    sol, chain = best_nested_menu(spec)
+    return sol.expected_profit, chain, sorted({p for p in sol.payments if p > 0})
 
 
 def _fail(kind: str, detail: str, code: int) -> int:
@@ -132,7 +139,6 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(spec)
 
-    validation = validate_assumptions(spec)
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
     if not relation.nested:
@@ -141,7 +147,7 @@ def cmd_solve(args) -> int:
             "undominated bundles are not nested; run `verify` for the LP route",
             EXIT_CERTIFICATE,
         )
-    menu = solve_nested_menu(spec, profiles, relation, validation=validation)
+    menu = solve_nested_menu(spec, profiles, relation)
     envelope = envelope_allocation(spec, relation)
 
     print(f"{'bundle':<12}{'quantity':>12}{'cutoff':>12}{'price':>12}{'upgrade':>12}")
@@ -182,7 +188,7 @@ def cmd_solve(args) -> int:
             ),
         )
         bundles = sorted(profiles)
-        cols = [virtual_surplus_grid(spec, b) for b in bundles]
+        cols = [spec.surplus_rows[b] for b in bundles]
         _write_csv(
             out / "virtual_surplus.csv",
             prov,
@@ -202,14 +208,8 @@ def cmd_verify(args) -> int:
 
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
-    if relation.nested:
-        benchmark = solve_nested_menu(spec, profiles, relation)
-        menu_profit = benchmark.expected_profit
-        menu_desc = [format_bundle(b) for b in benchmark.bundles]
-    else:
-        sol, chain = best_nested_menu(spec)
-        menu_profit = sol.expected_profit
-        menu_desc = [format_bundle(b) for b in chain]
+    menu_profit, bundles, _prices = _benchmark_menu(spec, profiles, relation)
+    menu_desc = [format_bundle(b) for b in bundles]
 
     instance = DiscretizedInstance.from_spec(spec, args.types)
     lp = solve_lp(instance)
@@ -394,18 +394,7 @@ def cmd_reproduce(args) -> int:
                 warnings.simplefilter("ignore")
                 profiles = compute_profiles(spec)
                 relation = build_dominance(spec, profiles)
-                if relation.nested:
-                    menu = solve_nested_menu(spec, profiles, relation)
-                    menu_profit = menu.expected_profit
-                    menu_desc = "|".join(format_bundle(b) for b in menu.bundles)
-                    prices = "|".join(_fmt(p) for p in menu.prices)
-                else:
-                    sol, chain = best_nested_menu(spec)
-                    menu_profit = sol.expected_profit
-                    menu_desc = "|".join(format_bundle(b) for b in chain)
-                    prices = "|".join(
-                        _fmt(p) for p in sorted({pp for pp in sol.payments if pp > 0})
-                    )
+                menu_profit, bundles, prices = _benchmark_menu(spec, profiles, relation)
                 instance = DiscretizedInstance.from_spec(spec, args.types)
                 lp = solve_lp(instance)
                 verdict = compare(instance, menu_profit, lp)
@@ -416,8 +405,8 @@ def cmd_reproduce(args) -> int:
                     profiles[0b10].d_star,
                     profiles[0b11].d_star,
                     relation.nested,
-                    menu_desc,
-                    prices,
+                    "|".join(format_bundle(b) for b in bundles),
+                    "|".join(_fmt(p) for p in prices),
                     menu_profit,
                     lp.objective,
                     verdict.verdict,

@@ -37,18 +37,7 @@ def profit_curve(spec: ProblemSpec, b: int, q) -> float:
     return (demand_price(spec, b, q) - spec.cost(b)) * np.asarray(q, dtype=float)
 
 
-def virtual_surplus(spec: ProblemSpec, b: int, t):
-    """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
-
-    The marginal profit of selling bundle b alone at the quantity whose
-    marginal consumer has type t.  May be -inf at the bottom of the support
-    when the value has a fractional-exponent term there.
-    """
-    return (
-        spec.value(b, t)
-        - spec.cost(b)
-        - spec.dist.inv_hazard(t) * spec.value_slope(b, t)
-    )
+virtual_surplus = ProblemSpec.virtual_surplus  # virtual_surplus(spec, b, t)
 
 
 def marginal_profit(spec: ProblemSpec, b: int, q):
@@ -86,7 +75,9 @@ def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False)
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantity {q} outside [0, 1]")
-    eta, price = _elasticity(spec, b, np.array([q], dtype=float), cost_adjusted)
+    q_arr = np.array([q], dtype=float)
+    price = demand_price(spec, b, q_arr)
+    eta = _elasticity(spec, b, q_arr, price, cost_adjusted)
     if cost_adjusted and price[0] <= spec.cost(b):
         raise UnsellableError(
             f"price {price[0]:.6g} does not cover cost {spec.cost(b):.6g} "
@@ -97,18 +88,17 @@ def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False)
 
 def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> np.ndarray:
     """Vectorized elasticity over the shared q grid, -inf at degenerate points."""
-    return _elasticity(spec, b, spec.q_grid, cost_adjusted)[0]
+    return _elasticity(spec, b, spec.q_grid, spec.price_rows[b], cost_adjusted)
 
 
-def _elasticity(spec: ProblemSpec, b: int, q: np.ndarray, cost_adjusted: bool):
-    """Elasticities at the quantities q and the prices there.
+def _elasticity(spec: ProblemSpec, b: int, q: np.ndarray, p: np.ndarray, cost_adjusted: bool):
+    """Elasticities at the quantities q, whose prices are p.
 
     dP/dq is a centered finite difference with step max(1e-6, 1e-4 q),
     evaluation points clipped to [0, 1].  Degenerate points (q at 0,
     vanishing price or margin, flat demand) get -inf so sweeps stay
     rectangular.
     """
-    p = demand_price(spec, b, q)
     base = p - spec.cost(b) if cost_adjusted else p
     h = np.maximum(1e-6, 1e-4 * q)
     qp = np.minimum(q + h, 1.0)
@@ -117,7 +107,7 @@ def _elasticity(spec: ProblemSpec, b: int, q: np.ndarray, cost_adjusted: bool):
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = base / (q * dp)
     eta[(q <= 0.0) | (base <= 0.0) | (dp == 0.0) | ~np.isfinite(eta)] = NEG_INF
-    return eta, p
+    return eta
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ class DemandProfile:
 
 
 def compute_profile(spec: ProblemSpec, b: int) -> DemandProfile:
-    price = demand_price(spec, b, spec.q_grid)
+    price = spec.price_rows[b]
     profit = (price - spec.cost(b)) * spec.q_grid
     d_star = sales_volume(spec, b)
     return DemandProfile(

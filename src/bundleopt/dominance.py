@@ -13,8 +13,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .demand import DemandProfile, demand_price, elasticity_grid
-from .model import ProblemSpec, format_bundle, is_subset
+from .demand import DemandProfile, elasticity_grid
+from .model import ProblemSpec, format_bundle, is_subset, subset_pairs
 
 EPS_Q = 1e-7  # tie tolerance on sales-volume comparisons; ties dominate
 ETA_TOL = 1e-6  # buffer around the -1 elasticity threshold
@@ -57,11 +57,9 @@ def build_dominance(spec: ProblemSpec, profiles: dict[int, DemandProfile]) -> Do
     eligible = sorted(b for b in profiles if b not in corner)
     d_star = {b: profiles[b].d_star for b in eligible}
 
-    pairs = set()
-    for b1 in eligible:
-        for b2 in eligible:
-            if is_subset(b1, b2) and d_star[b1] <= d_star[b2] + EPS_Q:
-                pairs.add((b1, b2))
+    pairs = {(b, b) for b in eligible} | {
+        (b1, b2) for b1, b2 in subset_pairs(eligible) if d_star[b1] <= d_star[b2] + EPS_Q
+    }
 
     dominated = {b1 for (b1, b2) in pairs if b1 != b2}
     undominated = tuple(b for b in eligible if b not in dominated)
@@ -127,12 +125,10 @@ def check_union_elasticity(
     etas = {}
     valid = {}
     q = spec.q_grid
-    interior = (q > 0.0) & (q < 1.0)
     for b in bundles:
-        price = demand_price(spec, b, q)
-        base = price - spec.cost(b) if cost_adjusted else price
+        # finite only where q > 0 and the price (net of cost) is positive
         etas[b] = elasticity_grid(spec, b, cost_adjusted=cost_adjusted)
-        valid[b] = interior & (base > 0.0) & np.isfinite(etas[b])
+        valid[b] = (q < 1.0) & np.isfinite(etas[b])
 
     for i, b1 in enumerate(bundles):
         for b2 in bundles[i + 1 :]:

@@ -37,11 +37,14 @@ class MultiPeakError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# virtual surplus (demand.virtual_surplus) on the type grid
+# virtual surplus curves (ProblemSpec.surplus_rows) on the type grid
 
 
-def virtual_surplus_grid(spec: ProblemSpec, b: int) -> np.ndarray:
-    return np.asarray(virtual_surplus(spec, b, spec.t_grid), dtype=float)
+def _surplus_gap(spec: ProblemSpec, b: int, below: int):
+    """x -> virtual surplus of b minus that of ``below`` (0 for the empty bundle)."""
+    return lambda x: float(
+        virtual_surplus(spec, b, x) - (virtual_surplus(spec, below, x) if below else 0.0)
+    )
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ def last_crossing(spec: ProblemSpec, b1: int, b2: int) -> CrossingRecord:
         )
     t = spec.t_grid
     with np.errstate(invalid="ignore"):
-        delta = virtual_surplus_grid(spec, b2) - virtual_surplus_grid(spec, b1)
+        delta = spec.surplus_rows[b2] - spec.surplus_rows[b1]
     finite = np.isfinite(delta)
     nonpos = np.flatnonzero(finite & (delta <= 0.0))
     if nonpos.size == 0:
@@ -71,24 +74,24 @@ def last_crossing(spec: ProblemSpec, b1: int, b2: int) -> CrossingRecord:
         s = float(t[-1])
     else:
         k = int(nonpos[-1])
-        s = rising_root(
-            lambda x: virtual_surplus(spec, b2, x) - virtual_surplus(spec, b1, x),
-            float(t[k]),
-            float(t[k + 1]),
-            xtol=1e-9,
-        )
+        s = rising_root(_surplus_gap(spec, b2, b1), float(t[k]), float(t[k + 1]), xtol=1e-9)
         if s is None:
             s = float(t[k])
     return CrossingRecord(b_small=b1, b_big=b2, s=s, chi=float(virtual_surplus(spec, b1, s)))
 
 
-def relaxed_bound(spec: ProblemSpec) -> float:
-    """E[max(0, max_b virtual surplus)]: an upper bound on any mechanism's profit."""
+def _envelope_integral(spec: ProblemSpec, bundles: Sequence[int]) -> float:
+    """E[max(0, max over ``bundles`` of virtual surplus)], trapezoid on the type grid."""
     env = np.zeros(spec.grid_size)
-    for b in spec.nonzero_bundles():
-        env = np.maximum(env, virtual_surplus_grid(spec, b))
+    for b in bundles:
+        env = np.maximum(env, spec.surplus_rows[b])
     f = spec.dist.pdf(spec.t_grid)
     return float(np.trapezoid(env * f, spec.t_grid))
+
+
+def relaxed_bound(spec: ProblemSpec) -> float:
+    """E[max(0, max_b virtual surplus)]: an upper bound on any mechanism's profit."""
+    return _envelope_integral(spec, spec.nonzero_bundles())
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +221,17 @@ def simulate_menu(
     opt_prices = np.array([p for p, _ in opts])
     opt_bundles = [b for _, b in opts]
 
+    t = spec.t_grid if types is None else np.asarray(types, dtype=float)
+    util = np.stack([spec.value(b, t) - p for p, b in opts])
+    pick = np.argmax(util, axis=0)
+    alloc = np.array([opt_bundles[k] for k in pick])
+    pays = opt_prices[pick]
+    utes = util[pick, np.arange(t.size)]
     if types is not None:
         w = np.asarray(weights, dtype=float)
-        util = np.stack([spec.value(b, types) - p for p, b in opts])
-        pick = np.argmax(util, axis=0)
-        alloc = np.array([opt_bundles[k] for k in pick])
-        pays = opt_prices[pick]
-        utes = util[pick, np.arange(types.size)]
         profit = float(np.sum(w * (pays - np.array([spec.cost(b) for b in alloc]))))
         return MechanismSolution(
-            types=np.asarray(types, dtype=float),
+            types=t,
             allocation=alloc,
             payments=pays,
             utilities=utes,
@@ -235,13 +239,6 @@ def simulate_menu(
             expected_profit=profit,
             virtual_profit=float("nan"),
         )
-
-    t = spec.t_grid
-    util = np.stack([spec.value(b, t) - p for p, b in opts])
-    pick = np.argmax(util, axis=0)
-    alloc = np.array([opt_bundles[k] for k in pick])
-    pays = opt_prices[pick]
-    utes = util[pick, np.arange(t.size)]
 
     # refine region boundaries to exact indifference points
     segments = []
@@ -300,13 +297,13 @@ def _chain_terms(spec: ProblemSpec, bundles: Sequence[int]):
     f = spec.dist.pdf(t)
     psi, blocked, sellable = {0: np.zeros(t.size)}, {0: False}, {}
     for b in bundles:
-        phi = virtual_surplus_grid(spec, b)
+        phi = spec.surplus_rows[b]
         bad = ~np.isfinite(phi)
         blocked[b] = bool(bad[0])
         y = np.where(bad, phi[np.argmax(~bad)], phi) * f  # floored at the first finite value
         cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
         psi[b] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
-        sellable[b] = np.asarray(spec.value(b, t), dtype=float) > 0.0
+        sellable[b] = spec.value_rows[b] > 0.0
 
     def term(p, b):
         out = psi[b] - psi[p]
@@ -341,12 +338,7 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
             continue  # priced out: takes the cutoff of the next member that sells
         lo = t[max(k - 1, 0)]
         hi = t[min(k + 1, t.size - 1)]
-
-        def slope(x, b=b, below=below):
-            under = virtual_surplus(spec, below, x) if below else 0.0
-            return float(virtual_surplus(spec, b, x) - under)
-
-        cut = rising_root(slope, lo, hi)
+        cut = rising_root(_surplus_gap(spec, b, below), lo, hi)
         if cut is None or not lo < cut < hi:
             cut = float(t[k])
         if cutoffs and cut < cutoffs[-1]:
@@ -355,28 +347,6 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
         below = b
 
     return cutoffs, _chain_prices(spec, chain, cutoffs)
-
-
-def _grid_price_search(spec: ProblemSpec, bundles: Sequence[int]):
-    """Iterated-zoom grid search over prices for small non-nested menus."""
-    if len(bundles) > 3:
-        raise ValueError("price search supports menus of at most 3 bundles")
-    tops = [float(spec.value(b, spec.dist.hi)) for b in bundles]
-    los = [0.0] * len(bundles)
-    his = list(tops)
-    best_prices = list(tops)
-    for _round in range(6):
-        axes = [np.linspace(lo, hi, 13) for lo, hi in zip(los, his)]
-        best_val = -np.inf
-        for combo in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(bundles)):
-            val = simulate_menu(spec, bundles, combo).expected_profit
-            if val > best_val:
-                best_val = val
-                best_prices = [float(p) for p in combo]
-        steps = [(hi - lo) / 12.0 for lo, hi in zip(los, his)]
-        los = [max(0.0, p - s) for p, s in zip(best_prices, steps)]
-        his = [min(top, p + s) for p, s, top in zip(best_prices, steps, tops)]
-    return best_prices
 
 
 def evaluate_menu(
@@ -388,22 +358,18 @@ def evaluate_menu(
 ) -> MechanismSolution:
     """Simulated-choice evaluation of a menu; optimizes prices when omitted.
 
-    Chains get the exact cutoff DP; other menus (at most 3 bundles) fall back
-    to an iterated grid search over price vectors.
+    Prices are optimized only for a chain, by the exact cutoff DP; a menu
+    that is not a chain needs explicit prices (the LP oracle finds optimal
+    non-nested mechanisms).
     """
     if prices is None:
         bundles = sorted(set(int(b) for b in bundles))
-        is_chain = all(
-            is_subset(b1, b2) for b1, b2 in zip(bundles[:-1], bundles[1:])
-        )
-        if is_chain:
-            _cutoffs, prices = optimize_chain(spec, bundles)
-        else:
-            prices = _grid_price_search(spec, bundles)
-    else:
-        paired = sorted(zip((int(b) for b in bundles), (float(p) for p in prices)))
-        bundles = [b for b, _ in paired]
-        prices = [p for _, p in paired]
+        if not all(is_subset(b1, b2) for b1, b2 in zip(bundles[:-1], bundles[1:])):
+            raise ValueError(
+                "prices are optimized only for nested menus; give prices, or use "
+                "the LP oracle (oracle.solve_lp) for non-nested mechanisms"
+            )
+        _cutoffs, prices = optimize_chain(spec, bundles)
     return simulate_menu(spec, bundles, prices, types=types, weights=weights)
 
 
@@ -483,7 +449,6 @@ def solve_nested_menu(
     spec: ProblemSpec,
     profiles: dict[int, DemandProfile],
     relation: DominanceRelation,
-    validation=None,
 ) -> NestedMenu:
     """Construct the minimal optimal nested menu by stack-based elimination.
 
@@ -492,7 +457,8 @@ def solve_nested_menu(
     the top's quantity pops the stack (the smaller bundle is never worth
     keeping), an interior maximizer pushes the bundle with that quantity, and
     a zero maximizer skips the bundle.  Prices follow from the cutoff types
-    via upgrade pricing.
+    via upgrade pricing.  Warnings in the spec's validation report void the
+    certificate.
     """
     if not relation.nested:
         raise NestingError(
@@ -500,7 +466,7 @@ def solve_nested_menu(
         )
     chain = sorted(relation.undominated)
     invalid_reasons = []
-    if validation is not None and getattr(validation, "warnings", None):
+    if spec.validation.warnings:
         invalid_reasons.append("validation warnings present")
 
     stack: list[tuple[int, float]] = [(0, 1.0)]
@@ -555,12 +521,7 @@ def solve_nested_menu(
         prices[j] - (prices[j - 1] if j > 0 else 0.0) for j in range(len(prices))
     )
 
-    f = spec.dist.pdf(spec.t_grid)
-    env = np.zeros(spec.grid_size)
-    for b in bundles:
-        env = np.maximum(env, virtual_surplus_grid(spec, b))
-    profit = float(np.trapezoid(env * f, spec.t_grid))
-
+    profit = _envelope_integral(spec, bundles)
     bound = relaxed_bound(spec)
     if abs(profit - bound) > 1e-6:
         invalid_reasons.append(
@@ -589,35 +550,22 @@ def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> Mecha
     """
     if not relation.nested:
         raise NestingError("envelope allocation requires the nesting condition")
-    chain = sorted(relation.undominated)
+    members = [0, *sorted(relation.undominated)]  # the empty bundle earns 0
     t = spec.t_grid
-    curves = [np.zeros(t.size)] + [virtual_surplus_grid(spec, b) for b in chain]
-    stackv = np.stack(curves)
-    pick = np.argmax(stackv, axis=0)  # first max -> ties to the smaller bundle
+    curves = np.stack([np.zeros(t.size)] + [spec.surplus_rows[b] for b in members[1:]])
+    pick = np.argmax(curves, axis=0)  # first max -> ties to the smaller bundle
     if np.any(np.diff(pick) < 0):
         k = int(np.flatnonzero(np.diff(pick) < 0)[0]) + 1
         raise MonotonicityError(
             f"envelope allocation not monotone at t={t[k]:.9g}; "
             "local quasi-concavity likely fails"
         )
-    used = []
-    cutoffs = []
+    used, cutoffs = [], []
     for k in np.flatnonzero(np.diff(pick) != 0):
-        lo_i, hi_i = int(pick[k]), int(pick[k + 1])
-        b_new = chain[hi_i - 1]
-        b_old = 0 if lo_i == 0 else chain[lo_i - 1]
-
-        def gap(x, b_new=b_new, b_old=b_old):
-            below = virtual_surplus(spec, b_old, x) if b_old != 0 else 0.0
-            return float(virtual_surplus(spec, b_new, x) - below)
-
-        used.append(b_new)
+        used.append(members[pick[k + 1]])
+        gap = _surplus_gap(spec, used[-1], members[pick[k]])
         cutoffs.append(_boundary(gap, float(t[k]), float(t[k + 1])))
-    if not used:
-        # a single bundle covers the whole support (or nothing does)
-        top = int(pick[-1])
-        if top > 0:
-            used = [chain[top - 1]]
-            cutoffs = [float(t[0])]
+    if not used and pick[-1] > 0:  # a single bundle covers the whole support
+        used, cutoffs = [members[pick[-1]]], [float(t[0])]
     prices = _chain_prices(spec, used, cutoffs)
     return simulate_menu(spec, used, prices)

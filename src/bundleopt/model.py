@@ -1,10 +1,13 @@
 """Problem definition: bundles, valuations, costs, type distribution, validation.
 
-A problem instance is a set of n items (n <= 16), a monomial-sum value
-expression per bundle, a production cost per bundle, and a type distribution
-on an interval.  Bundles are bitmasks over item indices; item j in the JSON
-schema (1-based) is bit j-1.  Bundles without an explicit value expression
-are treated as identically zero and ignored by the downstream analysis.
+A problem instance is a set of n items, a monomial-sum value expression per
+bundle, a production cost per bundle, and a type distribution on an
+interval.  Bundles are bitmasks over item indices; item j in the JSON schema
+(1-based) is bit j-1.  Bundles without an explicit value expression are
+treated as identically zero and ignored by the downstream analysis.  Each
+spec evaluates a bundle's curves on its grids once, into read-only tables
+whose size ``check_table_size`` bounds; n <= 16 bounds the LP oracle, which
+evaluates all 2^n masks.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -22,6 +26,12 @@ from .numerics import count_descents_to_ascents
 DEFAULT_GRID_SIZE = 4097
 STRICT_TOL = 1e-10  # slack for strictness checks on the validation grid
 TOP_SLACK = 1e-9  # slack for the efficiency-at-top comparison
+# Size limits: every bundle of 9 items at the default grid.  On a 2-vCPU
+# host that spec loads, profiles and finds its best nested menu in about 5 s
+# and 260 MB peak; one more item takes about 13 s and 450 MB.
+MAX_BUNDLES = 511
+MAX_SUBSET_PAIRS = 18_660  # 3^9 - 2^10 + 1 proper-subset pairs
+MAX_TABLE_BYTES = 3 * MAX_BUNDLES * DEFAULT_GRID_SIZE * 8  # three float64 tables
 
 
 class SpecError(ValueError):
@@ -60,6 +70,11 @@ def items_from_mask(mask: int) -> tuple[int, ...]:
 
 def is_subset(b1: int, b2: int) -> bool:
     return b1 & ~b2 == 0
+
+
+def subset_pairs(bundles: Sequence[int]) -> list[tuple[int, int]]:
+    """(b1, b2) of ``bundles`` with b1 a proper subset of b2, superset-major."""
+    return [(b1, b2) for b2 in bundles for b1 in bundles if b1 != b2 and is_subset(b1, b2)]
 
 
 def format_bundle(mask: int) -> str:
@@ -273,9 +288,47 @@ class ProblemSpec:
     def cost(self, b: int) -> float:
         return self.costs.get(b, 0.0)
 
+    def virtual_surplus(self, b: int, t):
+        """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
+
+        The marginal profit of selling bundle b alone at the quantity whose
+        marginal consumer has type t.  May be -inf at the bottom of the support
+        when the value has a fractional-exponent term there.
+        """
+        return self.value(b, t) - self.cost(b) - self.dist.inv_hazard(t) * self.value_slope(b, t)
+
     def nonzero_bundles(self) -> tuple[int, ...]:
         """Bundles with a non-trivial value expression, ascending by mask."""
         return tuple(sorted(b for b, v in self.values.items() if b != 0 and not v.is_zero()))
+
+    # grid tables, one read-only row per nonzero bundle, built on first read
+    @cached_property
+    def value_rows(self) -> "GridRows":
+        """v(b, t) on ``t_grid``."""
+        return self._table(lambda b: self.value(b, self.t_grid))
+
+    @cached_property
+    def price_rows(self) -> "GridRows":
+        """Inverse demand v(b, Q(1-q)) on ``q_grid``."""
+        t = self.dist.quantile(1.0 - self.q_grid)
+        return self._table(lambda b: self.value(b, t))
+
+    @cached_property
+    def surplus_rows(self) -> "GridRows":
+        """Virtual surplus on ``t_grid``."""
+        return self._table(lambda b: self.virtual_surplus(b, self.t_grid))
+
+    def _table(self, curve) -> "GridRows":
+        check_table_size(self)
+        rows = GridRows((b, curve(b)) for b in self.nonzero_bundles())
+        for row in rows.values():
+            row.setflags(write=False)
+        return rows
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate_assumptions`` of this spec, run once."""
+        return validate_assumptions(self)
 
     def zero_costs(self) -> bool:
         return all(c == 0.0 for c in self.costs.values())
@@ -299,6 +352,33 @@ class ProblemSpec:
     def content_hash(self) -> str:
         blob = json.dumps(self.document(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class GridRows(dict):
+    """Grid rows by bundle mask; a bundle without a value expression has none."""
+
+    def __missing__(self, b):
+        raise ValueError(f"bundle {format_bundle(b)} has no value expression")
+
+
+def check_table_size(spec: ProblemSpec) -> None:
+    """SpecError stating the bundle count, the proper-subset pair count and the
+    table size when one exceeds its limit; pairs are counted by a sum over
+    subsets of the 2^n masks, before any table is allocated."""
+    bundles = list(spec.nonzero_bundles())
+    below = np.zeros(1 << spec.n_items, dtype=np.int64)
+    below[bundles] = 1
+    for i in range(spec.n_items):
+        halves = below.reshape(-1, 2, 1 << i)
+        halves[:, 1, :] += halves[:, 0, :]
+    pairs = int(below[bundles].sum()) - len(bundles)
+    table_bytes = 3 * len(bundles) * spec.grid_size * 8
+    if len(bundles) > MAX_BUNDLES or pairs > MAX_SUBSET_PAIRS or table_bytes > MAX_TABLE_BYTES:
+        raise SpecError(
+            f"spec too large: {len(bundles)} bundles (limit {MAX_BUNDLES}), "
+            f"{pairs} subset pairs (limit {MAX_SUBSET_PAIRS}), "
+            f"{table_bytes / 1e6:.2f} MB of grid tables (limit {MAX_TABLE_BYTES / 1e6:.2f} MB)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +410,24 @@ def _parse_expression(obj, label: str) -> MonomialSum:
     return MonomialSum(terms=tuple(terms), const=float(obj.get("const", 0.0)))
 
 
+def _field(obj: dict, key: str, label: str):
+    """``obj[key]``, or a SpecError naming the key missing from ``label``."""
+    if key not in obj:
+        raise SpecError(f"{label} is missing the {key!r} field")
+    return obj[key]
+
+
 def _parse_distribution(obj) -> TypeDistribution:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("distribution must be an object with a 'kind' field")
     if obj["kind"] == "uniform":
-        return TypeDistribution.uniform(float(obj["lo"]), float(obj["hi"]))
+        label = "uniform distribution"
+        return TypeDistribution.uniform(
+            float(_field(obj, "lo", label)), float(_field(obj, "hi", label))
+        )
     if obj["kind"] == "quantile_table":
-        return TypeDistribution.quantile_table(obj["u"], obj["t"])
+        label = "quantile_table distribution"
+        return TypeDistribution.quantile_table(_field(obj, "u", label), _field(obj, "t", label))
     raise SpecError(f"unknown distribution kind {obj['kind']!r}")
 
 
@@ -392,9 +483,8 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
 
     spec = ProblemSpec(n_items=n_items, values=values, costs=costs, dist=dist, grid_size=gs)
     _check_load_time(spec)
-    report = validate_assumptions(spec)
-    if report.hard_failures:
-        raise SpecError("; ".join(report.hard_failures))
+    if spec.validation.hard_failures:
+        raise SpecError("; ".join(spec.validation.hard_failures))
     return spec
 
 
@@ -405,7 +495,7 @@ def _check_load_time(spec: ProblemSpec) -> None:
     # values may dip negative (e.g. net values of damaged goods); such types
     # simply never buy, so only monotonicity-where-positive is enforced
     for b in bundles:
-        v = spec.value(b, t)
+        v = spec.value_rows[b]
         if not np.all(np.isfinite(v)):
             raise SpecError(f"value of {format_bundle(b)} is non-finite on the grid")
         pos = v[:-1] > STRICT_TOL
@@ -418,18 +508,13 @@ def _check_load_time(spec: ProblemSpec) -> None:
 
     # monotone in set inclusion; pairs with an omitted (zero) superset are the
     # ignore convention and are skipped
-    for b2 in bundles:
-        v2 = spec.value(b2, t)
-        for b1 in bundles:
-            if b1 == b2 or not is_subset(b1, b2):
-                continue
-            v1 = spec.value(b1, t)
-            bad = np.flatnonzero(v1 > v2 + STRICT_TOL)
-            if bad.size:
-                raise SpecError(
-                    f"monotonicity violation: value of {format_bundle(b1)} exceeds "
-                    f"value of {format_bundle(b2)} at t={t[bad[0]]:.6g}"
-                )
+    for b1, b2 in subset_pairs(bundles):
+        bad = np.flatnonzero(spec.value_rows[b1] > spec.value_rows[b2] + STRICT_TOL)
+        if bad.size:
+            raise SpecError(
+                f"monotonicity violation: value of {format_bundle(b1)} exceeds "
+                f"value of {format_bundle(b2)} at t={t[bad[0]]:.6g}"
+            )
 
     t_top = spec.dist.hi
     grand = spec.grand_bundle
@@ -460,7 +545,6 @@ class ValidationReport:
 
     hard_failures: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    checked_bundles: int = 0
     checked_pairs: int = 0
 
     @property
@@ -470,11 +554,6 @@ class ValidationReport:
     @property
     def clean(self) -> bool:
         return not self.hard_failures and not self.warnings
-
-
-def _profit_on_grid(spec: ProblemSpec, b: int) -> np.ndarray:
-    t = spec.dist.quantile(1.0 - spec.q_grid)
-    return (spec.value(b, t) - spec.cost(b)) * spec.q_grid
 
 
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
@@ -488,41 +567,36 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     profits = {}
     d_star_idx = {}
     for b in bundles:
-        pi = _profit_on_grid(spec, b)
+        pi = (spec.price_rows[b] - spec.cost(b)) * spec.q_grid
         profits[b] = pi
         d_star_idx[b] = int(np.argmax(pi))
-        report.checked_bundles += 1
         if count_descents_to_ascents(pi) > 0:
             report.warnings.append(
                 f"profit curve of {format_bundle(b)} has multiple peaks on [0,1]"
             )
 
-    for b2 in bundles:
-        v2 = spec.value(b2, t)
-        for b1 in bundles:
-            if b1 == b2 or not is_subset(b1, b2):
-                continue
-            report.checked_pairs += 1
-            inc = v2 - spec.value(b1, t)
-            pos = inc[:-1] > STRICT_TOL
-            d_inc = np.diff(inc)
-            bad = np.flatnonzero(pos & (d_inc < -STRICT_TOL))
-            if bad.size:
-                report.hard_failures.append(
-                    f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
-                    f"decreases at t={t[bad[0]]:.6g} where it is positive"
-                )
-            elif np.any(pos & (np.abs(d_inc) <= STRICT_TOL)):
+    for b1, b2 in subset_pairs(bundles):
+        report.checked_pairs += 1
+        inc = spec.value_rows[b2] - spec.value_rows[b1]
+        pos = inc[:-1] > STRICT_TOL
+        d_inc = np.diff(inc)
+        bad = np.flatnonzero(pos & (d_inc < -STRICT_TOL))
+        if bad.size:
+            report.hard_failures.append(
+                f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
+                f"decreases at t={t[bad[0]]:.6g} where it is positive"
+            )
+        elif np.any(pos & (np.abs(d_inc) <= STRICT_TOL)):
+            report.warnings.append(
+                f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
+                "is locally flat where positive"
+            )
+        k = min(d_star_idx[b1], d_star_idx[b2])
+        if k >= 2:
+            inc_profit = profits[b2][: k + 1] - profits[b1][: k + 1]
+            if count_descents_to_ascents(inc_profit) > 0:
                 report.warnings.append(
-                    f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
-                    "is locally flat where positive"
+                    f"incremental profit {format_bundle(b1)} -> {format_bundle(b2)} "
+                    "has multiple peaks before both sales volumes"
                 )
-            k = min(d_star_idx[b1], d_star_idx[b2])
-            if k >= 2:
-                inc_profit = profits[b2][: k + 1] - profits[b1][: k + 1]
-                if count_descents_to_ascents(inc_profit) > 0:
-                    report.warnings.append(
-                        f"incremental profit {format_bundle(b1)} -> {format_bundle(b2)} "
-                        "has multiple peaks before both sales volumes"
-                    )
     return report

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import ProblemSpec, format_bundle, is_subset
+from .model import ProblemSpec, format_bundle, subset_pairs
 from .numerics import chain_dp
 
 STOCHASTIC_TOL = 1e-5
@@ -62,14 +62,11 @@ class DiscretizedInstance:
 
     def check_monotone(self) -> None:
         """Value rows must respect set inclusion among sellable bundles."""
-        for b2 in self.sellable:
-            v2 = self.values[b2]
-            for b1 in self.sellable:
-                if b1 != b2 and is_subset(b1, b2) and np.any(self.values[b1] > v2 + 1e-9):
-                    raise ValueError(
-                        f"discretized values of {format_bundle(b1)} exceed "
-                        f"{format_bundle(b2)}"
-                    )
+        for b1, b2 in subset_pairs(self.sellable):
+            if np.any(self.values[b1] > self.values[b2] + 1e-9):
+                raise ValueError(
+                    f"discretized values of {format_bundle(b1)} exceed {format_bundle(b2)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,33 @@ def test_screening_malformed_term_exit_code(tmp_path, capsys):
     assert err["error"] == "validation" and "action 1" in err["detail"]
 
 
+_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+_ONE_ITEM = {"[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("solve", {"n_items": 1, "distribution": {"kind": "uniform", "lo": 0.0},
+                   "values": _ONE_ITEM}, "hi"),
+        ("solve", {"n_items": 1, "distribution": {"kind": "quantile_table", "t": [0.0, 1.0]},
+                   "values": _ONE_ITEM}, "u"),
+        ("quality", {"distribution": _UNIFORM}, "qualities"),
+        ("quality", {"qualities": [1.0, 2.0]}, "distribution"),
+        ("quality", {"qualities": [1.0, 2.0], "values": {"kind": "exprs"},
+                     "distribution": _UNIFORM}, "exprs"),
+        ("screening", {"qualities": [1.0], "distribution": _UNIFORM}, "actions"),
+    ],
+)
+def test_missing_key_exit_code(command, doc, key, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "validation" and repr(key) in err["detail"]
+
+
 def test_screening_lp_crosscheck_flag(tmp_path, capsys):
     doc = {
         "qualities": [1.0],

@@ -22,7 +22,6 @@ from bundleopt.menu import (
     optimize_chain,
     simulate_menu,
     two_item_base_test,
-    virtual_surplus_grid,
 )
 
 from support import (
@@ -274,7 +273,7 @@ def test_single_crossing_envelopes():
         chain = sorted(rel.undominated)
         env = np.zeros(spec.grid_size)
         for k, b in enumerate(chain):
-            phi = virtual_surplus_grid(spec, b)
+            phi = spec.surplus_rows[b]
             delta = phi - env
             finite = np.isfinite(delta)
             sign = np.sign(delta[finite])
@@ -292,10 +291,10 @@ def test_elimination_of_dominated_bundles():
                 continue
             doms = [u for u in undom if u != b and rel.dominates(b, u)]
             assert doms
-            phi_b = virtual_surplus_grid(spec, b)
+            phi_b = spec.surplus_rows[b]
             ok = np.zeros(spec.grid_size, dtype=bool)
             for u in doms:
-                ok |= np.maximum(0.0, virtual_surplus_grid(spec, u)) >= phi_b - 1e-6
+                ok |= np.maximum(0.0, spec.surplus_rows[u]) >= phi_b - 1e-6
             assert np.all(ok)
 
 
@@ -363,18 +362,6 @@ def test_optimize_chain_priced_out_member():
     assert pair >= alone - 1e-12
     cutoffs, _prices = optimize_chain(spec, [0b100, 0b101])
     assert cutoffs[0] == cutoffs[1] == optimize_chain(spec, [0b101])[0][0]
-
-
-def test_grid_price_search_matches_chain_dp_on_pairs():
-    spec, _profiles, _rel = _pipeline(0.6, 4.5, grid_size=1025)
-    chain_sol = evaluate_menu(spec, [0b10, 0b11])
-    from bundleopt.menu import _grid_price_search
-
-    prices = _grid_price_search(spec, [0b10, 0b11])
-    search_sol = simulate_menu(spec, [0b10, 0b11], prices)
-    assert search_sol.expected_profit == pytest.approx(
-        chain_sol.expected_profit, abs=5e-4
-    )
 
 
 def test_two_item_base_test_orderings():
@@ -488,21 +475,29 @@ def test_quantile_table_full_pipeline():
 
 
 def test_non_chain_menu_price_search():
-    # {1} and {2} cannot be chained: the optimizer falls back to the price
-    # grid search; the result must stay below the LP optimum on the same types
+    # {1} and {2} cannot be chained: at each item's stand-alone monopoly
+    # price the menu must stay below the LP optimum on the same types
     spec = two_item_spec(0.6, 4.5, grid_size=1025)
-    sol = evaluate_menu(spec, [0b01, 0b10])
+    from bundleopt import demand_price, sales_volume
+
+    prices = [demand_price(spec, b, sales_volume(spec, b)) for b in (0b01, 0b10)]
+    sol = evaluate_menu(spec, [0b01, 0b10], prices=prices)
     assert sol.expected_profit > 0
     from bundleopt.oracle import DiscretizedInstance, solve_lp
 
     inst = DiscretizedInstance.from_spec(spec, 101)
     lp = solve_lp(inst)
     disc = evaluate_menu(
-        spec, [0b01, 0b10],
-        prices=[p for p in sorted({float(p) for p in sol.payments if p > 0})],
-        types=inst.types, weights=inst.weights,
+        spec, [0b01, 0b10], prices=prices, types=inst.types, weights=inst.weights
     )
+    assert disc.expected_profit > 0
     assert lp.objective >= disc.expected_profit - 1e-7
+
+
+def test_non_chain_menu_without_prices_refused():
+    spec = two_item_spec(0.6, 4.5, grid_size=1025)
+    with pytest.raises(ValueError, match="LP oracle"):
+        evaluate_menu(spec, [0b01, 0b10])
 
 
 def test_discrete_type_evaluation():

@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
-from bundleopt import MonomialSum, SpecError, TypeDistribution, load_spec, validate_assumptions
+from bundleopt import (
+    MonomialSum,
+    ProblemSpec,
+    SpecError,
+    TypeDistribution,
+    best_nested_menu,
+    compute_profiles,
+    demand_price,
+    load_spec,
+    validate_assumptions,
+    virtual_surplus,
+)
 from bundleopt.model import format_bundle, is_subset, items_from_mask, mask_from_items
 
-from support import single_item_doc, two_item_doc
+from support import random_instance_doc, single_item_doc, two_item_doc
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +231,73 @@ def test_content_hash_stable():
     s3 = load_spec(two_item_doc(0.4, 0.5))
     assert s1.content_hash() == s2.content_hash()
     assert s1.content_hash() != s3.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# grid tables
+
+
+def _table_specs():
+    for seed in range(3):
+        for n in range(2, 6):
+            yield load_spec(random_instance_doc(np.random.default_rng(seed), n))
+    u = np.linspace(0.0, 1.0, 201)
+    doc = single_item_doc()
+    doc["distribution"] = {"kind": "quantile_table", "u": list(u), "t": list(2.0 * np.sqrt(u))}
+    yield load_spec(doc)
+
+
+def test_grid_tables_equal_direct_evaluation():
+    for spec in _table_specs():
+        for b in spec.nonzero_bundles():
+            rows = (spec.value_rows[b], spec.price_rows[b], spec.surplus_rows[b])
+            direct = (
+                spec.value(b, spec.t_grid),
+                demand_price(spec, b, spec.q_grid),
+                virtual_surplus(spec, b, spec.t_grid),
+            )
+            for row, want in zip(rows, direct):
+                assert np.array_equal(row, want, equal_nan=True)
+                assert not row.flags.writeable
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
+        with pytest.raises(ValueError, match="no value expression"):
+            spec.surplus_rows[0]
+
+
+def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
+    # Full-grid evaluations of v(b, .) per bundle: one for each of the three
+    # tables (values and virtual surplus on t_grid, inverse demand on q_grid),
+    # plus one in simulate_menu for each member of the best chain it prices.
+    calls = {}
+    original = MonomialSum.__call__
+
+    def counting(self, t):
+        if np.ndim(t) == 1 and np.size(t) == 4097:
+            calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self, t)
+
+    monkeypatch.setattr(MonomialSum, "__call__", counting)
+    spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
+    compute_profiles(spec)
+    _sol, chain = best_nested_menu(spec)
+    for b in spec.nonzero_bundles():
+        assert calls[id(spec.values[b])] == (4 if b in chain else 3), format_bundle(b)
+
+
+def test_oversized_spec_refused_before_tables():
+    # 10 items with 512 bundles is one bundle over the 9-item limit
+    values = {b: MonomialSum(terms=((1.0, 1.0),)) for b in range(1, 513)}
+    spec = ProblemSpec(
+        n_items=10, values=values, costs={}, dist=TypeDistribution.uniform(0.0, 1.0)
+    )
+    pairs = sum(
+        1 for b2 in values for b1 in values if b1 != b2 and is_subset(b1, b2)
+    )
+    with pytest.raises(SpecError) as err:
+        spec.surplus_rows[1]
+    table_mb = 3 * 512 * 4097 * 8 / 1e6
+    assert "512 bundles" in str(err.value)
+    assert f"{pairs} subset pairs" in str(err.value)
+    assert f"{table_mb:.2f} MB" in str(err.value)
+    assert not {"_value_rows", "_price_rows", "_surplus_rows"} & set(vars(spec))
