@@ -10,6 +10,7 @@ ignored throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,8 +106,9 @@ class QualityProblem:
             for x, v in zip(self.qualities, self.values)
         )
 
-    def embed(self) -> ProblemSpec:
-        """Bundling problem whose chain bundle {1..k} is quality k."""
+    @cached_property
+    def embedded(self) -> ProblemSpec:
+        """Bundling problem whose chain bundle {1..k} is quality k, loaded once."""
         doc = {
             "n_items": len(self.qualities),
             "distribution": self.dist.to_dict(),
@@ -139,14 +141,14 @@ class EnvelopeResult:
     identity_gap: Optional[float] = None
 
 
-def quality_sales_volumes(problem: QualityProblem, spec: Optional[ProblemSpec] = None):
-    spec = spec or problem.embed()
+def quality_sales_volumes(problem: QualityProblem) -> np.ndarray:
     masks = [(1 << (k + 1)) - 1 for k in range(len(problem.qualities))]
-    return np.array([sales_volume(spec, b) for b in masks]), spec
+    return np.array([sales_volume(problem.embedded, b) for b in masks])
 
 
-def _crosscheck_against_solver(problem, spec, d_star, menu_idx) -> None:
+def _crosscheck_against_solver(problem, d_star, menu_idx) -> None:
     """The envelope menu must agree with the constructive solver on the embedding."""
+    spec = problem.embedded
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
     solved = solve_nested_menu(spec, profiles, relation)
@@ -176,12 +178,12 @@ def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
     Cross-checked by embedding into bundles and running the menu solver; the
     two menus must coincide up to dominated duplicates.
     """
-    d_star, spec = quality_sales_volumes(problem)
+    d_star = quality_sales_volumes(problem)
     if np.any(d_star <= 0.0) or np.any(d_star >= 1.0):
         raise ValueError("envelope route requires interior sales volumes for all qualities")
     d_hat = decreasing_envelope(d_star)
     menu = tuple(int(k) for k in np.flatnonzero(d_hat - d_star <= EPS_Q))
-    _crosscheck_against_solver(problem, spec, d_star, menu)
+    _crosscheck_against_solver(problem, d_star, menu)
     return EnvelopeResult(
         route="sales",
         qualities=problem.qualities,
@@ -220,7 +222,7 @@ def quality_menu_from_costs(problem: QualityProblem) -> EnvelopeResult:
     c_avg = np.asarray(problem.costs, dtype=float) / xs
     c_check = increasing_envelope(c_avg)
     menu = tuple(int(k) for k in np.flatnonzero(c_avg - c_check <= TIE_TOL))
-    d_star, _spec = quality_sales_volumes(problem)
+    d_star = quality_sales_volumes(problem)
     d_hat = decreasing_envelope(d_star)
     d_hat_from_costs = np.array([unit_mr_inverse(problem.dist, c) for c in c_check])
     gap = float(np.max(np.abs(d_hat_from_costs - d_hat)))

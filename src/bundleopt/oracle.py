@@ -5,6 +5,16 @@ LP maximizes expected payments minus production costs over per-type lottery
 assignments subject to the full set of pairwise IC constraints and IR.  The
 solution bounds every menu's profit on the same instance from above, which
 is what makes it a useful certificate against the nested-menu solver.
+
+The LP is built once, by ``_lp``, and both ``solve_lp`` and ``dump_lp_text``
+read that matrix.  With m types and K sellable bundles:
+
+- columns: the lottery weights a[k, j] in [0, 1], type-major (column
+  k*K + j), then the free payments p[k] (column m*K + k);
+- rows, all ``<=``: first IC, u(k, r) - u(k, k) <= 0 for type k against
+  each report r != k, k-major, where u(k, r) = sum_j a[r, j] v_j(t_k) - p[r];
+  then IR, the same row against the outside option (no lottery, no
+  payment), -u(k, k) <= 0; then lottery mass, sum_j a[k, j] <= 1.
 """
 
 from __future__ import annotations
@@ -16,23 +26,22 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import ProblemSpec, format_bundle, subset_pairs
+from .model import ProblemSpec, SpecError, format_bundle, subset_pairs
 from .numerics import chain_dp
 
 STOCHASTIC_TOL = 1e-5
 M_RANGE = (11, 401)
+MAX_LP_VARIABLES = 10_000
 
 
 @dataclass(frozen=True)
 class DiscretizedInstance:
     """Equal-weight type grid with the full bundle value matrix."""
 
-    n_items: int
     types: np.ndarray  # m quantile midpoints, increasing
     weights: np.ndarray  # mass per type (1/m each)
-    bundles: tuple  # all 2^n masks, ascending
-    values: np.ndarray  # (n_bundles, m)
-    costs: np.ndarray  # (n_bundles,)
+    values: np.ndarray  # (2^n, m), row b for bundle mask b
+    costs: np.ndarray  # (2^n,)
     sellable: tuple  # masks with a nonzero value expression
 
     @property
@@ -42,20 +51,24 @@ class DiscretizedInstance:
     @staticmethod
     def from_spec(spec: ProblemSpec, m: int = 201) -> "DiscretizedInstance":
         if not M_RANGE[0] <= m <= M_RANGE[1]:
-            raise ValueError(f"m={m} outside supported range {M_RANGE}")
-        u = (np.arange(m) + 0.5) / m
-        types = spec.dist.quantile(u)
-        bundles = tuple(range(1 << spec.n_items))
+            raise SpecError(f"m={m} outside supported range {M_RANGE}")
+        sellable = spec.nonzero_bundles()
+        n_var = m * (len(sellable) + 1)
+        if n_var > MAX_LP_VARIABLES:
+            raise SpecError(
+                f"{n_var} decision variables exceed the dense-oracle budget (10^4); "
+                "reduce m or the number of sellable bundles"
+            )
+        types = np.asarray(spec.dist.quantile((np.arange(m) + 0.5) / m), dtype=float)
+        bundles = range(1 << spec.n_items)
         values = np.array([np.asarray(spec.value(b, types), dtype=float) for b in bundles])
         costs = np.array([spec.cost(b) for b in bundles])
         inst = DiscretizedInstance(
-            n_items=spec.n_items,
-            types=np.asarray(types, dtype=float),
+            types=types,
             weights=np.full(m, 1.0 / m),
-            bundles=bundles,
             values=values,
             costs=costs,
-            sellable=spec.nonzero_bundles(),
+            sellable=sellable,
         )
         inst.check_monotone()
         return inst
@@ -76,7 +89,6 @@ class LPSolution:
     payments: np.ndarray  # (m,)
     option_bundles: tuple  # masks matching allocation columns
     stochastic: bool
-    status: str
 
     def utilities(self, values: np.ndarray) -> np.ndarray:
         """Per-type utility given the (n_bundles, m) value matrix."""
@@ -92,83 +104,48 @@ class LPSolution:
         return float(np.mean(np.where(mass > threshold, mass, 0.0)))
 
 
-def solve_lp(instance: DiscretizedInstance) -> LPSolution:
-    """Optimal stochastic mechanism on the discrete instance, via HiGHS.
-
-    Variables are the lottery weights a[k, j] over sellable bundles plus one
-    payment per type; all m^2 pairwise IC constraints are kept so the oracle
-    stays valid for stochastic, non-monotone optima.  Deterministic for a
-    fixed instance.
-    """
+def _lp(instance: DiscretizedInstance):
+    """The oracle LP (c, A_ub, b_ub): min c @ x s.t. A_ub @ x <= b_ub; CSR, entries by column."""
     m = instance.m
     opts = list(instance.sellable)
     K = len(opts)
-    if m * (K + 1) > 10_000:
-        raise ValueError(
-            f"{m * (K + 1)} decision variables exceed the dense-oracle budget (10^4); "
-            "reduce m or the number of sellable bundles"
-        )
-    V = instance.values[opts]  # (K, m)
-    C = instance.costs[list(opts)]
-    w = instance.weights
     n_a = m * K
-    n_var = n_a + m
+    V = instance.values[opts].T  # (m, K): V[k, j] = v_j(t_k)
+    lottery = np.arange(n_a).reshape(m, K)  # columns of a[k, :]
+    pay = n_a + np.arange(m)[:, None]  # column of p[k]
 
-    c = np.zeros(n_var)
-    c[:n_a] = np.repeat(w, K) * np.tile(C, m)
-    c[n_a:] = -w
-
-    rows = []
-    cols = []
-    data = []
-
-    # IC: for k != k', sum_j a[k',j] v_j(t_k) - p_k' - sum_j a[k,j] v_j(t_k) + p_k <= 0
-    ks, kps = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    mask = ks != kps
-    ks, kps = ks[mask], kps[mask]
-    n_ic = ks.size
-    row_idx = np.arange(n_ic)
-    for j in range(K):
-        rows.append(row_idx)
-        cols.append(kps * K + j)
-        data.append(V[j, ks])
-        rows.append(row_idx)
-        cols.append(ks * K + j)
-        data.append(-V[j, ks])
-    rows.append(row_idx)
-    cols.append(n_a + ks)
-    data.append(np.ones(n_ic))
-    rows.append(row_idx)
-    cols.append(n_a + kps)
-    data.append(-np.ones(n_ic))
-    r = n_ic
-
-    # IR: p_k - sum_j a[k,j] v_j(t_k) <= 0
-    kr = np.arange(m)
-    for j in range(K):
-        rows.append(r + kr)
-        cols.append(kr * K + j)
-        data.append(-V[j, kr])
-    rows.append(r + kr)
-    cols.append(n_a + kr)
-    data.append(np.ones(m))
-    r += m
-
-    # lottery mass: sum_j a[k,j] <= 1
-    for j in range(K):
-        rows.append(r + kr)
-        cols.append(kr * K + j)
-        data.append(np.ones(m))
-    r += m
-
-    A = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(r, n_var),
+    # IC row (k, r): +V[k] on a[r], -V[k] on a[k], +1 on p[k], -1 on p[r];
+    # the lower of k and r comes first in column order, with sign s
+    k, r = np.nonzero(~np.eye(m, dtype=bool))
+    lo, hi = np.minimum(k, r), np.maximum(k, r)
+    s = np.where(r < k, 1.0, -1.0)[:, None]
+    blocks = (  # (columns, coefficients), one row of each per constraint
+        (np.hstack((lottery[lo], lottery[hi], pay[lo], pay[hi])),
+         np.hstack((s * V[k], -s * V[k], -s, s))),
+        (np.hstack((lottery, pay)), np.hstack((-V, np.ones((m, 1))))),  # IR: IC minus a[r], p[r]
+        (lottery, np.ones((m, K))),  # lottery mass
     )
-    b_ub = np.zeros(r)
-    b_ub[r - m :] = 1.0
-    bounds = [(0.0, 1.0)] * n_a + [(None, None)] * m
+    width = np.repeat([cols.shape[1] for cols, _ in blocks], [len(cols) for cols, _ in blocks])
+    indices = np.concatenate([cols.ravel() for cols, _ in blocks])
+    data = np.concatenate([coefs.ravel() for _, coefs in blocks])
+    indptr = np.concatenate(([0], np.cumsum(width)))
+    A = sparse.csr_matrix((data, indices, indptr), shape=(width.size, n_a + m))
+    w = instance.weights
+    c = np.concatenate((np.repeat(w, K) * np.tile(instance.costs[opts], m), -w))
+    b_ub = np.concatenate((np.zeros(m * m), np.ones(m)))
+    return c, A, b_ub
 
+
+def solve_lp(instance: DiscretizedInstance) -> LPSolution:
+    """Optimal stochastic mechanism on the discrete instance, via HiGHS.
+
+    All m^2 pairwise IC constraints are kept so the oracle stays valid for
+    stochastic, non-monotone optima.  Deterministic for a fixed instance.
+    """
+    m = instance.m
+    c, A, b_ub = _lp(instance)
+    n_a = A.shape[1] - m
+    bounds = [(0.0, 1.0)] * n_a + [(None, None)] * m
     res = linprog(c, A_ub=A, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 2:
         raise RuntimeError("LP infeasible: the zero mechanism should always be feasible")
@@ -177,17 +154,15 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")
 
-    alloc = res.x[:n_a].reshape(m, K)
-    payments = res.x[n_a:]
+    alloc = res.x[:n_a].reshape(m, -1)
     interior = (alloc > STOCHASTIC_TOL) & (alloc < 1.0 - STOCHASTIC_TOL)
     split = (alloc > STOCHASTIC_TOL).sum(axis=1) > 1
     return LPSolution(
         objective=float(-res.fun),
         allocation=alloc,
-        payments=payments,
-        option_bundles=tuple(opts),
+        payments=res.x[n_a:],
+        option_bundles=instance.sellable,
         stochastic=bool(interior.any() or split.any()),
-        status="optimal",
     )
 
 
@@ -283,47 +258,31 @@ def compare(
 def dump_lp_text(instance: DiscretizedInstance) -> str:
     """Instance as a plain-text LP for external solvers (CPLEX LP format).
 
-    Coefficients are written as round-trip floats, so the text is the LP
-    ``solve_lp`` solves.
+    Written row by row from ``_lp``'s matrix with round-trip floats, so the
+    text is the LP ``solve_lp`` solves.
     """
-    opts = list(instance.sellable)
     m = instance.m
-    w = instance.weights
+    c, A, b_ub = _lp(instance)
+    items = [format_bundle(b)[1:-1].replace(",", "_") or "none" for b in instance.sellable]
+    names = [f"a_{k}_{it}" for k in range(m) for it in items] + [f"p_{k}" for k in range(m)]
+    rows = [f"ic_{k}_{r}" for k in range(m) for r in range(m) if r != k]
+    rows += [f"ir_{k}" for k in range(m)] + [f"cap_{k}" for k in range(m)]
 
-    def a(k, j):
-        return f"a_{k}_{format_bundle(opts[j])[1:-1].replace(',', '_') or 'none'}"
+    def terms(coefs, cols):
+        return "".join(
+            f" {'-' if x < 0 else '+'} {abs(x)!r} {names[j]}" for x, j in zip(coefs, cols)
+        )
 
-    out = ["\\ discretized incentive-compatible pricing problem", "Maximize", " obj:"]
-    terms = []
-    for k in range(m):
-        terms.append(f" + {float(w[k])!r} p_{k}")
-        for j, b in enumerate(opts):
-            if instance.costs[b] != 0.0:
-                terms.append(f" - {float(w[k] * instance.costs[b])!r} {a(k, j)}")
-    out.append("   " + " ".join(terms))
+    obj = np.flatnonzero(c)
+    out = ["\\ discretized incentive-compatible pricing problem", "Maximize"]
+    out.append(" obj:" + terms((-c[obj]).tolist(), obj.tolist()))
     out.append("Subject To")
-    for k in range(m):
-        for kp in range(m):
-            if k == kp:
-                continue
-            lhs = []
-            for j, b in enumerate(opts):
-                v = float(instance.values[b, k])
-                lhs.append(f" + {v!r} {a(kp, j)} - {v!r} {a(k, j)}")
-            out.append(
-                f" ic_{k}_{kp}:" + "".join(lhs) + f" + p_{k} - p_{kp} <= 0"
-            )
-        lhs = "".join(
-            f" - {float(instance.values[b, k])!r} {a(k, j)}" for j, b in enumerate(opts)
-        )
-        out.append(f" ir_{k}: p_{k}{lhs} <= 0")
-        out.append(
-            f" cap_{k}:" + "".join(f" + {a(k, j)}" for j in range(len(opts))) + " <= 1"
-        )
+    data, indices, ptr = A.data.tolist(), A.indices.tolist(), A.indptr.tolist()
+    for i, (name, rhs) in enumerate(zip(rows, b_ub.tolist())):
+        lo, hi = ptr[i], ptr[i + 1]
+        out.append(f" {name}:{terms(data[lo:hi], indices[lo:hi])} <= {rhs!r}")
     out.append("Bounds")
-    for k in range(m):
-        out.append(f" -inf <= p_{k} <= +inf")
-        for j in range(len(opts)):
-            out.append(f" 0 <= {a(k, j)} <= 1")
+    out += [f" 0 <= {name} <= 1" for name in names[: len(names) - m]]
+    out += [f" -inf <= {name} <= +inf" for name in names[len(names) - m :]]
     out.append("End")
     return "\n".join(out) + "\n"

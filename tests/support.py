@@ -1,9 +1,11 @@
-"""Shared test helpers: canonical instances, a seeded instance generator, and
-the chain enumeration that cross-checks the chain DP."""
+"""Shared test helpers: canonical instances, a seeded instance generator, the
+chain enumeration that cross-checks the chain DP, and the per-bundle LP
+builder that cross-checks the oracle's vectorised one."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from bundleopt import load_spec
 from bundleopt.model import is_subset
@@ -121,3 +123,64 @@ def iter_chains(bundles):
                 continue
             chains.append(chain + (b,))
     return [c for c in chains if c]
+
+
+def dense_lp(instance):
+    """Reference oracle LP ``(c, A_ub, b_ub)``, assembled one bundle at a time.
+
+    The COO triplets of every IC, IR and lottery-mass row, converted to CSR:
+    the construction ``oracle._lp`` replaced, kept to check it against.
+    """
+    m = instance.m
+    opts = list(instance.sellable)
+    K = len(opts)
+    V = instance.values[opts]  # (K, m)
+    C = instance.costs[opts]
+    w = instance.weights
+    n_a = m * K
+
+    c = np.zeros(n_a + m)
+    c[:n_a] = np.repeat(w, K) * np.tile(C, m)
+    c[n_a:] = -w
+
+    rows, cols, data = [], [], []
+
+    # IC: for k != k', sum_j a[k',j] v_j(t_k) - p_k' - sum_j a[k,j] v_j(t_k) + p_k <= 0
+    ks, kps = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    mask = ks != kps
+    ks, kps = ks[mask], kps[mask]
+    row_idx = np.arange(ks.size)
+    for j in range(K):
+        rows += [row_idx, row_idx]
+        cols += [kps * K + j, ks * K + j]
+        data += [V[j, ks], -V[j, ks]]
+    rows += [row_idx, row_idx]
+    cols += [n_a + ks, n_a + kps]
+    data += [np.ones(ks.size), -np.ones(ks.size)]
+    r = ks.size
+
+    # IR: p_k - sum_j a[k,j] v_j(t_k) <= 0
+    kr = np.arange(m)
+    for j in range(K):
+        rows.append(r + kr)
+        cols.append(kr * K + j)
+        data.append(-V[j, kr])
+    rows.append(r + kr)
+    cols.append(n_a + kr)
+    data.append(np.ones(m))
+    r += m
+
+    # lottery mass: sum_j a[k,j] <= 1
+    for j in range(K):
+        rows.append(r + kr)
+        cols.append(kr * K + j)
+        data.append(np.ones(m))
+    r += m
+
+    A = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(r, n_a + m),
+    )
+    b_ub = np.zeros(r)
+    b_ub[r - m :] = 1.0
+    return c, A, b_ub

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bundleopt import applications
 from bundleopt.applications import (
     QualityProblem,
     ScreeningProblem,
@@ -100,6 +101,17 @@ def test_quality_menu_cost_route_agrees():
     assert r.identity_gap <= 1e-8
 
 
+def test_quality_problem_embeds_once(monkeypatch):
+    # both routes read the one embedded spec: it is loaded and validated once
+    calls = []
+    load_spec = applications.load_spec
+    monkeypatch.setattr(applications, "load_spec", lambda doc: calls.append(doc) or load_spec(doc))
+    qp = QualityProblem.from_document(_quality_doc([0.2, 0.2, 0.9]))
+    assert qp.multiplicative
+    assert quality_menu_from_sales(qp).menu == quality_menu_from_costs(qp).menu == (1, 2)
+    assert len(calls) == 1
+
+
 def test_quality_menu_decreasing_volumes_keeps_all():
     # increasing average costs make D* decreasing: every quality survives
     qp = QualityProblem.from_document(_quality_doc([0.1, 0.4, 1.2]))
@@ -135,7 +147,7 @@ def test_quality_menu_two_technology_costs():
     dropped = set(range(len(qualities))) - set(r_sales.menu)
     assert dropped & increasing, "expected a dropped quality inside the increasing region"
     # LP on the embedding confirms the envelope menu's profit is optimal
-    spec = qp.embed()
+    spec = qp.embedded
     inst = DiscretizedInstance.from_spec(spec, 101)
     lp = solve_lp(inst)
     profit, chain = best_nested_discrete(inst)

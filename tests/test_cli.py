@@ -5,11 +5,14 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bundleopt import load_spec
 from bundleopt.cli import main
+from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
-from support import two_item_doc
+from support import random_instance_doc, two_item_doc
 
 
 @pytest.fixture
@@ -218,17 +221,19 @@ def test_missing_key_exit_code(command, doc, key, tmp_path, capsys):
     assert err["error"] == "validation" and repr(key) in err["detail"]
 
 
+_SCREENING_DOC = {
+    "qualities": [1.0],
+    "production_costs": [0.0],
+    "values": {"kind": "multiplicative"},
+    "actions": [{"terms": [{"coef": 0.3, "exp": 3.0}]}],
+    "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    "grid_size": 1025,
+}
+
+
 def test_screening_lp_crosscheck_flag(tmp_path, capsys):
-    doc = {
-        "qualities": [1.0],
-        "production_costs": [0.0],
-        "values": {"kind": "multiplicative"},
-        "actions": [{"terms": [{"coef": 0.3, "exp": 3.0}]}],
-        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-        "grid_size": 1025,
-    }
     path = tmp_path / "screening.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_SCREENING_DOC))
     code = main([
         "screening", "--spec", str(path), "--out", str(tmp_path / "o"),
         "--verify-lp", "--types", "51",
@@ -236,6 +241,25 @@ def test_screening_lp_crosscheck_flag(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "lp cross-check" in stdout and "usage mass" in stdout
+
+
+@pytest.mark.parametrize(
+    "command, doc, types, detail",
+    [
+        ("verify", two_item_doc(0.3, 0.5, grid_size=1025), 5, "m=5 outside supported range"),
+        ("verify", random_instance_doc(np.random.default_rng(0), 6, grid_size=1025), 201,
+         "12864 decision variables exceed the dense-oracle budget"),
+        ("screening", _SCREENING_DOC, 5, "m=5 outside supported range"),
+    ],
+)
+def test_lp_size_refusal_exit_code(command, doc, types, detail, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--spec", str(path), "--out", str(tmp_path / "o"), "--types", str(types)]
+    code = main(argv + (["--verify-lp"] if command == "screening" else []))
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "validation" and detail in err["detail"]
 
 
 def test_reproduce_artifacts(tmp_path, capsys):
@@ -281,15 +305,32 @@ def test_outputs_byte_identical_across_runs(spec_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_perfbench_traced_names_resolve():
-    # the benchmark's tracer (perfbench/layers.py) rebinds these functions by
-    # name, so a rename or deletion here breaks `perfbench/run.py --trace 1`
+def _perfbench_layers():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     loader = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(layers)
+    return layers
+
+
+def test_perfbench_traced_names_resolve():
+    # the benchmark's tracer (perfbench/layers.py) rebinds these functions by
+    # name, so a rename or deletion here breaks `perfbench/run.py --trace 1`
+    layers = _perfbench_layers()
     for mod_name, attr in layers.TRACED:
         obj = importlib.import_module(f"bundleopt.{mod_name}")
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"bundleopt.{mod_name}.{attr}"
+
+
+@pytest.mark.parametrize("n_items", [2, 3])
+def test_perfbench_lp_metrics_match_oracle(n_items):
+    # the benchmark computes LP sizes from m and K and IC violations from the
+    # answer alone; both must describe the LP the oracle actually solves
+    layers = _perfbench_layers()
+    spec = load_spec(random_instance_doc(np.random.default_rng(1), n_items, grid_size=1025))
+    instance = DiscretizedInstance.from_spec(spec, 51)
+    _c, A, _b = _lp(instance)
+    assert layers.lp_size(instance) == (A.shape[0], A.shape[1], A.nnz)
+    assert layers.lp_violation(instance, solve_lp(instance)) <= 1e-7

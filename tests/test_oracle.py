@@ -1,5 +1,6 @@
 """Discretized LP oracle: objective benchmarks, IC/IR feasibility, verdicts."""
 
+import json
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from bundleopt import (
 )
 from bundleopt.oracle import (
     DiscretizedInstance,
+    _lp,
     best_nested_discrete,
     compare,
     discrete_chain_profit,
@@ -24,10 +26,12 @@ from bundleopt.oracle import (
 )
 
 from support import (
+    dense_lp,
     generate_clean_specs,
     iter_chains,
     random_instance_doc,
     single_item_doc,
+    two_item_doc,
     two_item_spec,
 )
 
@@ -70,10 +74,8 @@ def test_zero_values_give_zero_objective():
     m = 21
     types = (np.arange(m) + 0.5) / m
     inst = DiscretizedInstance(
-        n_items=1,
         types=types,
         weights=np.full(m, 1.0 / m),
-        bundles=(0, 1),
         values=np.zeros((2, m)),
         costs=np.zeros(2),
         sellable=(1,),
@@ -81,6 +83,30 @@ def test_zero_values_give_zero_objective():
     lp = solve_lp(inst)
     assert lp.objective == pytest.approx(0.0, abs=1e-9)
     assert np.all(lp.payments <= 1e-9)
+
+
+def _instance_doc(seed, n_items, costs):
+    """Seeded random instance, without costs or with 0.05 per item in each bundle."""
+    doc = random_instance_doc(np.random.default_rng(seed), n_items, allow_costs=False)
+    if costs:
+        doc["costs"] = {key: 0.05 * len(json.loads(key)) for key in doc["values"]}
+    return doc
+
+
+@pytest.mark.parametrize("costs", [False, True])
+@pytest.mark.parametrize("n_items", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_lp_builder_matches_dense_reference(seed, n_items, costs):
+    spec = load_spec(_instance_doc(seed, n_items, costs))
+    for m in (11, 51, 101):
+        inst = DiscretizedInstance.from_spec(spec, m)
+        c, A, b_ub = _lp(inst)
+        c_ref, A_ref, b_ref = dense_lp(inst)
+        assert np.any(c[: A.shape[1] - m] > 0) == costs
+        assert np.array_equal(c, c_ref) and np.array_equal(b_ub, b_ref)
+        assert A.format == "csr" and A.shape == A_ref.shape
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, field), getattr(A_ref, field)), (m, field)
 
 
 def test_lp_matches_menu_solver_under_nesting():
@@ -206,6 +232,35 @@ def test_verdict_confirmed_degenerate_beta_one():
 # LP text dump
 
 
+def _parse_lp_text(text):
+    """(c, A, b, bounds, row names) of a dumped LP, columns in Bounds order."""
+    lines = text.splitlines()
+    sections = {name: lines.index(name) for name in ("Maximize", "Subject To", "Bounds", "End")}
+    bound_lines = lines[sections["Bounds"] + 1 : sections["End"]]
+    names, bounds = [], []
+    for line in bound_lines:
+        lo, name, hi = re.fullmatch(r" (\S+) <= (\S+) <= (\S+)", line).groups()
+        names.append(name)
+        bounds.append((float(lo), float(hi)))
+    col = {name: j for j, name in enumerate(names)}
+
+    def row(terms):
+        out = np.zeros(len(names))
+        for sign, coef, name in re.findall(r" ([+-]) (\S+) (\S+)", terms):
+            out[col[name]] = float(coef) if sign == "+" else -float(coef)
+        return out
+
+    (obj,) = lines[sections["Maximize"] + 1 : sections["Subject To"]]
+    c = -row(obj.removeprefix(" obj:"))
+    rows, b, row_names = [], [], []
+    for line in lines[sections["Subject To"] + 1 : sections["Bounds"]]:
+        name, terms, rhs = re.fullmatch(r" (\w+):(.*) <= (\S+)", line).groups()
+        row_names.append(name)
+        rows.append(row(terms))
+        b.append(float(rhs))
+    return c, np.array(rows), np.array(b), bounds, row_names
+
+
 def test_dump_lp_text_structure():
     inst = _single_item_instance(11)
     text = dump_lp_text(inst)
@@ -220,3 +275,17 @@ def test_dump_lp_text_structure():
         coefs = re.findall(r"[+-] (\S+) a_\d+_1\b", line)
         assert len(coefs) == 2
         assert all(float(c) == inst.values[0b1, k] for c in coefs)
+    # the whole text parses back into the LP solve_lp is given
+    m = 11
+    for doc in (two_item_doc(0.3, 0.5, grid_size=1025), _instance_doc(0, 3, costs=True)):
+        inst = DiscretizedInstance.from_spec(load_spec(doc), m)
+        c, A, b, bounds, row_names = _parse_lp_text(dump_lp_text(inst))
+        c_lp, A_lp, b_lp = _lp(inst)
+        n_a = A_lp.shape[1] - m
+        assert np.array_equal(c, c_lp) and np.array_equal(b, b_lp)
+        assert np.array_equal(A, A_lp.toarray())
+        assert bounds == [(0.0, 1.0)] * n_a + [(-np.inf, np.inf)] * m
+        assert row_names == (
+            [f"ic_{k}_{r}" for k in range(m) for r in range(m) if r != k]
+            + [f"ir_{k}" for k in range(m)] + [f"cap_{k}" for k in range(m)]
+        )
