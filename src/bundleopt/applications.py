@@ -2,9 +2,9 @@
 
 Quality-differentiated goods embed into the bundling machinery as chains
 {1}, {1,2}, ..., {1..n}; screening with costly actions embeds as an
-(n_qualities + n_actions)-item problem where extra items represent opting
-out of each action.  Bundles outside these families carry zero value and are
-ignored throughout.
+(n_qualities + n_actions)-item problem whose extra items opt out of each
+action.  Sales volumes are read from the core's demand profiles, of the
+embedding or of each product sold alone; other bundles carry zero value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .demand import compute_profiles, profit_curve, sales_volume, virtual_surplus
+from .demand import DemandProfile, compute_profile, compute_profiles, virtual_surplus
 from .dominance import EPS_Q, build_dominance, check_union_elasticity
 from .menu import solve_nested_menu
 from .model import (
@@ -25,8 +25,12 @@ from .model import (
     SpecError,
     TypeDistribution,
     _field,
+    _integer,
+    _numbers,
+    _object,
     _parse_distribution,
     _parse_expression,
+    items_from_mask,
     load_spec,
 )
 from .numerics import count_descents_to_ascents, rising_root
@@ -74,13 +78,13 @@ class QualityProblem:
 
     @staticmethod
     def from_document(doc: dict) -> "QualityProblem":
-        xs = tuple(float(x) for x in _field(doc, "qualities", "quality problem"))
+        xs = tuple(_numbers(_field(doc, "qualities", "quality problem"), "'qualities'"))
         if any(x2 <= x1 for x1, x2 in zip(xs[:-1], xs[1:])) or any(x <= 0 for x in xs):
             raise SpecError("qualities must be positive and strictly increasing")
-        costs = tuple(float(c) for c in doc.get("costs", [0.0] * len(xs)))
+        costs = tuple(_numbers(doc.get("costs", [0.0] * len(xs)), "quality 'costs'"))
         if len(costs) != len(xs):
             raise SpecError("need one cost per quality")
-        vspec = doc.get("values", {"kind": "multiplicative"})
+        vspec = _object(doc.get("values", {"kind": "multiplicative"}), "quality 'values'")
         if vspec.get("kind", "multiplicative") == "multiplicative":
             values = tuple(MonomialSum(terms=((x, 1.0),)) for x in xs)
         else:
@@ -90,13 +94,16 @@ class QualityProblem:
             )
         if len(values) != len(xs):
             raise SpecError("need one value expression per quality")
+        zero = [k + 1 for k, v in enumerate(values) if v.is_zero()]
+        if zero:
+            raise SpecError(f"value of quality {zero[0]} is identically zero")
         dist = _parse_distribution(_field(doc, "distribution", "quality problem"))
         return QualityProblem(
             qualities=xs,
             values=values,
             costs=costs,
             dist=dist,
-            grid_size=int(doc.get("grid_size", DEFAULT_GRID_SIZE)),
+            grid_size=_integer(doc.get("grid_size", DEFAULT_GRID_SIZE), "'grid_size'"),
         )
 
     @property
@@ -124,9 +131,21 @@ class QualityProblem:
         }
         return load_spec(doc)
 
-    def quality_of_mask(self, mask: int) -> Optional[int]:
-        k = mask.bit_length() - 1
-        return k if mask == (1 << (k + 1)) - 1 else None
+    @cached_property
+    def profiles(self) -> dict[int, DemandProfile]:
+        """Demand profiles of the embedding, computed once."""
+        return compute_profiles(self.embedded)
+
+    @property
+    def d_star(self) -> np.ndarray:
+        """Sales volume of each quality sold alone, read from ``profiles``."""
+        masks = [(1 << k) - 1 for k in range(1, len(self.qualities) + 1)]
+        return np.array([self.profiles[b].d_star for b in masks])
+
+    @cached_property
+    def regular(self) -> bool:
+        """``is_regular`` of the type distribution on this problem's grid, checked once."""
+        return is_regular(self.dist, self.grid_size)
 
 
 @dataclass(frozen=True)
@@ -141,18 +160,11 @@ class EnvelopeResult:
     identity_gap: Optional[float] = None
 
 
-def quality_sales_volumes(problem: QualityProblem) -> np.ndarray:
-    masks = [(1 << (k + 1)) - 1 for k in range(len(problem.qualities))]
-    return np.array([sales_volume(problem.embedded, b) for b in masks])
-
-
-def _crosscheck_against_solver(problem, d_star, menu_idx) -> None:
+def _crosscheck_against_solver(problem, d_hat, menu_idx) -> None:
     """The envelope menu must agree with the constructive solver on the embedding."""
-    spec = problem.embedded
-    profiles = compute_profiles(spec)
-    relation = build_dominance(spec, profiles)
-    solved = solve_nested_menu(spec, profiles, relation)
-    solver_idx = {problem.quality_of_mask(b) for b in solved.bundles}
+    spec, profiles = problem.embedded, problem.profiles
+    solved = solve_nested_menu(spec, profiles, build_dominance(spec, profiles))
+    solver_idx = {b.bit_length() - 1 for b in solved.bundles}  # bundle {1..k+1} is quality k
     menu_set = set(menu_idx)
     if not solver_idx <= menu_set:
         raise RuntimeError(
@@ -160,11 +172,10 @@ def _crosscheck_against_solver(problem, d_star, menu_idx) -> None:
         )
     # envelope members absent from the solver menu must be duplicates: tied
     # with some larger quality at the same envelope level
-    d_hat = decreasing_envelope(d_star)
     for k in menu_set - solver_idx:
         tied = any(
             j > k and abs(d_hat[j] - d_hat[k]) <= EPS_Q and j in menu_set
-            for j in range(len(d_star))
+            for j in range(len(d_hat))
         )
         if not tied:
             raise RuntimeError(
@@ -178,12 +189,12 @@ def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
     Cross-checked by embedding into bundles and running the menu solver; the
     two menus must coincide up to dominated duplicates.
     """
-    d_star = quality_sales_volumes(problem)
+    d_star = problem.d_star
     if np.any(d_star <= 0.0) or np.any(d_star >= 1.0):
         raise ValueError("envelope route requires interior sales volumes for all qualities")
     d_hat = decreasing_envelope(d_star)
     menu = tuple(int(k) for k in np.flatnonzero(d_hat - d_star <= EPS_Q))
-    _crosscheck_against_solver(problem, d_star, menu)
+    _crosscheck_against_solver(problem, d_hat, menu)
     return EnvelopeResult(
         route="sales",
         qualities=problem.qualities,
@@ -216,13 +227,13 @@ def quality_menu_from_costs(problem: QualityProblem) -> EnvelopeResult:
     """
     if not problem.multiplicative:
         raise ValueError("cost-envelope route requires multiplicative values x*t")
-    if not is_regular(problem.dist, problem.grid_size):
+    if not problem.regular:
         raise ValueError("cost-envelope route requires a regular type distribution")
     xs = np.asarray(problem.qualities, dtype=float)
     c_avg = np.asarray(problem.costs, dtype=float) / xs
     c_check = increasing_envelope(c_avg)
     menu = tuple(int(k) for k in np.flatnonzero(c_avg - c_check <= TIE_TOL))
-    d_star = quality_sales_volumes(problem)
+    d_star = problem.d_star
     d_hat = decreasing_envelope(d_star)
     d_hat_from_costs = np.array([unit_mr_inverse(problem.dist, c) for c in c_check])
     gap = float(np.max(np.abs(d_hat_from_costs - d_hat)))
@@ -260,7 +271,7 @@ class ScreeningProblem:
     @staticmethod
     def from_document(doc: dict) -> "ScreeningProblem":
         label = "screening problem"
-        qualities = _field(doc, "qualities", label)
+        qualities = _numbers(_field(doc, "qualities", label), "'qualities'")
         quality = QualityProblem.from_document(
             {
                 "qualities": qualities,
@@ -285,6 +296,27 @@ class ScreeningProblem:
             grid_size=quality.grid_size,
         )
 
+    @cached_property
+    def goods(self) -> tuple:
+        """Each quality as a product sold alone."""
+        priced = zip(self.utilities, self.production_costs)
+        return tuple(_lone_product(v, c, self.dist, self.grid_size) for v, c in priced)
+
+    @cached_property
+    def opt_outs(self) -> tuple:
+        """Skipping each action as a product sold alone, worth the disutility saved."""
+        return tuple(_lone_product(c, 0.0, self.dist, self.grid_size) for c in self.action_costs)
+
+    @cached_property
+    def surplus_pairs(self) -> tuple:
+        """(quality, action) pairs whose net value u_i - c_j - C_i is positive at some type."""
+        return tuple(
+            (i, j)
+            for i, good in enumerate(self.goods)
+            for j, opt_out in enumerate(self.opt_outs)
+            if np.max(good.value_rows[1] - opt_out.value_rows[1] - self.production_costs[i]) > 1e-12
+        )
+
 
 @dataclass
 class ScreeningReport:
@@ -306,10 +338,8 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     concave profit curves, monotone net values, single-peaked net profit
     below both peaks) guard the verdict; failures withhold it.
     """
-    t = np.linspace(problem.dist.lo, problem.dist.hi, problem.grid_size)
     messages: list[str] = []
-    u = [np.asarray(v(t), dtype=float) for v in problem.utilities]
-    cv = [np.asarray(c(t), dtype=float) for c in problem.action_costs]
+    cv = [o.value_rows[1] for o in problem.opt_outs]
 
     for j, c in enumerate(cv):
         if np.any(np.diff(c) <= 0.0) or np.any(c < -1e-12):
@@ -319,25 +349,11 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
                 "and are out of scope"
             )
 
-    n = len(problem.qualities)
-    m = len(problem.action_costs)
-    # each quality, and skipping each action, as a product sold alone
-    goods = [
-        _lone_product(v, c, problem.dist, problem.grid_size)
-        for v, c in zip(problem.utilities, problem.production_costs)
-    ]
-    opt_outs = [_lone_product(c, 0.0, problem.dist, problem.grid_size) for c in problem.action_costs]
-    pi_x = [profit_curve(g, 1, g.q_grid) for g in goods]
-    pi_y = [profit_curve(o, 1, o.q_grid) for o in opt_outs]
-    d_x = np.array([sales_volume(g, 1) for g in goods])
-    d_y = np.array([sales_volume(o, 1) for o in opt_outs])
-
-    surplus_pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(m)
-        if np.max(u[i] - cv[j] - problem.production_costs[i]) > 1e-12
-    ]
+    u = [g.value_rows[1] for g in problem.goods]
+    profiles_x = [compute_profile(g, 1) for g in problem.goods]
+    profiles_y = [compute_profile(o, 1) for o in problem.opt_outs]
+    d_x = np.array([p.d_star for p in profiles_x])
+    d_y = np.array([p.d_star for p in profiles_y])
 
     x_star = int(np.flatnonzero(d_x >= d_x.max() - TIE_TOL)[-1])
     y_star = int(np.flatnonzero(d_y <= d_y.min() + TIE_TOL)[0])
@@ -358,12 +374,12 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
         d_star_actions=tuple(float(v) for v in d_y),
         x_star=x_star,
         y_star=y_star,
-        surplus_pairs=tuple(surplus_pairs),
+        surplus_pairs=problem.surplus_pairs,
         messages=messages,
     )
 
     # a surplus-positive allocation whose net value falls in type screens trivially
-    for i, j in surplus_pairs:
+    for i, j in problem.surplus_pairs:
         net = u[i] - cv[j]
         pos = net[:-1] > 1e-12
         if np.any(pos) and np.all(np.diff(net)[pos] < 1e-12) and np.any(np.diff(net)[pos] < -1e-12):
@@ -374,7 +390,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
             )
             return report
 
-    checked = set(surplus_pairs) | {(x_star, y_star)}
+    checked = set(problem.surplus_pairs) | {(x_star, y_star)}
     failures = []
     for i, j in sorted(checked):
         net = u[i] - cv[j]
@@ -382,16 +398,17 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
         if np.any(pos & (np.diff(net) < -1e-10)):
             failures.append(f"net value of quality {i} minus action {j} not increasing where positive")
         k = int(min(d_x[i], d_y[j]) * (problem.grid_size - 1))
-        if k >= 2 and count_descents_to_ascents(pi_x[i][: k + 1] - pi_y[j][: k + 1]) > 0:
+        net_profit = profiles_x[i].profit[: k + 1] - profiles_y[j].profit[: k + 1]
+        if k >= 2 and count_descents_to_ascents(net_profit) > 0:
             failures.append(
                 f"net profit of quality {i} minus action {j} multi-peaked below both volumes"
             )
 
-    for i, pi in enumerate(pi_x):
-        if count_descents_to_ascents(pi) > 0:
+    for i, p in enumerate(profiles_x):
+        if count_descents_to_ascents(p.profit) > 0:
             failures.append(f"profit curve of quality {i} is multi-peaked")
-    for j, pi in enumerate(pi_y):
-        if count_descents_to_ascents(pi) > 0:
+    for j, p in enumerate(profiles_y):
+        if count_descents_to_ascents(p.profit) > 0:
             failures.append(f"opt-out profit curve of action {j} is multi-peaked")
 
     if failures:
@@ -413,35 +430,29 @@ def embed_screening(problem: ScreeningProblem):
     n = len(problem.qualities)
     m = len(problem.action_costs)
     all_optouts = ((1 << m) - 1) << n
-    t = np.linspace(problem.dist.lo, problem.dist.hi, problem.grid_size)
 
     values: dict[str, dict] = {}
     costs: dict[str, float] = {}
     info = {"clean": {}, "damaged": {}, "costly_masks": []}
-
-    def key_of(mask: int) -> str:
-        items = [j + 1 for j in range(n + m) if mask & (1 << j)]
-        return str(items)
-
     for i in range(n):
         quality_bits = (1 << (i + 1)) - 1
         clean = quality_bits | all_optouts
-        values[key_of(clean)] = problem.utilities[i].to_dict()
-        costs[key_of(clean)] = problem.production_costs[i]
+        key = str(list(items_from_mask(clean)))
+        values[key] = problem.utilities[i].to_dict()
+        costs[key] = problem.production_costs[i]
         info["clean"][clean] = i
         for j in range(m):
-            ui = np.asarray(problem.utilities[i](t), dtype=float)
-            cj = np.asarray(problem.action_costs[j](t), dtype=float)
-            if np.max(ui - cj - problem.production_costs[i]) <= 1e-12:
-                continue  # never generates surplus; ignore
+            if (i, j) not in problem.surplus_pairs:
+                continue
             mask = quality_bits | (all_optouts & ~(1 << (n + j)))
             expr = MonomialSum(
                 terms=problem.utilities[i].terms
                 + tuple((-c, e) for c, e in problem.action_costs[j].terms),
                 const=problem.utilities[i].const - problem.action_costs[j].const,
             )
-            values[key_of(mask)] = expr.to_dict()
-            costs[key_of(mask)] = problem.production_costs[i]
+            key = str(list(items_from_mask(mask)))
+            values[key] = expr.to_dict()
+            costs[key] = problem.production_costs[i]
             info["damaged"][mask] = (i, j)
             info["costly_masks"].append(mask)
 
@@ -527,6 +538,11 @@ def _quasiconvex(sizes: Sequence[int]) -> bool:
     return True
 
 
+def _minimal_menu(spec: ProblemSpec) -> tuple:
+    """The spec's minimal optimal menu: its undominated bundles, ascending."""
+    return build_dominance(spec, compute_profiles(spec)).undominated
+
+
 def rotation_sweep(
     family: Callable[[float], ProblemSpec], s_values: Sequence[float]
 ) -> RotationSweep:
@@ -547,7 +563,7 @@ def rotation_sweep(
         profiles = compute_profiles(spec)
         relation = build_dominance(spec, profiles)
         union = check_union_elasticity(spec, profiles)
-        menu = tuple(sorted(relation.undominated))
+        menu = relation.undominated
         points.append(
             RotationPoint(
                 s=float(s),
@@ -620,15 +636,10 @@ def refine_menu_transition(
 ) -> float:
     """Bisect the parameter where the minimal optimal menu changes."""
 
-    def menu_at(s):
-        spec = family(s)
-        profiles = compute_profiles(spec)
-        return tuple(sorted(build_dominance(spec, profiles).undominated))
-
-    left = menu_at(s_lo)
+    left = _minimal_menu(family(s_lo))
     while s_hi - s_lo > tol:
         mid = 0.5 * (s_lo + s_hi)
-        if menu_at(mid) == left:
+        if _minimal_menu(family(mid)) == left:
             s_lo = mid
         else:
             s_hi = mid
@@ -637,11 +648,7 @@ def refine_menu_transition(
 
 def menu_regions(family: Callable[[float], ProblemSpec], s_values: Sequence[float]):
     """Consecutive runs of equal minimal menus with refined change points."""
-    menus = []
-    for s in s_values:
-        spec = family(float(s))
-        profiles = compute_profiles(spec)
-        menus.append(tuple(sorted(build_dominance(spec, profiles).undominated)))
+    menus = [_minimal_menu(family(float(s))) for s in s_values]
     regions = []
     start = 0
     for k in range(1, len(s_values) + 1):

@@ -24,7 +24,7 @@ from .menu import (
     envelope_allocation,
     solve_nested_menu,
 )
-from .model import ProblemSpec, SpecError, format_bundle, load_spec
+from .model import ProblemSpec, SpecError, format_bundle, load_spec, read_document
 from .oracle import DiscretizedInstance, compare, dump_lp_text, solve_lp
 
 EXIT_OK = 0
@@ -302,15 +302,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    problem = apps.QualityProblem.from_document(doc)
+    problem = apps.QualityProblem.from_document(read_document(args.spec))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     sales = apps.quality_menu_from_sales(problem)
     cost_route = None
-    if problem.multiplicative and apps.is_regular(problem.dist, problem.grid_size):
+    if problem.multiplicative and problem.regular:
         cost_route = apps.quality_menu_from_costs(problem)
 
     rows = []
@@ -339,9 +337,7 @@ def cmd_quality(args) -> int:
 
 
 def cmd_screening(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    problem = apps.ScreeningProblem.from_document(doc)
+    problem = apps.ScreeningProblem.from_document(read_document(args.spec))
     report = apps.screening_optimal(problem)
 
     print(f"{'action':>8}{'opt-out volume':>18}")

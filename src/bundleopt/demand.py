@@ -48,19 +48,18 @@ def marginal_profit(spec: ProblemSpec, b: int, q):
 def sales_volume(spec: ProblemSpec, b: int) -> float:
     """Profit-maximizing quantity D*(b) of bundle b sold alone, on [0, 1].
 
-    The profit curve is evaluated in one array call on a 1001-point grid
-    whose maximum brackets the peak; the root of the analytic marginal profit
-    there is the stationary point (numerics.scanned_max).  Warns (via
-    numerics.MultiplePeaksWarning) when near-tied maxima suggest the
-    uniqueness assumption is violated, returning the smallest.  The screening
-    criterion calls this on one-item specs for each quality and opt-out
-    product.
+    The maximum of b's profit row (``ProblemSpec.profit_row``) on the spec's
+    quantity grid brackets the peak, and the root of the analytic marginal
+    profit there is the stationary point (numerics.scanned_max).  Warns
+    (numerics.MultiplePeaksWarning) when near-tied maxima suggest the
+    uniqueness assumption is violated, returning the smallest; raises
+    ValueError for a bundle without a value expression.  ``compute_profile``
+    calls this, for the screening criterion's one-item specs too.
     """
-    qs = np.linspace(0.0, 1.0, 1001)
     return scanned_max(
         lambda q: profit_curve(spec, b, q),
-        qs,
-        profit_curve(spec, b, qs),
+        spec.q_grid,
+        spec.profit_row(b),
         lambda q: marginal_profit(spec, b, q),
         warn_label=f"profit of {format_bundle(b)}",
     )
@@ -128,14 +127,12 @@ class DemandProfile:
 
 
 def compute_profile(spec: ProblemSpec, b: int) -> DemandProfile:
-    price = spec.price_rows[b]
-    profit = (price - spec.cost(b)) * spec.q_grid
     d_star = sales_volume(spec, b)
     return DemandProfile(
         bundle=b,
         q_grid=spec.q_grid,
-        price=price,
-        profit=profit,
+        price=spec.price_rows[b],
+        profit=spec.profit_row(b),
         d_star=d_star,
         t_star=float(spec.dist.quantile(1.0 - d_star)),
         peak_profit=float(profit_curve(spec, b, d_star)),

@@ -453,12 +453,12 @@ def solve_nested_menu(
     """Construct the minimal optimal nested menu by stack-based elimination.
 
     Walks the undominated chain from the smallest bundle up, maximizing each
-    bundle's incremental profit against the top of the stack: a maximizer at
-    the top's quantity pops the stack (the smaller bundle is never worth
-    keeping), an interior maximizer pushes the bundle with that quantity, and
-    a zero maximizer skips the bundle.  Prices follow from the cutoff types
-    via upgrade pricing.  Warnings in the spec's validation report void the
-    certificate.
+    bundle's incremental profit against the top of the stack on the profiles'
+    profit rows up to the top's quantity: a maximizer at that quantity pops
+    the stack (the smaller bundle is never worth keeping), an interior
+    maximizer pushes the bundle with its quantity, and a zero maximizer skips
+    the bundle.  Prices follow from the cutoffs via upgrade pricing; warnings
+    in the spec's validation report void the certificate.
     """
     if not relation.nested:
         raise NestingError(
@@ -485,8 +485,10 @@ def solve_nested_menu(
         def inc_slope(q, b_i=b_i, b_hat=b_hat):
             return marginal_profit(spec, b_i, q) - marginal_profit(spec, b_hat, q)
 
-        qs = np.linspace(0.0, q_hat, 1001)
-        scan = inc(qs)
+        k = int(np.searchsorted(spec.q_grid, q_hat))  # grid points below q_hat
+        qs = np.append(spec.q_grid[:k], q_hat)
+        below = profiles[b_i].profit[:k] - (profiles[b_hat].profit[:k] if b_hat else 0.0)
+        scan = np.append(below, inc(q_hat))
         if count_descents_to_ascents(scan, noise=1e-14) > 0:
             peaks = _incremental_peaks(scan)
             if len(peaks) >= 2 and peaks[0] - peaks[1] > PEAK_SPLIT_TOL:

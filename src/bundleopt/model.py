@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -288,6 +289,10 @@ class ProblemSpec:
     def cost(self, b: int) -> float:
         return self.costs.get(b, 0.0)
 
+    def profit_row(self, b: int) -> np.ndarray:
+        """Profit (P(b, q) - C(b)) * q of bundle b sold alone, on ``q_grid``."""
+        return (self.price_rows[b] - self.cost(b)) * self.q_grid
+
     def virtual_surplus(self, b: int, t):
         """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
 
@@ -407,7 +412,8 @@ def _parse_expression(obj, label: str) -> MonomialSum:
             terms.append((float(term["coef"]), float(term["exp"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed term {term!r} for {label}") from exc
-    return MonomialSum(terms=tuple(terms), const=float(obj.get("const", 0.0)))
+    const = _number(obj.get("const", 0.0), f"const of {label}")
+    return MonomialSum(terms=tuple(terms), const=const)
 
 
 def _field(obj: dict, key: str, label: str):
@@ -417,17 +423,60 @@ def _field(obj: dict, key: str, label: str):
     return obj[key]
 
 
+def read_document(source: Union[str, dict]) -> dict:
+    """The JSON object in the file ``source`` names, or ``source`` if already parsed."""
+    if isinstance(source, dict):
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"problem file is not valid JSON: {exc}") from exc
+    return _object(doc, "problem file")
+
+
+# typed fields: a SpecError naming ``label`` when the JSON value has another type
+def _object(x, label: str) -> dict:
+    if not isinstance(x, dict):
+        raise SpecError(f"{label} must be an object, not {type(x).__name__}")
+    return x
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _number(x, label: str) -> float:
+    if not _is_number(x):
+        raise SpecError(f"{label} must be a number, not {x!r}")
+    return float(x)
+
+
+def _numbers(x, label: str) -> list[float]:
+    if not isinstance(x, (list, tuple)):
+        raise SpecError(f"{label} must be a list of numbers, not {type(x).__name__}")
+    return [_number(v, f"entry {k} of {label}") for k, v in enumerate(x)]
+
+
+def _integer(x, label: str) -> int:
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise SpecError(f"{label} must be an integer, not {x!r}")
+    return int(x)
+
+
 def _parse_distribution(obj) -> TypeDistribution:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("distribution must be an object with a 'kind' field")
     if obj["kind"] == "uniform":
-        label = "uniform distribution"
-        return TypeDistribution.uniform(
-            float(_field(obj, "lo", label)), float(_field(obj, "hi", label))
+        lo, hi = (
+            _number(_field(obj, k, "uniform distribution"), f"{k!r} of the uniform distribution")
+            for k in ("lo", "hi")
         )
+        return TypeDistribution.uniform(lo, hi)
     if obj["kind"] == "quantile_table":
         label = "quantile_table distribution"
-        return TypeDistribution.quantile_table(_field(obj, "u", label), _field(obj, "t", label))
+        u, t = (_numbers(_field(obj, k, label), f"{k!r} of the {label}") for k in ("u", "t"))
+        return TypeDistribution.quantile_table(u, t)
     raise SpecError(f"unknown distribution kind {obj['kind']!r}")
 
 
@@ -439,12 +488,7 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
     values non-monotone in set inclusion or decreasing in type, or a grand
     bundle that is not efficient for the highest type.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-
+    doc = read_document(source)
     try:
         n_items = int(doc["n_items"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -455,7 +499,7 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
     dist = _parse_distribution(doc.get("distribution"))
 
     values: dict[int, MonomialSum] = {}
-    for key, obj in (doc.get("values") or {}).items():
+    for key, obj in _object(doc.get("values") or {}, "'values'").items():
         mask = _parse_bundle_key(key, n_items)
         expr = _parse_expression(obj, f"bundle {key}")
         if mask == 0 and not expr.is_zero():
@@ -464,9 +508,9 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
             values[mask] = expr
 
     costs: dict[int, float] = {}
-    for key, c in (doc.get("costs") or {}).items():
+    for key, c in _object(doc.get("costs") or {}, "'costs'").items():
         mask = _parse_bundle_key(key, n_items)
-        c = float(c)
+        c = _number(c, f"cost of bundle {key}")
         if c < 0:
             raise SpecError(f"negative cost {c} for bundle {format_bundle(mask)}")
         if mask == 0 and c != 0.0:
@@ -474,7 +518,7 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
         if mask != 0:
             costs[mask] = c
 
-    gs = int(grid_size or doc.get("grid_size") or DEFAULT_GRID_SIZE)
+    gs = _integer(grid_size or doc.get("grid_size") or DEFAULT_GRID_SIZE, "'grid_size'")
     if gs < 33:
         raise SpecError(f"grid_size={gs} too small for reliable validation")
 
@@ -564,12 +608,9 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     bundles = spec.nonzero_bundles()
     t = spec.t_grid
 
-    profits = {}
-    d_star_idx = {}
-    for b in bundles:
-        pi = (spec.price_rows[b] - spec.cost(b)) * spec.q_grid
-        profits[b] = pi
-        d_star_idx[b] = int(np.argmax(pi))
+    profits = {b: spec.profit_row(b) for b in bundles}
+    d_star_idx = {b: int(np.argmax(pi)) for b, pi in profits.items()}
+    for b, pi in profits.items():
         if count_descents_to_ascents(pi) > 0:
             report.warnings.append(
                 f"profit curve of {format_bundle(b)} has multiple peaks on [0,1]"

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundleopt import load_spec
+from bundleopt import applications as apps
+from bundleopt import demand, load_spec
 from bundleopt.cli import main
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
@@ -219,6 +220,72 @@ def test_missing_key_exit_code(command, doc, key, tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"] == "validation" and repr(key) in err["detail"]
+
+
+def _one_item(**fields):
+    return {"n_items": 1, "distribution": _UNIFORM, "values": _ONE_ITEM, **fields}
+
+
+def _quality(**fields):
+    return {"qualities": [1.0, 2.0], "distribution": _UNIFORM, **fields}
+
+
+_EXPRS = {"kind": "exprs", "exprs": [{"const": 0.0}, {"terms": [{"coef": 1.0, "exp": 1.0}]}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("solve", '{"n_items": 1,', "JSON"),
+        ("quality", '{"qualities": [1.0', "JSON"),
+        ("solve", _one_item(values=[{"terms": [{"coef": 1.0, "exp": 1.0}]}]), "'values'"),
+        ("solve", _one_item(distribution={"kind": "uniform", "lo": "zero", "hi": 1.0}), "'lo'"),
+        ("solve", _one_item(grid_size="fine"), "'grid_size'"),
+        ("solve", _one_item(costs={"[1]": "cheap"}), "cost of bundle [1]"),
+        ("solve", _one_item(distribution={"kind": "quantile_table", "u": "0 1", "t": [0.0, 1.0]}),
+         "'u'"),
+        ("solve", _one_item(distribution={"kind": "quantile_table", "u": [0.0, 1.0],
+                                          "t": ["low", "high"]}), "'t'"),
+        ("quality", _quality(qualities="1 2"), "'qualities'"),
+        ("quality", _quality(qualities=2.0), "'qualities'"),
+        ("quality", _quality(values=[{"terms": [{"coef": 1.0, "exp": 1.0}]}]), "'values'"),
+        ("quality", _quality(values=_EXPRS), "quality 1"),
+        ("screening", {"qualities": 1.0, "actions": [], "distribution": _UNIFORM}, "'qualities'"),
+    ],
+)
+def test_mistyped_document_exit_code(command, doc, field, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "validation" and field in err["detail"]
+
+
+def test_quality_run_profiles_each_quality_once(monkeypatch, tmp_path, capsys):
+    # the sales route, the solver cross-check and the cost route all read the
+    # embedding's one set of demand profiles; regularity is checked once
+    calls = {"sales_volume": 0, "is_regular": 0}
+    for name, original in (("sales_volume", demand.sales_volume), ("is_regular", apps.is_regular)):
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (demand, apps):  # every namespace that calls it
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    doc = {
+        "qualities": [1.0, 2.0, 3.0, 4.0],
+        "costs": [0.2, 0.2, 0.9, 1.8],
+        "distribution": _UNIFORM,
+        "grid_size": 1025,
+    }
+    path = tmp_path / "quality.json"
+    path.write_text(json.dumps(doc))
+    assert main(["quality", "--spec", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "cost-envelope route agrees" in capsys.readouterr().out
+    assert calls == {"sales_volume": 4, "is_regular": 1}
 
 
 _SCREENING_DOC = {

@@ -1,5 +1,7 @@
 """Demand curves, profit curves, sales volumes, elasticities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from bundleopt import (
 )
 from bundleopt.demand import UnsellableError, elasticity_grid
 
-from support import generate_clean_specs, single_item_doc, two_item_spec
+from support import generate_clean_specs, single_item_doc, two_item_doc, two_item_spec
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +93,29 @@ def test_sales_volume_matches_dense_argmax_on_random_instances():
 
 
 def test_array_scan_matches_pointwise_evaluation():
-    # sales_volume scans its grid in one array call and refines with scalar
-    # calls, so the two must agree to the last bit
+    # sales_volume scans the profit row on the quantity grid and refines with
+    # scalar calls, so rows, array calls and point calls must agree to the
+    # last bit
     for spec, profiles, _rel in generate_clean_specs(5, 3, grid_size=1025):
-        q = np.linspace(0.0, 1.0, 1001)
+        q = spec.q_grid
         for b in profiles:
-            for curve in (profit_curve, marginal_profit):
-                scan = np.asarray(curve(spec, b, q), dtype=float)
+            scans = [(profit_curve, spec.profit_row(b))] + [
+                (curve, curve(spec, b, q)) for curve in (profit_curve, marginal_profit)
+            ]
+            for curve, scan in scans:
                 points = np.array([curve(spec, b, x) for x in q], dtype=float)
-                assert np.array_equal(scan, points, equal_nan=True)
+                assert np.array_equal(np.asarray(scan, dtype=float), points, equal_nan=True)
+
+
+def test_sales_volume_needs_a_value_expression():
+    # a bundle without a value expression has no profit row to scan
+    doc = two_item_doc(0.5, 0.5)
+    del doc["values"]["[1]"]
+    spec = load_spec(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no value expression"):
+            sales_volume(spec, 0b01)
 
 
 def test_marginal_profit_single_zero_crossing_at_d_star():

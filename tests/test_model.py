@@ -9,15 +9,17 @@ from bundleopt import (
     SpecError,
     TypeDistribution,
     best_nested_menu,
+    build_dominance,
     compute_profiles,
     demand_price,
     load_spec,
+    solve_nested_menu,
     validate_assumptions,
     virtual_surplus,
 )
 from bundleopt.model import format_bundle, is_subset, items_from_mask, mask_from_items
 
-from support import random_instance_doc, single_item_doc, two_item_doc
+from support import random_instance_doc, single_item_doc, two_item_doc, two_item_spec
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,34 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     _sol, chain = best_nested_menu(spec)
     for b in spec.nonzero_bundles():
         assert calls[id(spec.values[b])] == (4 if b in chain else 3), format_bundle(b)
+
+
+def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
+    # Array evaluations of v(b, .) of any size.  Loading and profiling make
+    # exactly the value and inverse-demand rows; sales volumes and the stack
+    # construction scan the rows and polish with scalar calls, so the menu
+    # solver evaluates v on no grid but the spec's own.
+    sizes = {}
+    original = MonomialSum.__call__
+
+    def counting(self, t):
+        if np.ndim(t) >= 1:
+            sizes.setdefault(id(self), []).append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(MonomialSum, "__call__", counting)
+    spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
+    compute_profiles(spec)
+    assert len(spec.nonzero_bundles()) == 31
+    for b in spec.nonzero_bundles():
+        assert sizes[id(spec.values[b])] == [4097, 4097], format_bundle(b)
+
+    spec = two_item_spec(0.7, 0.5)
+    profiles = compute_profiles(spec)
+    sizes.clear()
+    menu = solve_nested_menu(spec, profiles, build_dominance(spec, profiles))
+    assert menu.certificate == "VALID"
+    assert {n for ns in sizes.values() for n in ns} == {spec.grid_size}
 
 
 def test_oversized_spec_refused_before_tables():
