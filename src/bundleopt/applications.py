@@ -17,7 +17,7 @@ import numpy as np
 
 from .demand import DemandProfile, compute_profile, compute_profiles, virtual_surplus
 from .dominance import EPS_Q, build_dominance, check_union_elasticity
-from .menu import solve_nested_menu
+from .menu import _envelope_integral, solve_nested_menu
 from .model import (
     DEFAULT_GRID_SIZE,
     MonomialSum,
@@ -36,6 +36,7 @@ from .model import (
 from .numerics import count_descents_to_ascents, rising_root
 
 TIE_TOL = 1e-9
+TRANSITION_TOL = 1e-4  # bisection width of a refined menu change point
 UNIT_VALUE = MonomialSum(terms=((1.0, 1.0),))  # v(t) = t
 
 
@@ -160,8 +161,12 @@ class EnvelopeResult:
     identity_gap: Optional[float] = None
 
 
-def _crosscheck_against_solver(problem, d_hat, menu_idx) -> None:
-    """The envelope menu must agree with the constructive solver on the embedding."""
+def _crosscheck_against_solver(problem, menu_idx) -> None:
+    """The envelope menu must agree with the constructive solver on the embedding.
+
+    It must contain the solver's menu, and the members the solver drops must
+    add no profit: the envelope menu earns the solver's profit within 1e-9.
+    """
     spec, profiles = problem.embedded, problem.profiles
     solved = solve_nested_menu(spec, profiles, build_dominance(spec, profiles))
     solver_idx = {b.bit_length() - 1 for b in solved.bundles}  # bundle {1..k+1} is quality k
@@ -170,31 +175,26 @@ def _crosscheck_against_solver(problem, d_hat, menu_idx) -> None:
         raise RuntimeError(
             f"solver menu {sorted(solver_idx)} not contained in envelope menu {sorted(menu_set)}"
         )
-    # envelope members absent from the solver menu must be duplicates: tied
-    # with some larger quality at the same envelope level
-    for k in menu_set - solver_idx:
-        tied = any(
-            j > k and abs(d_hat[j] - d_hat[k]) <= EPS_Q and j in menu_set
-            for j in range(len(d_hat))
+    profit = _envelope_integral(spec, [(2 << k) - 1 for k in menu_set])
+    if abs(profit - solved.expected_profit) > 1e-9:
+        raise RuntimeError(
+            f"envelope menu {sorted(menu_set)} earns {profit:.12g}, solver menu "
+            f"{sorted(solver_idx)} earns {solved.expected_profit:.12g}"
         )
-        if not tied:
-            raise RuntimeError(
-                f"quality {k} in envelope menu but neither solved nor a tied duplicate"
-            )
 
 
 def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
     """Optimal quality menu as the touch set of the decreasing sales envelope.
 
     Cross-checked by embedding into bundles and running the menu solver; the
-    two menus must coincide up to dominated duplicates.
+    two menus must coincide up to members that add no profit.
     """
     d_star = problem.d_star
     if np.any(d_star <= 0.0) or np.any(d_star >= 1.0):
-        raise ValueError("envelope route requires interior sales volumes for all qualities")
+        raise SpecError("envelope route requires interior sales volumes for all qualities")
     d_hat = decreasing_envelope(d_star)
     menu = tuple(int(k) for k in np.flatnonzero(d_hat - d_star <= EPS_Q))
-    _crosscheck_against_solver(problem, d_hat, menu)
+    _crosscheck_against_solver(problem, menu)
     return EnvelopeResult(
         route="sales",
         qualities=problem.qualities,
@@ -214,7 +214,7 @@ def is_regular(dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE) -> bo
 def unit_mr_inverse(dist: TypeDistribution, c: float) -> float:
     """Quantity where the unit-value marginal revenue equals c (regular F)."""
     unit = _lone_product(UNIT_VALUE, c, dist)
-    t_root = rising_root(lambda t: virtual_surplus(unit, 1, t), dist.lo, dist.hi, xtol=1e-13)
+    t_root = rising_root(lambda t: virtual_surplus(unit, 1, t), dist.lo, dist.hi)
     return float(1.0 - dist.cdf(t_root))
 
 
@@ -287,6 +287,9 @@ class ScreeningProblem:
         )
         if not actions:
             raise SpecError("screening problem needs at least one costly action")
+        zero = [j + 1 for j, a in enumerate(actions) if a.is_zero()]
+        if zero:
+            raise SpecError(f"disutility of action {zero[0]} is identically zero")
         return ScreeningProblem(
             qualities=quality.qualities,
             utilities=quality.values,
@@ -343,7 +346,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
 
     for j, c in enumerate(cv):
         if np.any(np.diff(c) <= 0.0) or np.any(c < -1e-12):
-            raise ValueError(
+            raise SpecError(
                 f"disutility of action {j} must be nonnegative and strictly increasing "
                 "in type; nonincreasing disutilities never support costly screening "
                 "and are out of scope"
@@ -471,23 +474,19 @@ def embed_screening(problem: ScreeningProblem):
 
 
 def two_item_power_family(
-    beta: float,
-    gamma: float,
-    alpha: float = 1.0,
-    hi: float = 2.0,
-    grid_size: int = DEFAULT_GRID_SIZE,
+    beta: float, gamma: float, grid_size: int = DEFAULT_GRID_SIZE
 ) -> ProblemSpec:
-    """Built-in benchmark: t^alpha and t^beta items whose union adds t^gamma."""
+    """Built-in benchmark on U[0, 2]: items t and t^beta whose union adds t^gamma."""
     return load_spec(
         {
             "n_items": 2,
-            "distribution": {"kind": "uniform", "lo": 0.0, "hi": hi},
+            "distribution": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
             "values": {
-                "[1]": {"terms": [{"coef": 1.0, "exp": alpha}]},
+                "[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]},
                 "[2]": {"terms": [{"coef": 1.0, "exp": beta}]},
                 "[1,2]": {
                     "terms": [
-                        {"coef": 1.0, "exp": alpha},
+                        {"coef": 1.0, "exp": 1.0},
                         {"coef": 1.0, "exp": beta},
                         {"coef": 1.0, "exp": gamma},
                     ]
@@ -629,15 +628,11 @@ def rotation_sweep(
 
 
 def refine_menu_transition(
-    family: Callable[[float], ProblemSpec],
-    s_lo: float,
-    s_hi: float,
-    tol: float = 1e-4,
+    family: Callable[[float], ProblemSpec], s_lo: float, s_hi: float
 ) -> float:
-    """Bisect the parameter where the minimal optimal menu changes."""
-
+    """Bisect the parameter where the minimal optimal menu changes, to ``TRANSITION_TOL``."""
     left = _minimal_menu(family(s_lo))
-    while s_hi - s_lo > tol:
+    while s_hi - s_lo > TRANSITION_TOL:
         mid = 0.5 * (s_lo + s_hi)
         if _minimal_menu(family(mid)) == left:
             s_lo = mid

@@ -18,6 +18,7 @@ from .model import ProblemSpec, format_bundle, is_subset, subset_pairs
 
 EPS_Q = 1e-7  # tie tolerance on sales-volume comparisons; ties dominate
 ETA_TOL = 1e-6  # buffer around the -1 elasticity threshold
+MAX_RECORDED = 50  # union-elasticity failures kept in a report
 
 
 class CornerVolumeWarning(UserWarning):
@@ -105,20 +106,16 @@ class UnionElasticityReport:
 
 
 def check_union_elasticity(
-    spec: ProblemSpec,
-    profiles: dict[int, DemandProfile],
-    cost_adjusted: Optional[bool] = None,
-    max_recorded: int = 50,
+    spec: ProblemSpec, profiles: dict[int, DemandProfile]
 ) -> UnionElasticityReport:
     """Scan all bundle pairs and grid quantities for union-elasticity failures.
 
     A failure is a quantity where both demand curves are elastic (eta < -1)
     but the union's is not.  With costs present the cost-adjusted elasticity
-    is used.  Pairs whose union carries no value expression cannot be
-    evaluated and are recorded as skipped.
+    is used.  The first ``MAX_RECORDED`` failures are kept.  Pairs whose union
+    carries no value expression cannot be evaluated and are recorded as skipped.
     """
-    if cost_adjusted is None:
-        cost_adjusted = not spec.zero_costs()
+    cost_adjusted = not spec.zero_costs()
     report = UnionElasticityReport(holds=True, cost_adjusted=cost_adjusted)
 
     bundles = sorted(profiles)
@@ -149,7 +146,7 @@ def check_union_elasticity(
             if idx.size:
                 report.holds = False
                 report.n_flagged += int(idx.size)
-                for k in idx[: max(0, max_recorded - len(report.failures))]:
+                for k in idx[: max(0, MAX_RECORDED - len(report.failures))]:
                     report.failures.append(
                         (b1, b2, float(q[k]), float(etas[b1][k]), float(etas[b2][k]),
                          float(etas[union][k]))

@@ -17,7 +17,7 @@ import numpy as np
 from .demand import DemandProfile, marginal_profit, profit_curve, virtual_surplus
 from .dominance import EPS_Q, DominanceRelation
 from .model import ProblemSpec, format_bundle, is_subset
-from .numerics import chain_dp, count_descents_to_ascents, rising_root, scanned_max
+from .numerics import chain_dp, count_descents_to_ascents, rising_root, scanned_max, switch_points
 
 PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
 REVENUE_EQ_TOL = 1e-5
@@ -58,25 +58,22 @@ class CrossingRecord:
 
 
 def last_crossing(spec: ProblemSpec, b1: int, b2: int) -> CrossingRecord:
-    """Scan the type grid from the top for the last crossing of the surplus curves."""
+    """Last switch of the grid argmax of the two surplus curves (ties to b1).
+
+    The crossing is the bottom type when b2 leads throughout and the top type
+    when b2 does not lead there.
+    """
     if b1 == b2 or not is_subset(b1, b2):
         raise ValueError(
             f"{format_bundle(b1)} must be a proper subset of {format_bundle(b2)}"
         )
-    t = spec.t_grid
-    with np.errstate(invalid="ignore"):
-        delta = spec.surplus_rows[b2] - spec.surplus_rows[b1]
-    finite = np.isfinite(delta)
-    nonpos = np.flatnonzero(finite & (delta <= 0.0))
-    if nonpos.size == 0:
-        s = float(t[0])
-    elif nonpos[-1] == t.size - 1:
+    t, pair = spec.t_grid, (b1, b2)
+    rows = np.stack([spec.surplus_rows[b] for b in pair])
+    pick, points = switch_points(rows, t, lambda a, b: _surplus_gap(spec, pair[b], pair[a]))
+    if pick[-1] == 0:
         s = float(t[-1])
     else:
-        k = int(nonpos[-1])
-        s = rising_root(_surplus_gap(spec, b2, b1), float(t[k]), float(t[k + 1]), xtol=1e-9)
-        if s is None:
-            s = float(t[k])
+        s = points[-1][1] if points else float(t[0])
     return CrossingRecord(b_small=b1, b_big=b2, s=s, chi=float(virtual_surplus(spec, b1, s)))
 
 
@@ -189,73 +186,34 @@ def _chain_prices(spec: ProblemSpec, bundles: Sequence[int], cutoffs: Sequence[f
     return prices_up
 
 
-def _boundary(gap, lo: float, hi: float) -> float:
-    """Exact switch point in a grid cell where the choice moves to a new option.
-
-    ``gap`` is the new option's advantage over the old one; the cell end is
-    kept when the advantage does not rise through zero inside the cell, and
-    ``hi`` when that cannot be decided.
-    """
-    cut = rising_root(gap, lo, hi)
-    return hi if cut is None else cut
-
-
 def simulate_menu(
-    spec: ProblemSpec,
-    bundles: Sequence[int],
-    prices: Sequence[float],
-    types: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
+    spec: ProblemSpec, bundles: Sequence[int], prices: Sequence[float]
 ) -> MechanismSolution:
-    """Simulated consumer choice for a posted-price menu.
+    """Simulated consumer choice for a posted-price menu on the type grid.
 
     Each type takes the utility-maximizing option (ties to the cheaper one,
-    then the smaller bundle); the outside option is always available.  On the
-    shared type grid, boundaries between choice regions are refined to exact
-    indifference points so profit uses exact masses.  With explicit discrete
-    ``types``/``weights`` (the LP oracle's instance), profit is the weighted
-    sum instead and no virtual-surplus accounting is attempted.
+    then the smaller bundle); the outside option is always available.
+    Utilities are read from ``spec.value_rows``, and the boundaries between
+    choice regions are the exact indifference points of
+    ``numerics.switch_points``, so profit uses exact segment masses.
     """
-    opts = [(0.0, 0)] + [(float(p), int(b)) for p, b in zip(prices, bundles)]
-    opts.sort(key=lambda bp: (bp[0], bp[1]))
-    opt_prices = np.array([p for p, _ in opts])
-    opt_bundles = [b for _, b in opts]
+    opts = sorted([(0.0, 0)] + [(float(p), int(b)) for p, b in zip(prices, bundles)])
+    opt_prices, opt_bundles = (np.array(col) for col in zip(*opts))
 
-    t = spec.t_grid if types is None else np.asarray(types, dtype=float)
-    util = np.stack([spec.value(b, t) - p for p, b in opts])
-    pick = np.argmax(util, axis=0)
-    alloc = np.array([opt_bundles[k] for k in pick])
-    pays = opt_prices[pick]
-    utes = util[pick, np.arange(t.size)]
-    if types is not None:
-        w = np.asarray(weights, dtype=float)
-        profit = float(np.sum(w * (pays - np.array([spec.cost(b) for b in alloc]))))
-        return MechanismSolution(
-            types=t,
-            allocation=alloc,
-            payments=pays,
-            utilities=utes,
-            segments=(),
-            expected_profit=profit,
-            virtual_profit=float("nan"),
-        )
+    def gap(a, b):
+        (pa, ba), (pb, bb) = opts[a], opts[b]
+        return lambda x: float((spec.value(bb, x) - pb) - (spec.value(ba, x) - pa))
 
-    # refine region boundaries to exact indifference points
-    segments = []
-    start = float(t[0])
-    for k in np.flatnonzero(np.diff(pick) != 0):
-        a, b_idx = int(pick[k]), int(pick[k + 1])
-        pa, ba = opts[a]
-        pb, bb = opts[b_idx]
-
-        def gap(x):
-            return float((spec.value(bb, x) - pb) - (spec.value(ba, x) - pa))
-
-        cut = _boundary(gap, float(t[k]), float(t[k + 1]))
-        segments.append((start, cut, ba, pa))
+    t = spec.t_grid
+    util = np.stack([(spec.value_rows[b] if b else np.zeros(t.size)) - p for p, b in opts])
+    pick, points = switch_points(util, t, gap)
+    segments, start = [], float(t[0])
+    for k, cut in [*points, (t.size - 1, float(t[-1]))]:
+        p, b = opts[pick[k]]
+        segments.append((start, cut, b, p))
         start = cut
-    last = int(pick[-1])
-    segments.append((start, float(t[-1]), opts[last][1], opts[last][0]))
+    alloc, pays = opt_bundles[pick], opt_prices[pick]
+    utes = util[pick, np.arange(t.size)]
 
     profit = sum(
         (price - spec.cost(b)) * (spec.dist.cdf(hi) - spec.dist.cdf(lo))
@@ -350,17 +308,14 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
 
 
 def evaluate_menu(
-    spec: ProblemSpec,
-    bundles: Sequence[int],
-    prices: Optional[Sequence[float]] = None,
-    types: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
+    spec: ProblemSpec, bundles: Sequence[int], prices: Optional[Sequence[float]] = None
 ) -> MechanismSolution:
-    """Simulated-choice evaluation of a menu; optimizes prices when omitted.
+    """``simulate_menu`` of a menu on the type grid; optimizes prices when omitted.
 
     Prices are optimized only for a chain, by the exact cutoff DP; a menu
     that is not a chain needs explicit prices (the LP oracle finds optimal
-    non-nested mechanisms).
+    non-nested mechanisms, and ``oracle.discrete_chain_profit`` prices a
+    chain on its discrete types).
     """
     if prices is None:
         bundles = sorted(set(int(b) for b in bundles))
@@ -370,7 +325,7 @@ def evaluate_menu(
                 "the LP oracle (oracle.solve_lp) for non-nested mechanisms"
             )
         _cutoffs, prices = optimize_chain(spec, bundles)
-    return simulate_menu(spec, bundles, prices, types=types, weights=weights)
+    return simulate_menu(spec, bundles, prices)
 
 
 def two_item_base_test(spec: ProblemSpec, profiles: dict[int, DemandProfile]):
@@ -555,18 +510,16 @@ def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> Mecha
     members = [0, *sorted(relation.undominated)]  # the empty bundle earns 0
     t = spec.t_grid
     curves = np.stack([np.zeros(t.size)] + [spec.surplus_rows[b] for b in members[1:]])
-    pick = np.argmax(curves, axis=0)  # first max -> ties to the smaller bundle
+    gap = lambda a, b: _surplus_gap(spec, members[b], members[a])
+    pick, points = switch_points(curves, t, gap)  # ties to the smaller bundle
     if np.any(np.diff(pick) < 0):
         k = int(np.flatnonzero(np.diff(pick) < 0)[0]) + 1
         raise MonotonicityError(
             f"envelope allocation not monotone at t={t[k]:.9g}; "
             "local quasi-concavity likely fails"
         )
-    used, cutoffs = [], []
-    for k in np.flatnonzero(np.diff(pick) != 0):
-        used.append(members[pick[k + 1]])
-        gap = _surplus_gap(spec, used[-1], members[pick[k]])
-        cutoffs.append(_boundary(gap, float(t[k]), float(t[k + 1])))
+    used = [members[pick[k + 1]] for k, _cut in points]
+    cutoffs = [cut for _k, cut in points]
     if not used and pick[-1] > 0:  # a single bundle covers the whole support
         used, cutoffs = [members[pick[-1]]], [float(t[0])]
     prices = _chain_prices(spec, used, cutoffs)

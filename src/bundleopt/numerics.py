@@ -1,5 +1,6 @@
 """Shared numeric primitives: maximization by a grid bracket and the root of
-the slope, root polishing, the chain-profit DP over bundle masks, peak counting."""
+the slope, root polishing, switch points of a grid argmax, the chain-profit DP
+over bundle masks, peak counting."""
 
 from __future__ import annotations
 
@@ -16,14 +17,12 @@ class MultiplePeaksWarning(UserWarning):
     """Raised when a scan finds several near-tied local maxima."""
 
 
-def rising_root(
-    g: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-12
-) -> Optional[float]:
+def rising_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
     """Where g rises through zero on [lo, hi], clamped to the bracket.
 
     Returns lo when g(lo) >= 0, hi when g(hi) <= 0, and otherwise the Brent
-    root of g(lo) < 0 < g(hi) polished to ``xtol``; None when that sign
-    change cannot be decided because an end value is NaN.
+    root of g(lo) < 0 < g(hi) polished to 1e-14; None when that sign change
+    cannot be decided because an end value is NaN.
     """
     g_lo, g_hi = float(g(lo)), float(g(hi))
     if g_lo >= 0.0:
@@ -32,7 +31,7 @@ def rising_root(
         return float(hi)
     if np.isnan(g_lo) or np.isnan(g_hi):
         return None
-    return float(brentq(g, lo, hi, xtol=xtol))
+    return float(brentq(g, lo, hi, xtol=1e-14))
 
 
 def scanned_max(
@@ -67,10 +66,30 @@ def scanned_max(
     k = int(near[0])
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, xs.size - 1)]
-    r = rising_root(lambda z: -slope(z), a, b, xtol=1e-14)
+    r = rising_root(lambda z: -slope(z), a, b)
     if r is not None and a < r < b and f(r) >= ys[k] - 1e-12:
         return r
     return float(xs[k])
+
+
+def switch_points(
+    rows: np.ndarray, xs: np.ndarray, gap: Callable[[int, int], Callable[[float], float]]
+):
+    """Grid argmax of ``rows`` and the exact points where it switches.
+
+    ``pick`` is the first maximal row at each point of the sorted grid ``xs``.
+    In each cell k where it moves from row a to row b, the switch point is the
+    ``rising_root`` of ``gap(a, b)`` (row b's advantage over row a) on
+    [xs[k], xs[k+1]], or xs[k+1] when that root cannot be decided.  Returns
+    (pick, [(k, point), ...]) with the points nondecreasing.
+    """
+    pick = np.argmax(rows, axis=0)
+    points = []
+    for k in np.flatnonzero(np.diff(pick) != 0):
+        lo, hi = float(xs[k]), float(xs[k + 1])
+        cut = rising_root(gap(int(pick[k]), int(pick[k + 1])), lo, hi)
+        points.append((int(k), hi if cut is None else cut))
+    return pick, points
 
 
 def chain_dp(term: Callable[[int, int], np.ndarray], bundles: Sequence[int], fixed: bool = False):

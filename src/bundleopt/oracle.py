@@ -95,13 +95,13 @@ class LPSolution:
         v_opts = values[list(self.option_bundles)]  # (K, m)
         return np.einsum("mk,km->m", self.allocation, v_opts) - self.payments
 
-    def uses_bundles(self, masks, threshold: float = STOCHASTIC_TOL) -> float:
-        """Expected allocation mass on the given bundle masks."""
+    def uses_bundles(self, masks) -> float:
+        """Expected allocation mass on the given masks; masses <= STOCHASTIC_TOL count as 0."""
         cols = [i for i, b in enumerate(self.option_bundles) if b in set(masks)]
         if not cols:
             return 0.0
         mass = self.allocation[:, cols].sum(axis=1)
-        return float(np.mean(np.where(mass > threshold, mass, 0.0)))
+        return float(np.mean(np.where(mass > STOCHASTIC_TOL, mass, 0.0)))
 
 
 def _lp(instance: DiscretizedInstance):

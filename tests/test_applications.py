@@ -112,6 +112,15 @@ def test_quality_problem_embeds_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_quality_menu_zero_mass_member():
+    # upgrades 2 -> 3 and 3 -> 4 both cost 0.7 per unit of quality: quality 3
+    # touches the sales envelope but no type buys it, so the solver drops it
+    # and the envelope menu earns the solver's profit
+    doc = dict(_quality_doc([0.2, 0.2, 0.9, 1.6], qualities=(1.0, 2.0, 3.0, 4.0)), grid_size=1025)
+    qp = QualityProblem.from_document(doc)
+    assert quality_menu_from_sales(qp).menu == quality_menu_from_costs(qp).menu == (1, 2, 3)
+
+
 def test_quality_menu_decreasing_volumes_keeps_all():
     # increasing average costs make D* decreasing: every quality survives
     qp = QualityProblem.from_document(_quality_doc([0.1, 0.4, 1.2]))

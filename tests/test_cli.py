@@ -262,6 +262,26 @@ def test_mistyped_document_exit_code(command, doc, field, tmp_path, capsys):
     assert err["error"] == "validation" and field in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "command, doc, detail",
+    [
+        ("screening", {"qualities": [1.0], "distribution": _UNIFORM,
+                       "actions": [{"terms": [{"coef": -0.3, "exp": 1.0}], "const": 0.5}]},
+         "strictly increasing"),
+        ("screening", {"qualities": [1.0], "distribution": _UNIFORM, "actions": [{"const": 0.0}]},
+         "action 1 is identically zero"),
+        ("quality", _quality(costs=[1.5, 1.6]), "interior sales volumes"),
+    ],
+)
+def test_refused_assumption_exit_code(command, doc, detail, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == "validation" and detail in err["detail"]
+
+
 def test_quality_run_profiles_each_quality_once(monkeypatch, tmp_path, capsys):
     # the sales route, the solver cross-check and the cost route all read the
     # embedding's one set of demand profiles; regularity is checked once

@@ -269,8 +269,8 @@ def test_grid_tables_equal_direct_evaluation():
 
 def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     # Full-grid evaluations of v(b, .) per bundle: one for each of the three
-    # tables (values and virtual surplus on t_grid, inverse demand on q_grid),
-    # plus one in simulate_menu for each member of the best chain it prices.
+    # tables (values and virtual surplus on t_grid, inverse demand on q_grid);
+    # simulate_menu reads the value rows of the best chain it prices.
     calls = {}
     original = MonomialSum.__call__
 
@@ -282,9 +282,9 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     monkeypatch.setattr(MonomialSum, "__call__", counting)
     spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
     compute_profiles(spec)
-    _sol, chain = best_nested_menu(spec)
+    best_nested_menu(spec)
     for b in spec.nonzero_bundles():
-        assert calls[id(spec.values[b])] == (4 if b in chain else 3), format_bundle(b)
+        assert calls[id(spec.values[b])] == 3, format_bundle(b)
 
 
 def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):

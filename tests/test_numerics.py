@@ -1,4 +1,5 @@
-"""Shared numeric primitives: scanned maximization, root polishing, peak counting."""
+"""Shared numeric primitives: scanned maximization, root polishing, switch points,
+peak counting."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bundleopt.numerics import (
     count_descents_to_ascents,
     rising_root,
     scanned_max,
+    switch_points,
 )
 
 
@@ -64,6 +66,43 @@ def test_rising_root_nonfinite_end():
     # a NaN end value leaves the sign change undecided
     assert rising_root(lambda x: x - 0.5 if x < 1.0 else np.nan, 0.0, 1.0) is None
     assert rising_root(lambda x: np.nan if x == 0.0 else x - 0.5, 0.0, 1.0) is None
+
+
+def test_switch_points_ties_and_undecided_cells():
+    xs = np.linspace(0.0, 1.0, 9)  # dyadic: the tie at 0.25 is exact on the grid
+    curves = [lambda x: 0.0 * x, lambda x: x - 0.25, lambda x: 2.0 * x - 1.2]
+    rows = np.stack([f(xs) for f in curves])
+
+    def gap(a, b):
+        return lambda x: curves[b](x) - curves[a](x)
+
+    pick, points = switch_points(rows, xs, gap)
+    # row 1 ties row 0 at 0.25, where the first row keeps the point
+    assert pick.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 2]
+    assert points[0] == (2, 0.25)
+    assert points[1][0] == 7 and points[1][1] == pytest.approx(0.95, abs=1e-14)
+
+    def undecided(a, b):
+        return lambda x: np.nan if x == 1.0 else gap(a, b)(x)
+
+    assert switch_points(rows, xs, undecided)[1] == [(2, 0.25), (7, 1.0)]
+
+
+def test_switch_points_lie_in_their_cells():
+    rng = np.random.default_rng(5)
+    xs = np.linspace(0.0, 3.0, 61)
+    for _ in range(20):
+        w, phase = rng.uniform(0.5, 4.0, 4), rng.uniform(0.0, 2 * np.pi, 4)
+        rows = np.sin(np.outer(w, xs) + phase[:, None])
+
+        def gap(a, b, w=w, phase=phase):
+            return lambda x: np.sin(w[b] * x + phase[b]) - np.sin(w[a] * x + phase[a])
+
+        pick, points = switch_points(rows, xs, gap)
+        assert np.array_equal(pick, np.argmax(rows, axis=0))
+        assert [k for k, _p in points] == np.flatnonzero(np.diff(pick)).tolist()
+        assert all(xs[k] <= p <= xs[k + 1] for k, p in points)
+        assert all(p1 <= p2 for (_k1, p1), (_k2, p2) in zip(points, points[1:]))
 
 
 def _turns_by_loop(y, noise):
