@@ -67,6 +67,14 @@ def _benchmark_menu(spec: ProblemSpec, profiles, relation):
     return sol.expected_profit, chain, sorted({p for p in sol.payments if p > 0})
 
 
+_LP_FIELDS = ("rounds", "rows", "ic_violation", "stationarity", "duality_gap")
+
+
+def _lp_record(lp) -> dict:
+    """Row-generation size and certificate residuals of an oracle solution."""
+    return {f"lp_{name}": getattr(lp, name) for name in _LP_FIELDS}
+
+
 def _fail(kind: str, detail: str, code: int) -> int:
     print(json.dumps({"error": kind, "detail": detail}, sort_keys=True))
     return code
@@ -237,6 +245,7 @@ def cmd_verify(args) -> int:
             "verdict": verdict.verdict,
             "lp_stochastic": verdict.lp_stochastic,
             "nesting_condition": relation.nested,
+            **_lp_record(lp),
         },
     )
     if args.dump_lp:
@@ -408,7 +417,7 @@ def cmd_reproduce(args) -> int:
                     verdict.verdict,
                 )
             )
-            verdict_rows.append((gamma, beta, verdict.verdict, verdict.gap))
+            verdict_rows.append((gamma, beta, verdict.verdict, verdict.gap, *_lp_record(lp).values()))
         _write_csv(
             out / f"reproduce_gamma_{_fmt(gamma).replace('.', '_')}.csv",
             f"family=two_item_power gamma={_fmt(gamma)} grid_size={args.grid} m={args.types}",
@@ -439,7 +448,7 @@ def cmd_reproduce(args) -> int:
     _write_csv(
         out / "verdicts.csv",
         f"family=two_item_power grid_size={args.grid} m={args.types}",
-        ["gamma", "beta", "verdict", "matched_gap"],
+        ["gamma", "beta", "verdict", "matched_gap", *(f"lp_{n}" for n in _LP_FIELDS)],
         verdict_rows,
     )
     print(f"reproduction artifacts written to {out}")

@@ -76,7 +76,7 @@ def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False)
         raise ValueError(f"quantity {q} outside [0, 1]")
     q_arr = np.array([q], dtype=float)
     price = demand_price(spec, b, q_arr)
-    eta = _elasticity(spec, b, q_arr, price, cost_adjusted)
+    eta = _elasticity(spec, b, q_arr, price, spec.price_slope(b, q_arr), cost_adjusted)
     if cost_adjusted and price[0] <= spec.cost(b):
         raise UnsellableError(
             f"price {price[0]:.6g} does not cover cost {spec.cost(b):.6g} "
@@ -86,23 +86,24 @@ def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False)
 
 
 def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> np.ndarray:
-    """Vectorized elasticity over the shared q grid, -inf at degenerate points."""
-    return _elasticity(spec, b, spec.q_grid, spec.price_rows[b], cost_adjusted)
+    """Vectorized elasticity over the shared q grid, -inf at degenerate points.
+
+    Reads the spec's price and slope tables, so both variants of every
+    bundle share one evaluation of dP/dq.
+    """
+    return _elasticity(
+        spec, b, spec.q_grid, spec.price_rows[b], spec.slope_rows[b], cost_adjusted
+    )
 
 
-def _elasticity(spec: ProblemSpec, b: int, q: np.ndarray, p: np.ndarray, cost_adjusted: bool):
-    """Elasticities at the quantities q, whose prices are p.
+def _elasticity(spec: ProblemSpec, b: int, q, p, dp, cost_adjusted: bool):
+    """Elasticities at the quantities q, whose prices are p and slopes dp.
 
-    dP/dq is a centered finite difference with step max(1e-6, 1e-4 q),
-    evaluation points clipped to [0, 1].  Degenerate points (q at 0,
+    dP/dq is ``ProblemSpec.price_slope``.  Degenerate points (q at 0,
     vanishing price or margin, flat demand) get -inf so sweeps stay
     rectangular.
     """
     base = p - spec.cost(b) if cost_adjusted else p
-    h = np.maximum(1e-6, 1e-4 * q)
-    qp = np.minimum(q + h, 1.0)
-    qm = np.maximum(q - h, 0.0)
-    dp = (demand_price(spec, b, qp) - demand_price(spec, b, qm)) / (qp - qm)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = base / (q * dp)
     eta[(q <= 0.0) | (base <= 0.0) | (dp == 0.0) | ~np.isfinite(eta)] = NEG_INF

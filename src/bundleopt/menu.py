@@ -138,22 +138,24 @@ def _segment_virtual_profit(spec: ProblemSpec, segments) -> float:
 
     Segment endpoints are exact, so the integrand is smooth inside each
     segment and the trapezoid error stays O(h^2) even when the allocation
-    jumps at the boundaries.
+    jumps at the boundaries.  Interior grid points read ``spec.surplus_rows``;
+    only the two ends are evaluated.
     """
     t = spec.t_grid
     total = 0.0
     for lo, hi, b, _price in segments:
         if b == 0 or hi - lo <= 0:
             continue
-        if lo <= t[0] and not np.isfinite(float(virtual_surplus(spec, b, t[0]))):
+        row = spec.surplus_rows[b]
+        if lo <= t[0] and not np.isfinite(row[0]):
             # integrable singularity at the bottom type: the quadrature would
             # be garbage, so report the accounting as unavailable
             return float("nan")
         i0 = int(np.searchsorted(t, lo, side="right"))
         i1 = int(np.searchsorted(t, hi, side="left"))
         xs = np.concatenate(([lo], t[i0:i1], [hi]))
-        f = spec.dist.pdf(xs)
-        ys = np.asarray(virtual_surplus(spec, b, xs), dtype=float) * f
+        ends = virtual_surplus(spec, b, np.array([lo, hi]))
+        ys = np.concatenate((ends[:1], row[i0:i1], ends[1:])) * spec.dist.pdf(xs)
         total += float(np.trapezoid(ys, xs))
     return total
 

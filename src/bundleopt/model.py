@@ -293,6 +293,18 @@ class ProblemSpec:
         """Profit (P(b, q) - C(b)) * q of bundle b sold alone, on ``q_grid``."""
         return (self.price_rows[b] - self.cost(b)) * self.q_grid
 
+    def price_slope(self, b: int, q):
+        """dP/dq of the inverse demand at the quantities q.
+
+        A centered finite difference with step max(1e-6, 1e-4 q), evaluation
+        points clipped to [0, 1].
+        """
+        q = np.asarray(q, dtype=float)
+        h = np.maximum(1e-6, 1e-4 * q)
+        qp, qm = np.minimum(q + h, 1.0), np.maximum(q - h, 0.0)
+        price = lambda x: self.value(b, self.dist.quantile(1.0 - x))
+        return (price(qp) - price(qm)) / (qp - qm)
+
     def virtual_surplus(self, b: int, t):
         """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
 
@@ -322,6 +334,11 @@ class ProblemSpec:
     def surplus_rows(self) -> "GridRows":
         """Virtual surplus on ``t_grid``."""
         return self._table(lambda b: self.virtual_surplus(b, self.t_grid))
+
+    @cached_property
+    def slope_rows(self) -> "GridRows":
+        """``price_slope`` on ``q_grid``: a fourth table, built only by elasticities."""
+        return self._table(lambda b: self.price_slope(b, self.q_grid))
 
     def _table(self, curve) -> "GridRows":
         check_table_size(self)

@@ -6,8 +6,8 @@ assignments subject to the full set of pairwise IC constraints and IR.  The
 solution bounds every menu's profit on the same instance from above, which
 is what makes it a useful certificate against the nested-menu solver.
 
-The LP is built once, by ``_lp``, and both ``solve_lp`` and ``dump_lp_text``
-read that matrix.  With m types and K sellable bundles:
+The LP is built by ``_lp`` alone: ``dump_lp_text`` writes the full LP and
+``solve_lp`` solves row subsets of it.  With m types and K sellable bundles:
 
 - columns: the lottery weights a[k, j] in [0, 1], type-major (column
   k*K + j), then the free payments p[k] (column m*K + k);
@@ -15,6 +15,18 @@ read that matrix.  With m types and K sellable bundles:
   each report r != k, k-major, where u(k, r) = sum_j a[r, j] v_j(t_k) - p[r];
   then IR, the same row against the outside option (no lottery, no
   payment), -u(k, k) <= 0; then lottery mass, sum_j a[k, j] <= 1.
+
+``solve_lp`` generates IC rows lazily (the constraint generation of
+automated mechanism design, Conitzer & Sandholm 2002).  It starts from the
+2(m-1) adjacent-type IC rows, which imply all others under single crossing
+(Mussa & Rosen 1978), and adds each type's worst omitted report while one
+is violated, so instances without single crossing are solved exactly too.
+The answer is then certified for the full LP with matrix products alone:
+its primal violation over all m^2 (type, report) pairs, the stationarity of
+the solver's duals padded with zeros for the omitted rows, and the duality
+gap must each be at most ``CERT_TOL``.  HiGHS's default (simplex) duals
+occasionally miss that bound (1 of the 50 acceptance instances, by 9e-7);
+its interior-point method with crossover then solves the LP again.
 """
 
 from __future__ import annotations
@@ -30,8 +42,22 @@ from .model import ProblemSpec, SpecError, format_bundle, subset_pairs
 from .numerics import chain_dp
 
 STOCHASTIC_TOL = 1e-5
-M_RANGE = (11, 401)
-MAX_LP_VARIABLES = 10_000
+M_MIN = 11
+MAX_LP_BYTES = 64 * 2**20  # data of the full LP, the row generation's worst case
+ROW_TOL = 1e-9  # an omitted IC row violated by more than this joins the LP
+CERT_TOL = 1e-7  # bound on each certificate residual of a solution
+
+
+def full_lp_bytes(m: int, K: int) -> int:
+    """Bytes of the oracle LP's data with every IC row present.
+
+    12 per matrix nonzero (float64 coefficient, int32 column index), 28 per
+    row (int32 row pointer; float64 bound, dual and slack) and 8 per entry of
+    the m x m utility matrix that the row generation scans.
+    """
+    rows = m * (m - 1) + 2 * m
+    nnz = m * (m - 1) * (2 * K + 2) + m * (2 * K + 1)
+    return 12 * nnz + 28 * rows + 8 * m * m
 
 
 @dataclass(frozen=True)
@@ -50,13 +76,14 @@ class DiscretizedInstance:
 
     @staticmethod
     def from_spec(spec: ProblemSpec, m: int = 201) -> "DiscretizedInstance":
-        if not M_RANGE[0] <= m <= M_RANGE[1]:
-            raise SpecError(f"m={m} outside supported range {M_RANGE}")
+        if m < M_MIN:
+            raise SpecError(f"m={m} outside supported range (m >= {M_MIN})")
         sellable = spec.nonzero_bundles()
-        n_var = m * (len(sellable) + 1)
-        if n_var > MAX_LP_VARIABLES:
+        need = full_lp_bytes(m, len(sellable))
+        if need > MAX_LP_BYTES:
             raise SpecError(
-                f"{n_var} decision variables exceed the dense-oracle budget (10^4); "
+                f"the oracle LP at m={m} with {len(sellable)} sellable bundles needs "
+                f"{need / 1e6:.1f} MB (limit {MAX_LP_BYTES / 1e6:.1f} MB); "
                 "reduce m or the number of sellable bundles"
             )
         types = np.asarray(spec.dist.quantile((np.arange(m) + 0.5) / m), dtype=float)
@@ -88,7 +115,18 @@ class LPSolution:
     allocation: np.ndarray  # (m, n_options) lottery weights
     payments: np.ndarray  # (m,)
     option_bundles: tuple  # masks matching allocation columns
-    stochastic: bool
+    rounds: int  # HiGHS solves of the row generation
+    rows: int  # rows of the last solved LP
+    ic_violation: float  # worst violation of the full LP's rows and bounds
+    stationarity: float  # dual residual of the full LP, sign violations included
+    duality_gap: float  # |primal - dual objective|
+
+    @property
+    def stochastic(self) -> bool:
+        """Some type gets an interior lottery weight or weight on two bundles."""
+        sold = self.allocation > STOCHASTIC_TOL
+        return bool((sold & (self.allocation < 1.0 - STOCHASTIC_TOL)).any()
+                    or (sold.sum(axis=1) > 1).any())
 
     def utilities(self, values: np.ndarray) -> np.ndarray:
         """Per-type utility given the (n_bundles, m) value matrix."""
@@ -104,8 +142,12 @@ class LPSolution:
         return float(np.mean(np.where(mass > STOCHASTIC_TOL, mass, 0.0)))
 
 
-def _lp(instance: DiscretizedInstance):
-    """The oracle LP (c, A_ub, b_ub): min c @ x s.t. A_ub @ x <= b_ub; CSR, entries by column."""
+def _lp(instance: DiscretizedInstance, pairs=None):
+    """The oracle LP (c, A_ub, b_ub): min c @ x s.t. A_ub @ x <= b_ub; CSR, entries by column.
+
+    ``pairs``, an (m, m) boolean mask, keeps only the IC rows (k, r) it marks,
+    in the full LP's row order; None keeps every r != k.
+    """
     m = instance.m
     opts = list(instance.sellable)
     K = len(opts)
@@ -116,7 +158,7 @@ def _lp(instance: DiscretizedInstance):
 
     # IC row (k, r): +V[k] on a[r], -V[k] on a[k], +1 on p[k], -1 on p[r];
     # the lower of k and r comes first in column order, with sign s
-    k, r = np.nonzero(~np.eye(m, dtype=bool))
+    k, r = np.nonzero(~np.eye(m, dtype=bool) if pairs is None else pairs)
     lo, hi = np.minimum(k, r), np.maximum(k, r)
     s = np.where(r < k, 1.0, -1.0)[:, None]
     blocks = (  # (columns, coefficients), one row of each per constraint
@@ -132,37 +174,76 @@ def _lp(instance: DiscretizedInstance):
     A = sparse.csr_matrix((data, indices, indptr), shape=(width.size, n_a + m))
     w = instance.weights
     c = np.concatenate((np.repeat(w, K) * np.tile(instance.costs[opts], m), -w))
-    b_ub = np.concatenate((np.zeros(m * m), np.ones(m)))
+    b_ub = np.concatenate((np.zeros(k.size + m), np.ones(m)))
     return c, A, b_ub
 
 
 def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     """Optimal stochastic mechanism on the discrete instance, via HiGHS.
 
-    All m^2 pairwise IC constraints are kept so the oracle stays valid for
-    stochastic, non-monotone optima.  Deterministic for a fixed instance.
+    Row generation from the adjacent IC rows (see the module docstring);
+    each round solves, computes every type's utility from every report with
+    one matrix product, and adds each type's worst omitted report violated by
+    more than ``ROW_TOL``.  When the duals of HiGHS's default method fail
+    the certificate, the generation goes on with its interior-point method
+    (with crossover).  Raises RuntimeError when the solver fails or the
+    certificate fails with both.  Deterministic for a fixed instance.
     """
     m = instance.m
-    c, A, b_ub = _lp(instance)
-    n_a = A.shape[1] - m
+    V = instance.values[list(instance.sellable)]  # (K, m)
+    n_a = m * V.shape[0]
     bounds = [(0.0, 1.0)] * n_a + [(None, None)] * m
-    res = linprog(c, A_ub=A, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status == 2:
-        raise RuntimeError("LP infeasible: the zero mechanism should always be feasible")
-    if res.status == 3:
-        raise RuntimeError("LP unbounded: objective sign error in construction")
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+    idx = np.arange(m)
+    pairs = np.abs(idx[:, None] - idx) == 1  # pairs[k, r]: IC row (k, r) in the LP
+    rounds = 0
+    for method in ("highs", "highs-ipm"):
+        while True:
+            rounds += 1
+            c, A, b_ub = _lp(instance, pairs)
+            res = linprog(c, A_ub=A, b_ub=b_ub, bounds=bounds, method=method)
+            if res.status == 2:
+                raise RuntimeError("LP infeasible: the zero mechanism should always be feasible")
+            if res.status == 3:
+                raise RuntimeError("LP unbounded: objective sign error in construction")
+            if not res.success:
+                raise RuntimeError(f"LP solver failed: {res.message}")
+            alloc = res.x[:n_a].reshape(m, -1)
+            utility = alloc @ V - res.x[n_a:, None]  # [r, k]: type k reporting r
+            gain = utility - np.diag(utility)
+            omitted = np.where(pairs.T | (idx[:, None] == idx), -np.inf, gain)
+            worst = np.argmax(omitted, axis=0)
+            add = omitted[worst, idx] > ROW_TOL
+            if not add.any():
+                break
+            pairs[idx[add], worst[add]] = True
 
-    alloc = res.x[:n_a].reshape(m, -1)
-    interior = (alloc > STOCHASTIC_TOL) & (alloc < 1.0 - STOCHASTIC_TOL)
-    split = (alloc > STOCHASTIC_TOL).sum(axis=1) > 1
+        y, lower, upper = res.ineqlin.marginals, res.lower.marginals, res.upper.marginals
+        violation = max(
+            0.0, gain.max(), -np.diag(utility).min(), alloc.sum(axis=1).max() - 1.0,
+            -alloc.min(), alloc.max() - 1.0,
+        )
+        # omitted rows carry zero duals, so A's rows alone give the full A^T y
+        stationarity = max(
+            np.abs(c - A.T @ y - lower - upper).max(), y.max(), -lower.min(), upper.max()
+        )
+        gap = abs(res.fun - (b_ub @ y + upper[:n_a].sum()))
+        if max(violation, stationarity, gap) <= CERT_TOL:
+            break
+    else:
+        raise RuntimeError(
+            f"LP certificate failed: IC violation {violation:.3g}, "
+            f"stationarity {stationarity:.3g}, duality gap {gap:.3g} (bound {CERT_TOL:g})"
+        )
     return LPSolution(
         objective=float(-res.fun),
         allocation=alloc,
         payments=res.x[n_a:],
         option_bundles=instance.sellable,
-        stochastic=bool(interior.any() or split.any()),
+        rounds=rounds,
+        rows=A.shape[0],
+        ic_violation=float(violation),
+        stationarity=float(stationarity),
+        duality_gap=float(gap),
     )
 
 
@@ -258,8 +339,8 @@ def compare(
 def dump_lp_text(instance: DiscretizedInstance) -> str:
     """Instance as a plain-text LP for external solvers (CPLEX LP format).
 
-    Written row by row from ``_lp``'s matrix with round-trip floats, so the
-    text is the LP ``solve_lp`` solves.
+    Written row by row from ``_lp``'s full matrix with round-trip floats, so
+    the text is the LP whose optimum ``solve_lp`` certifies.
     """
     m = instance.m
     c, A, b_ub = _lp(instance)

@@ -1,14 +1,16 @@
 """Shared test helpers: canonical instances, a seeded instance generator, the
 chain enumeration that cross-checks the chain DP, and the per-bundle LP
-builder that cross-checks the oracle's vectorised one."""
+builder and dense solve that cross-check the oracle's row generation."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
 from bundleopt import load_spec
 from bundleopt.model import is_subset
+from bundleopt.oracle import LPSolution
 
 
 def two_item_doc(beta, gamma, alpha=1.0, hi=2.0, grid_size=4097):
@@ -184,3 +186,28 @@ def dense_lp(instance):
     b_ub = np.zeros(r)
     b_ub[r - m :] = 1.0
     return c, A, b_ub
+
+
+def dense_solution(instance):
+    """One HiGHS solve of the full ``dense_lp``, every m^2 IC row present.
+
+    The reference for ``oracle.solve_lp``'s row generation; the certificate
+    fields are NaN, since nothing here checks the answer.
+    """
+    c, A, b_ub = dense_lp(instance)
+    m = instance.m
+    n_a = A.shape[1] - m
+    res = linprog(c, A_ub=A, b_ub=b_ub, bounds=[(0.0, 1.0)] * n_a + [(None, None)] * m,
+                  method="highs")
+    assert res.success, res.message
+    return LPSolution(
+        objective=float(-res.fun),
+        allocation=res.x[:n_a].reshape(m, -1),
+        payments=res.x[n_a:],
+        option_bundles=instance.sellable,
+        rounds=1,
+        rows=A.shape[0],
+        ic_violation=float("nan"),
+        stationarity=float("nan"),
+        duality_gap=float("nan"),
+    )

@@ -11,6 +11,7 @@ import pytest
 from bundleopt import applications as apps
 from bundleopt import demand, load_spec
 from bundleopt.cli import main
+from bundleopt.model import MonomialSum
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
 from support import random_instance_doc, two_item_doc
@@ -334,8 +335,11 @@ def test_screening_lp_crosscheck_flag(tmp_path, capsys):
     "command, doc, types, detail",
     [
         ("verify", two_item_doc(0.3, 0.5, grid_size=1025), 5, "m=5 outside supported range"),
-        ("verify", random_instance_doc(np.random.default_rng(0), 6, grid_size=1025), 201,
-         "12864 decision variables exceed the dense-oracle budget"),
+        pytest.param(
+            "verify", random_instance_doc(np.random.default_rng(0), 6, grid_size=1025), 301,
+            "the oracle LP at m=301 with 63 sellable bundles needs 142.4 MB (limit 67.1 MB)",
+            id="verify-lp-memory-limit",
+        ),
         ("screening", _SCREENING_DOC, 5, "m=5 outside supported range"),
     ],
 )
@@ -347,6 +351,18 @@ def test_lp_size_refusal_exit_code(command, doc, types, detail, tmp_path, capsys
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "validation" and detail in err["detail"]
+
+
+def test_verify_six_items(tmp_path):
+    # 63 sellable bundles at m=201: 12,864 LP variables, under the LP memory limit
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(random_instance_doc(np.random.default_rng(0), 6, grid_size=1025)))
+    out = tmp_path / "out"
+    assert main(["verify", "--spec", str(path), "--out", str(out), "--types", "201"]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["verdict"] == "CONFIRMED"
+    for key in ("lp_ic_violation", "lp_stationarity", "lp_duality_gap"):
+        assert 0.0 <= payload[key] <= 1e-7, key
 
 
 def test_reproduce_artifacts(tmp_path, capsys):
@@ -383,6 +399,25 @@ def test_analyze_hasse_three_item_chain(tmp_path):
     assert f"b{0b100} -> b{0b111};" not in dot
 
 
+def test_analyze_evaluates_price_slope_once_per_bundle(tmp_path, monkeypatch):
+    # Full-grid evaluations of v(b, .): the value and inverse-demand rows,
+    # then the two ends of dP/dq's finite difference once per bundle, which
+    # the plain and cost-adjusted views and the union-elasticity scan share.
+    calls = {}
+    original = MonomialSum.__call__
+
+    def counting(self, t):
+        if np.size(t) == 1025:
+            calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self, t)
+
+    monkeypatch.setattr(MonomialSum, "__call__", counting)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(two_item_doc(0.3, 0.5, grid_size=1025)))
+    assert main(["analyze", "--spec", str(path), "--out", str(tmp_path / "o"), "--hasse"]) == 0
+    assert sorted(calls.values()) == [4, 4, 4]
+
+
 def test_outputs_byte_identical_across_runs(spec_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -390,6 +425,32 @@ def test_outputs_byte_identical_across_runs(spec_file, tmp_path):
         assert main(["solve", "--spec", spec_file, "--out", str(out), "--csv"]) == 0
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_lp_records_byte_identical_across_runs(spec_file, tmp_path):
+    # verify.json and reproduce's verdict rows carry the LP's rounds, rows
+    # and certificate residuals, and repeat byte for byte
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["verify", "--spec", spec_file, "--out", str(out), "--types", "51"]) == 0
+        assert main([
+            "reproduce", "--out", str(out), "--grid", "513", "--types", "51",
+            "--beta-range", "0.3:1.9:0.8",
+        ]) == 0
+    for name in sorted(p.name for p in outs[0].iterdir()):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    payload = json.loads((outs[0] / "verify.json").read_text())
+    assert payload["lp_rounds"] == 1 and payload["lp_rows"] == 4 * 51 - 2
+    rows = (outs[0] / "verdicts.csv").read_text().splitlines()
+    assert rows[1] == (
+        "gamma,beta,verdict,matched_gap,lp_rounds,lp_rows,"
+        "lp_ic_violation,lp_stationarity,lp_duality_gap"
+    )
+    assert len(rows) == 2 + 2 * 3
+    for line in rows[2:]:
+        assert all(0.0 <= float(x) <= 1e-7 for x in line.split(",")[-3:])
+    for key in ("lp_ic_violation", "lp_stationarity", "lp_duality_gap"):
+        assert 0.0 <= payload[key] <= 1e-7, key
 
 
 def _perfbench_layers():

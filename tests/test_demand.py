@@ -179,6 +179,15 @@ def test_elasticity_grid_sentinels():
     assert np.all(np.isfinite(eta[1:-1]))
 
 
+def test_elasticity_grid_matches_pointwise():
+    spec = load_spec(dict(single_item_doc(cost=0.2), grid_size=65))
+    for cost_adjusted in (False, True):
+        eta = elasticity_grid(spec, 1, cost_adjusted)
+        for q, e in zip(spec.q_grid[1:-1], eta[1:-1]):
+            if np.isfinite(e):
+                assert elasticity(spec, 1, q, cost_adjusted) == e
+
+
 # ---------------------------------------------------------------------------
 # profiles
 

@@ -25,6 +25,7 @@ from bundleopt.menu import (
     simulate_menu,
     two_item_base_test,
 )
+from bundleopt.model import MonomialSum
 from bundleopt.numerics import chain_dp
 
 from support import (
@@ -519,3 +520,26 @@ def test_non_chain_menu_without_prices_refused():
     spec = two_item_spec(0.6, 4.5, grid_size=1025)
     with pytest.raises(ValueError, match="LP oracle"):
         evaluate_menu(spec, [0b01, 0b10])
+
+
+def test_segment_virtual_profit_reads_surplus_rows(monkeypatch):
+    # the revenue-equivalence integral of a posted menu reads the virtual
+    # surplus rows inside each sold segment; v and v' are evaluated only at
+    # the two exact ends of each of the five segments
+    spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
+    _sol, chain = best_nested_menu(spec)
+    _cutoffs, prices = optimize_chain(spec, chain)
+    sizes = []
+    for name in ("__call__", "slope"):
+        original = getattr(MonomialSum, name)
+
+        def counting(self, t, _name=name, _original=original):
+            if np.ndim(t) >= 1:
+                sizes.append((_name, np.size(t)))
+            return _original(self, t)
+
+        monkeypatch.setattr(MonomialSum, name, counting)
+    sol = simulate_menu(spec, chain, prices)
+    assert chain == [0b100, 0b10100, 0b10101, 0b11101, 0b11111]
+    assert sorted(sizes) == [("__call__", 2)] * 5 + [("slope", 2)] * 5
+    assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-5

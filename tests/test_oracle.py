@@ -15,7 +15,9 @@ from bundleopt import (
     relaxed_bound,
     solve_nested_menu,
 )
+from bundleopt import oracle
 from bundleopt.oracle import (
+    CERT_TOL,
     DiscretizedInstance,
     _lp,
     best_nested_discrete,
@@ -27,6 +29,7 @@ from bundleopt.oracle import (
 
 from support import (
     dense_lp,
+    dense_solution,
     generate_clean_specs,
     iter_chains,
     random_instance_doc,
@@ -107,6 +110,78 @@ def test_lp_builder_matches_dense_reference(seed, n_items, costs):
         assert A.format == "csr" and A.shape == A_ref.shape
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, field), getattr(A_ref, field)), (m, field)
+
+
+def test_lp_row_subset_keeps_full_row_order():
+    inst = DiscretizedInstance.from_spec(load_spec(_instance_doc(1, 3, costs=True)), 11)
+    m = inst.m
+    pairs = np.random.default_rng(0).uniform(size=(m, m)) < 0.3
+    np.fill_diagonal(pairs, False)
+    c, A, b_ub = _lp(inst, pairs)
+    c_full, A_full, b_full = _lp(inst)
+    # the full LP's IC rows are the off-diagonal (k, r) pairs, k-major
+    keep = np.concatenate((pairs[~np.eye(m, dtype=bool)], np.ones(2 * m, dtype=bool)))
+    assert np.array_equal(c, c_full) and np.array_equal(b_ub, b_full[keep])
+    assert (A != A_full[np.flatnonzero(keep)]).nnz == 0
+
+
+def _check_against_dense(inst):
+    lp, ref = solve_lp(inst), dense_solution(inst)
+    assert abs(lp.objective - ref.objective) <= 1e-9
+    assert compare(inst, 0.0, lp).verdict == compare(inst, 0.0, ref).verdict
+    assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
+    return lp
+
+
+@pytest.mark.parametrize("costs", [False, True])
+@pytest.mark.parametrize("n_items", [2, 3, 4, 5])
+def test_row_generation_matches_dense_solve(n_items, costs):
+    spec = load_spec(_instance_doc(n_items, n_items, costs))
+    for m in (11, 51, 101, 201):
+        lp = _check_against_dense(DiscretizedInstance.from_spec(spec, m))
+        assert lp.rows < m * (m - 1) + 2 * m
+
+
+@pytest.mark.parametrize("beta", [0.4, 0.6, 1.0, 1.4])
+def test_row_generation_matches_dense_on_criterion_4(beta):
+    spec = two_item_spec(beta, 4.5, grid_size=1025)
+    _check_against_dense(DiscretizedInstance.from_spec(spec, 201))
+
+
+def test_row_generation_without_single_crossing():
+    # item 1 is worth more to high types, item 2 to low ones: without
+    # increasing differences the adjacent IC rows leave others violated
+    m = 11
+    t = (np.arange(m) + 0.5) / m
+    inst = DiscretizedInstance(
+        types=t,
+        weights=np.full(m, 1.0 / m),
+        values=np.vstack([np.zeros(m), t, t[::-1], np.maximum(t, t[::-1]) + 0.1]),
+        costs=np.zeros(4),
+        sellable=(1, 2, 3),
+    )
+    inst.check_monotone()
+    lp = _check_against_dense(inst)
+    assert lp.rounds > 1
+    assert 4 * m - 2 < lp.rows < m * (m - 1) + 2 * m
+
+
+def test_interior_point_fallback_certifies():
+    # criterion 3's 19th nested instance: the duals of HiGHS's default method
+    # leave a stationarity residual of 9.2e-7, so the last LP is solved again
+    # by interior point, whose duals pass
+    spec, _profiles, _rel = generate_clean_specs(
+        515151, 19, n_items_choices=(2, 3), require_nested=True
+    )[18]
+    lp = solve_lp(DiscretizedInstance.from_spec(spec, 201))
+    assert lp.rounds == 2 and lp.rows == 4 * 201 - 2
+    assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
+
+
+def test_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "CERT_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="LP certificate failed"):
+        solve_lp(_single_item_instance(11))
 
 
 def test_lp_matches_menu_solver_under_nesting():
