@@ -214,12 +214,12 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(spec)
 
+    instance = DiscretizedInstance.from_spec(spec, args.types)  # refuses a too-large LP first
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
     menu_profit, bundles, _prices = _benchmark_menu(spec, profiles, relation)
     menu_desc = [format_bundle(b) for b in bundles]
 
-    instance = DiscretizedInstance.from_spec(spec, args.types)
     lp = solve_lp(instance)
     verdict = compare(instance, menu_profit, lp)
 
@@ -397,10 +397,10 @@ def cmd_reproduce(args) -> int:
             spec = apps.two_item_power_family(beta, gamma, grid_size=args.grid)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
+                instance = DiscretizedInstance.from_spec(spec, args.types)
                 profiles = compute_profiles(spec)
                 relation = build_dominance(spec, profiles)
                 menu_profit, bundles, prices = _benchmark_menu(spec, profiles, relation)
-                instance = DiscretizedInstance.from_spec(spec, args.types)
                 lp = solve_lp(instance)
                 verdict = compare(instance, menu_profit, lp)
             rows.append(

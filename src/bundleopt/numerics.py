@@ -1,16 +1,23 @@
 """Shared numeric primitives: maximization by a grid bracket and the root of
 the slope, root polishing, switch points of a grid argmax, the chain-profit DP
-over bundle masks, peak counting."""
+over bundle masks, peak counting.
+
+Roots are polished by ``rising_root``'s own Brent iteration, a step-for-step
+port of scipy's ``brentq``; on the same bracket and tolerances it returns the
+same float, so the module needs numpy only.
+"""
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 TIE_TOL = 1e-12  # grid values this close to the maximum count as tied
+ROOT_XTOL, ROOT_RTOL = 1e-14, 4 * math.ulp(1.0)  # Brent's tolerances: absolute, relative
+ROOT_MAXITER = 100
 
 
 class MultiplePeaksWarning(UserWarning):
@@ -23,6 +30,14 @@ def rising_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[f
     Returns lo when g(lo) >= 0, hi when g(hi) <= 0, and otherwise the Brent
     root of g(lo) < 0 < g(hi) polished to 1e-14; None when that sign change
     cannot be decided because an end value is NaN.
+
+    The iteration is scipy's ``optimize/Zeros/brentq.c`` (BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers) ported
+    step for step, with xtol 1e-14, rtol 4 eps and 100 iterations, started
+    from the two end values already computed here.  It returns what
+    ``scipy.optimize.brentq(g, lo, hi, xtol=1e-14)`` returns and fails as it
+    does: ValueError when g is NaN inside the bracket, RuntimeError when the
+    iteration does not converge.
     """
     g_lo, g_hi = float(g(lo)), float(g(hi))
     if g_lo >= 0.0:
@@ -31,7 +46,40 @@ def rising_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[f
         return float(hi)
     if np.isnan(g_lo) or np.isnan(g_hi):
         return None
-    return float(brentq(g, lo, hi, xtol=1e-14))
+    # xcur is the best estimate, xpre the previous one and xblk the end of
+    # the bracket [xcur, xblk] across which g changes sign
+    xpre, xcur, fpre, fcur = float(lo), float(hi), g_lo, g_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(g(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"g({xcur:.6g}) is NaN; the root iteration cannot continue")
+    raise RuntimeError(f"root iteration failed to converge after {ROOT_MAXITER} iterations")
 
 
 def scanned_max(

@@ -7,7 +7,11 @@ solution bounds every menu's profit on the same instance from above, which
 is what makes it a useful certificate against the nested-menu solver.
 
 The LP is built by ``_lp`` alone: ``dump_lp_text`` writes the full LP and
-``solve_lp`` solves row subsets of it.  With m types and K sellable bundles:
+``solve_lp`` solves row subsets of it.  scipy is imported only when an LP
+is built (``_lp``, for its sparse matrix) or solved (``solve_lp``, for HiGHS
+through ``linprog``); the discretized instance, the nested-chain benchmark
+and the rest of the package need numpy only.  With m types and K sellable
+bundles:
 
 - columns: the lottery weights a[k, j] in [0, 1], type-major (column
   k*K + j), then the free payments p[k] (column m*K + k);
@@ -35,8 +39,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .model import ProblemSpec, SpecError, format_bundle, subset_pairs
 from .numerics import chain_dp
@@ -148,6 +150,8 @@ def _lp(instance: DiscretizedInstance, pairs=None):
     ``pairs``, an (m, m) boolean mask, keeps only the IC rows (k, r) it marks,
     in the full LP's row order; None keeps every r != k.
     """
+    from scipy import sparse
+
     m = instance.m
     opts = list(instance.sellable)
     K = len(opts)
@@ -189,6 +193,8 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     (with crossover).  Raises RuntimeError when the solver fails or the
     certificate fails with both.  Deterministic for a fixed instance.
     """
+    from scipy.optimize import linprog
+
     m = instance.m
     V = instance.values[list(instance.sellable)]  # (K, m)
     n_a = m * V.shape[0]

@@ -3,13 +3,16 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundleopt import applications as apps
-from bundleopt import demand, load_spec
+from bundleopt import cli, demand, load_spec
 from bundleopt.cli import main
 from bundleopt.model import MonomialSum
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
@@ -351,6 +354,77 @@ def test_lp_size_refusal_exit_code(command, doc, types, detail, tmp_path, capsys
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "validation" and detail in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["verify", "--types", "301"], "needs 142.4 MB (limit 67.1 MB)"),
+        (["reproduce", "--grid", "513", "--types", "5"], "m=5 outside supported range"),
+    ],
+    ids=["verify", "reproduce"],
+)
+def test_lp_size_refusal_precedes_menu_work(argv, detail, monkeypatch, tmp_path, capsys):
+    # a refused LP size exits before any demand profile or menu is computed
+    def unreachable(*_args):
+        raise AssertionError("profiles computed for a refused LP size")
+
+    monkeypatch.setattr(cli, "compute_profiles", unreachable)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(random_instance_doc(np.random.default_rng(0), 6, grid_size=1025)))
+    if argv[0] == "verify":
+        argv = argv + ["--spec", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "validation" and detail in err["detail"]
+
+
+_SCIPY_PROBE = """
+import json, sys
+from bundleopt.cli import main
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+runs = json.loads(sys.argv[1])
+codes = [main(argv) for argv in runs[:-1]]
+before = scipy_modules()
+codes.append(main(runs[-1]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_only_lp_commands_import_scipy(tmp_path):
+    # analyze, solve, sweep, quality and screening need numpy only; verify loads scipy
+    # for its LP.  Run in a fresh interpreter: this one has scipy loaded.
+    docs = {
+        "problem": two_item_doc(0.3, 0.5, grid_size=1025),
+        "quality": {"qualities": [1.0, 2.0, 3.0], "costs": [0.2, 0.2, 0.9],
+                    "values": {"kind": "multiplicative"}, "distribution": _UNIFORM,
+                    "grid_size": 1025},
+        "screening": _SCREENING_DOC,
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "o")]
+    runs = [
+        ["analyze", "--spec", str(tmp_path / "problem.json"), *out],
+        ["solve", "--spec", str(tmp_path / "problem.json"), *out],
+        ["sweep", "--gamma", "0.5", "--beta-range", "0.5:1.5:0.5", "--grid", "513", *out],
+        ["quality", "--spec", str(tmp_path / "quality.json"), *out],
+        ["screening", "--spec", str(tmp_path / "screening.json"), *out],
+        ["verify", "--spec", str(tmp_path / "problem.json"), "--types", "21", *out],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * len(runs)
+    assert result["before"] == []
+    assert "scipy.optimize" in result["after"]
 
 
 def test_verify_six_items(tmp_path):

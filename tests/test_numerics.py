@@ -1,8 +1,11 @@
 """Shared numeric primitives: scanned maximization, root polishing, switch points,
 peak counting."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bundleopt.numerics import (
     MultiplePeaksWarning,
@@ -66,6 +69,53 @@ def test_rising_root_nonfinite_end():
     # a NaN end value leaves the sign change undecided
     assert rising_root(lambda x: x - 0.5 if x < 1.0 else np.nan, 0.0, 1.0) is None
     assert rising_root(lambda x: np.nan if x == 0.0 else x - 0.5, 0.0, 1.0) is None
+
+
+_BRENT_CASES = {  # g rising through zero strictly inside [lo, hi]
+    "cubic": (lambda x: x**3 - 0.2, 0.0, 1.0),
+    "exp": (lambda x: math.exp(x) - 2.0, 0.0, 1.0),
+    "x-exp-x": (lambda x: x * math.exp(x) - 1.0, 0.0, 1.0),
+    "steep-tanh": (lambda x: math.tanh(20.0 * (x - 0.37)), 0.0, 1.0),
+    "numpy-sqrt": (lambda x: np.sqrt(np.float64(x)) - 0.3, 0.0, 1.0),
+    "exact-secant": (lambda x: x - 0.5, 0.0, 1.0),
+    "kink-at-root": (lambda x: max(x - 0.4, 3.0 * (x - 0.4)), 0.0, 1.0),
+    "kink-below-root": (lambda x: 2.0 * (x - 0.5) + abs(x - 0.45), 0.0, 1.0),
+    "flat-both-ends": (lambda x: min(max(x - 0.3, -0.05), 0.05), 0.0, 1.0),
+    "flat-then-rise": (lambda x: max(x - 0.5, 0.0) ** 2 - 0.01, 0.0, 1.0),
+    "jump-below-root": (lambda x: -1.0 if x < 0.2 else x - 0.7, 0.0, 1.0),
+    "near-lo": (lambda x: x - 1e-13, 0.0, 1.0),
+    "near-hi": (lambda x: x - (1.0 - 1e-13), 0.0, 1.0),
+    "near-lo-of-cell": (lambda x: x * x - (0.5 + 1e-12) ** 2, 0.5, 0.5 + 2.0**-10),
+    "near-hi-of-cell": (lambda x: math.log(x / (0.75 - 3e-15)), 0.75 - 2.0**-12, 0.75),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRENT_CASES))
+def test_rising_root_equals_scipy_brentq(name):
+    # the Brent iteration is a port of scipy's brentq: the same root to the
+    # last bit, from the same steps (brentq's evaluations, ends included)
+    g, lo, hi = _BRENT_CASES[name]
+    calls = []
+    r = rising_root(lambda x: calls.append(x) or g(x), lo, hi)
+    ref, info = brentq(g, lo, hi, xtol=1e-14, full_output=True)
+    assert lo < r < hi
+    assert r == ref
+    assert len(calls) == info.function_calls
+
+
+def test_rising_root_fails_as_brentq_does():
+    # NaN met inside the bracket stops the iteration
+    g = lambda x: x - 0.5 if abs(x - 0.5) > 0.1 else np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        rising_root(g, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        brentq(g, 0.0, 1.0, xtol=1e-14)
+    # a triple root is too flat to reach within 1e-14 in 100 steps
+    g = lambda x: (x - 0.3) ** 3
+    with pytest.raises(RuntimeError):
+        rising_root(g, 0.0, 1.0)
+    with pytest.raises(RuntimeError):
+        brentq(g, 0.0, 1.0, xtol=1e-14)
 
 
 def test_switch_points_ties_and_undecided_cells():
