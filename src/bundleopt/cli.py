@@ -2,29 +2,25 @@
 
 All outputs are deterministic for a fixed problem file and grid: CSV/JSON/DOT
 files carry a provenance line with the problem hash and grid size, and no
-stage of the pipeline uses randomness.
+stage of the pipeline uses randomness.  ``main`` creates the ``--out``
+directory and maps library errors to exit codes; ``verify`` and
+``reproduce`` reach their verdicts through the one pipeline ``_verdict``.
+Library warnings pass through to stderr unfiltered.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-import warnings
 from pathlib import Path
 
 from . import applications as apps
 from .demand import compute_profiles, elasticity_grid
 from .dominance import build_dominance, check_union_elasticity, to_dot
-from .menu import (
-    MonotonicityError,
-    MultiPeakError,
-    NestingError,
-    best_nested_menu,
-    envelope_allocation,
-    solve_nested_menu,
-)
-from .model import ProblemSpec, SpecError, format_bundle, load_spec, read_document
+from .menu import NestingError, best_nested_menu, envelope_allocation, solve_nested_menu
+from .model import DEFAULT_GRID_SIZE, ProblemSpec, SpecError, format_bundle, load_spec, read_document
 from .oracle import DiscretizedInstance, compare, dump_lp_text, solve_lp
 
 EXIT_OK = 0
@@ -58,13 +54,23 @@ def _bundle_slug(mask: int) -> str:
     return "-".join(str(j) for j in format_bundle(mask)[1:-1].split(",")) if mask else "none"
 
 
-def _benchmark_menu(spec: ProblemSpec, profiles, relation):
-    """(profit, bundles, prices) of the nested menu an LP verdict is measured against."""
+def _verdict(spec: ProblemSpec, instance: DiscretizedInstance):
+    """The paper's claim checked on one spec: the nested menu against the LP optimum.
+
+    Returns (profiles, relation, (profit, bundles, prices) of the benchmark
+    nested menu, LP solution, verdict).  The caller builds ``instance`` first,
+    so a refused LP size costs no menu work.
+    """
+    profiles = compute_profiles(spec)
+    relation = build_dominance(spec, profiles)
     if relation.nested:
         menu = solve_nested_menu(spec, profiles, relation)
-        return menu.expected_profit, menu.bundles, list(menu.prices)
-    sol, chain = best_nested_menu(spec)
-    return sol.expected_profit, chain, sorted({p for p in sol.payments if p > 0})
+        benchmark = menu.expected_profit, menu.bundles, list(menu.prices)
+    else:
+        sol, chain = best_nested_menu(spec)
+        benchmark = sol.expected_profit, chain, sorted({p for p in sol.payments if p > 0})
+    lp = solve_lp(instance)
+    return profiles, relation, benchmark, lp, compare(instance, benchmark[0], lp)
 
 
 _LP_FIELDS = ("rounds", "rows", "ic_violation", "stationarity", "duality_gap")
@@ -86,10 +92,8 @@ def _fail(kind: str, detail: str, code: int) -> int:
 
 def cmd_analyze(args) -> int:
     spec = load_spec(args.spec, grid_size=args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     prov = _provenance(spec)
-    formats = set(args.format.split(","))
 
     profiles = compute_profiles(spec)
     summary_rows = []
@@ -97,45 +101,42 @@ def cmd_analyze(args) -> int:
         p = profiles[b]
         eta = elasticity_grid(spec, b, cost_adjusted=False)
         eta_t = elasticity_grid(spec, b, cost_adjusted=True)
-        if "csv" in formats:
-            path = out / f"demand_{_bundle_slug(b)}.csv"
-            rows = zip(p.q_grid, p.price, p.profit, eta, eta_t)
-            lines = [f"# {prov}", "q,price,profit,eta,eta_cost_adjusted"]
-            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-            lines.append(
-                f"# summary d_star={_fmt(p.d_star)} t_star={_fmt(p.t_star)} "
-                f"peak_profit={_fmt(p.peak_profit)}"
-            )
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = out / f"demand_{_bundle_slug(b)}.csv"
+        rows = zip(p.q_grid, p.price, p.profit, eta, eta_t)
+        lines = [f"# {prov}", "q,price,profit,eta,eta_cost_adjusted"]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.append(
+            f"# summary d_star={_fmt(p.d_star)} t_star={_fmt(p.t_star)} "
+            f"peak_profit={_fmt(p.peak_profit)}"
+        )
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         summary_rows.append(
             (format_bundle(b), p.d_star, p.t_star, p.peak_profit, p.corner)
         )
-    if "csv" in formats:
-        _write_csv(
-            out / "summary.csv",
-            prov,
-            ["bundle", "d_star", "t_star", "peak_profit", "corner"],
-            summary_rows,
-        )
+    _write_csv(
+        out / "summary.csv",
+        prov,
+        ["bundle", "d_star", "t_star", "peak_profit", "corner"],
+        summary_rows,
+    )
 
     relation = build_dominance(spec, profiles)
     union = check_union_elasticity(spec, profiles)
-    if args.hasse and "dot" in formats:
+    if args.hasse:
         (out / "dominance.dot").write_text(to_dot(relation), encoding="utf-8")
-    if "json" in formats:
-        _write_json(
-            out / "dominance.json",
-            {
-                "provenance": prov,
-                "undominated": [format_bundle(b) for b in relation.undominated],
-                "nested": relation.nested,
-                "best_selling": format_bundle(relation.best_selling),
-                "sales_order": [format_bundle(b) for b in relation.sales_order],
-                "d_star": {format_bundle(b): d for b, d in relation.d_star.items()},
-                "union_elasticity_holds": union.holds,
-                "union_elasticity_cost_adjusted": union.cost_adjusted,
-            },
-        )
+    _write_json(
+        out / "dominance.json",
+        {
+            "provenance": prov,
+            "undominated": [format_bundle(b) for b in relation.undominated],
+            "nested": relation.nested,
+            "best_selling": format_bundle(relation.best_selling),
+            "sales_order": [format_bundle(b) for b in relation.sales_order],
+            "d_star": {format_bundle(b): d for b, d in relation.d_star.items()},
+            "union_elasticity_holds": union.holds,
+            "union_elasticity_cost_adjusted": union.cost_adjusted,
+        },
+    )
     print(f"analyzed {len(profiles)} bundles; nested={relation.nested}; "
           f"union_elasticity={union.holds}; outputs in {out}")
     return EXIT_OK
@@ -143,19 +144,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = load_spec(args.spec, grid_size=args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     prov = _provenance(spec)
 
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
-    if not relation.nested:
-        return _fail(
-            "nesting",
-            "undominated bundles are not nested; run `verify` for the LP route",
-            EXIT_CERTIFICATE,
-        )
-    menu = solve_nested_menu(spec, profiles, relation)
+    menu = solve_nested_menu(spec, profiles, relation)  # NestingError exits 3 in main
     envelope = envelope_allocation(spec, relation)
 
     print(f"{'bundle':<12}{'quantity':>12}{'cutoff':>12}{'price':>12}{'upgrade':>12}")
@@ -210,18 +204,12 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec, grid_size=args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     prov = _provenance(spec)
 
     instance = DiscretizedInstance.from_spec(spec, args.types)  # refuses a too-large LP first
-    profiles = compute_profiles(spec)
-    relation = build_dominance(spec, profiles)
-    menu_profit, bundles, _prices = _benchmark_menu(spec, profiles, relation)
+    _profiles, relation, (menu_profit, bundles, _prices), lp, verdict = _verdict(spec, instance)
     menu_desc = [format_bundle(b) for b in bundles]
-
-    lp = solve_lp(instance)
-    verdict = compare(instance, menu_profit, lp)
 
     print(f"lp objective        {lp.objective:.9f}  (m={args.types})")
     print(f"nested benchmark    {menu_profit:.9f}  menu={menu_desc}")
@@ -254,7 +242,12 @@ def cmd_verify(args) -> int:
 
 
 def _beta_values(spec_range: str):
-    lo, hi, step = (float(x) for x in spec_range.split(":"))
+    try:
+        lo, hi, step = (float(x) for x in spec_range.split(":"))
+    except ValueError:
+        raise SpecError(f"--beta-range {spec_range!r} is not lo:hi:step") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf and hi >= lo):
+        raise SpecError(f"--beta-range {spec_range!r} needs finite lo <= hi and step > 0")
     n = int(round((hi - lo) / step))
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
@@ -262,11 +255,8 @@ def _beta_values(spec_range: str):
 def cmd_sweep(args) -> int:
     betas = _beta_values(args.beta_range)
     family = lambda b: apps.two_item_power_family(b, args.gamma, grid_size=args.grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sweep = apps.rotation_sweep(family, betas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sweep = apps.rotation_sweep(family, betas)
+    out = args.out
     prov = f"family=two_item_power gamma={_fmt(args.gamma)} grid_size={args.grid}"
 
     rows = []
@@ -312,8 +302,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_quality(args) -> int:
     problem = apps.QualityProblem.from_document(read_document(args.spec))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     sales = apps.quality_menu_from_sales(problem)
     cost_route = None
@@ -333,7 +321,7 @@ def cmd_quality(args) -> int:
             )
         )
     _write_csv(
-        out / "quality.csv",
+        args.out / "quality.csv",
         f"qualities={len(problem.qualities)} grid_size={problem.grid_size}",
         ["x", "d_star", "d_hat", "c_avg", "c_check", "in_menu"],
         rows,
@@ -362,17 +350,13 @@ def cmd_screening(args) -> int:
         print(f"costly screening optimal: {report.optimal}")
 
     if args.verify_lp and report.status in ("ok", "trivially_optimal"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec, info = apps.embed_screening(problem)
+        spec, info = apps.embed_screening(problem)
         lp = solve_lp(DiscretizedInstance.from_spec(spec, args.types))
         usage = lp.uses_bundles(info["costly_masks"])
         print(f"lp cross-check (m={args.types}): objective={lp.objective:.6f} "
               f"costly usage mass={usage:.4f}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
-        out / "screening.json",
+        args.out / "screening.json",
         {
             "status": report.status,
             "optimal": report.optimal,
@@ -387,22 +371,17 @@ def cmd_screening(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     betas = _beta_values(args.beta_range)
     verdict_rows = []
     for gamma in (0.5, 4.5):
         rows = []
         for beta in betas:
             spec = apps.two_item_power_family(beta, gamma, grid_size=args.grid)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                instance = DiscretizedInstance.from_spec(spec, args.types)
-                profiles = compute_profiles(spec)
-                relation = build_dominance(spec, profiles)
-                menu_profit, bundles, prices = _benchmark_menu(spec, profiles, relation)
-                lp = solve_lp(instance)
-                verdict = compare(instance, menu_profit, lp)
+            instance = DiscretizedInstance.from_spec(spec, args.types)
+            profiles, relation, (menu_profit, bundles, prices), lp, verdict = _verdict(
+                spec, instance
+            )
             rows.append(
                 (
                     beta,
@@ -427,9 +406,7 @@ def cmd_reproduce(args) -> int:
         )
 
     family = lambda b: apps.two_item_power_family(b, 0.5, grid_size=args.grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        regions = apps.menu_regions(family, betas)
+    regions = apps.menu_regions(family, betas)
     region_rows = [
         (
             r["s_start"],
@@ -473,13 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec_required=True):
         if spec_required:
             p.add_argument("--spec", required=True, help="problem JSON file")
-        p.add_argument("--grid", type=int, default=None, help="type-grid size override")
+        # a built-in family has no problem file to carry a grid size
+        grid = None if spec_required else DEFAULT_GRID_SIZE
+        p.add_argument("--grid", type=int, default=grid, help="type-grid size override")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("analyze", help="demand curves, elasticities, dominance")
     common(p)
     p.add_argument("--hasse", action="store_true", help="emit the dominance DOT digraph")
-    p.add_argument("--format", default="csv,json,dot", help="comma list of csv,json,dot")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="minimal optimal nested menu with certificate")
@@ -520,15 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "grid", None) is None and args.command in ("sweep", "reproduce"):
-        args.grid = 4097  # built-in family has no problem file to carry a grid size
+    args.out = Path(args.out)
+    args.out.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
     except SpecError as exc:
         return _fail("validation", str(exc), EXIT_VALIDATION)
     except NestingError as exc:
         return _fail("nesting", str(exc), EXIT_CERTIFICATE)
-    except (MonotonicityError, MultiPeakError, RuntimeError) as exc:
+    except RuntimeError as exc:
         return _fail("internal", str(exc), EXIT_INTERNAL)
 
 

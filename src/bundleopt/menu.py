@@ -418,9 +418,7 @@ def solve_nested_menu(
     in the spec's validation report void the certificate.
     """
     if not relation.nested:
-        raise NestingError(
-            "undominated bundles are not a chain; use the LP oracle instead"
-        )
+        raise NestingError("undominated bundles are not nested; run `verify` for the LP route")
     chain = sorted(relation.undominated)
     invalid_reasons = []
     if spec.validation.warnings:

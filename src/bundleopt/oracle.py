@@ -68,7 +68,7 @@ class DiscretizedInstance:
 
     types: np.ndarray  # m quantile midpoints, increasing
     weights: np.ndarray  # mass per type (1/m each)
-    values: np.ndarray  # (2^n, m), row b for bundle mask b
+    values: np.ndarray  # (2^n, m), row b for bundle mask b, 0 unless b is sellable
     costs: np.ndarray  # (2^n,)
     sellable: tuple  # masks with a nonzero value expression
 
@@ -89,9 +89,10 @@ class DiscretizedInstance:
                 "reduce m or the number of sellable bundles"
             )
         types = np.asarray(spec.dist.quantile((np.arange(m) + 0.5) / m), dtype=float)
-        bundles = range(1 << spec.n_items)
-        values = np.array([np.asarray(spec.value(b, types), dtype=float) for b in bundles])
-        costs = np.array([spec.cost(b) for b in bundles])
+        values = np.zeros((1 << spec.n_items, m))
+        for b in sellable:
+            values[b] = spec.value(b, types)
+        costs = np.array([spec.cost(b) for b in range(1 << spec.n_items)])
         inst = DiscretizedInstance(
             types=types,
             weights=np.full(m, 1.0 / m),

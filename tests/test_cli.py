@@ -14,6 +14,7 @@ import pytest
 from bundleopt import applications as apps
 from bundleopt import cli, demand, load_spec
 from bundleopt.cli import main
+from bundleopt.dominance import TiedBestSellerWarning
 from bundleopt.model import MonomialSum
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
@@ -454,6 +455,59 @@ def test_reproduce_artifacts(tmp_path, capsys):
     # three menu regions for the low-synergy family
     assert len(regions) == 2 + 3
     assert "gamma=0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, beta_range",
+    [
+        ("sweep", "0.1:2.0:0"),
+        ("sweep", "0.1:2.0"),
+        ("sweep", "a:b:c"),
+        ("sweep", "2.0:0.1:0.1"),
+        ("reproduce", "0.5:0.1:0.1"),
+    ],
+)
+def test_beta_range_refusal_exit_code(command, beta_range, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [command, "--beta-range", beta_range, "--grid", "513", "--out", str(out)]
+    code = main(argv + (["--gamma", "0.5"] if command == "sweep" else []))
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "validation" and "--beta-range" in err["detail"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--gamma", "0.5"], ["reproduce", "--types", "21"]], ids=["sweep", "reproduce"]
+)
+def test_library_warnings_pass_through(argv, tmp_path):
+    # at gamma=0.5, beta=1.5 the bundles {1} and {1,2} tie as best seller
+    argv = argv + ["--grid", "513", "--beta-range", "1.5:1.5:0.1", "--out", str(tmp_path / "o")]
+    with pytest.warns(TiedBestSellerWarning):
+        assert main(argv) == 0
+
+
+def test_verify_agrees_with_reproduce_verdicts(tmp_path):
+    # verify on a family member's document reproduces that beta's verdict row
+    assert main([
+        "reproduce", "--out", str(tmp_path / "r"), "--grid", "513", "--types", "51",
+        "--beta-range", "0.6:1.0:0.4",
+    ]) == 0
+    lines = (tmp_path / "r" / "verdicts.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    table = {(row["gamma"], row["beta"]): row for row in rows}
+    for beta in (0.6, 1.0):
+        path = tmp_path / f"beta_{beta}.json"
+        path.write_text(json.dumps(apps.two_item_power_family(beta, 4.5, grid_size=513).document()))
+        out = tmp_path / f"verify_{beta}"
+        assert main(["verify", "--spec", str(path), "--out", str(out), "--types", "51"]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        row = table[(cli._fmt(4.5), cli._fmt(beta))]
+        assert row["verdict"] == payload["verdict"]
+        assert row["matched_gap"] == cli._fmt(payload["gap"])
+        for name in cli._LP_FIELDS:
+            assert row[f"lp_{name}"] == cli._fmt(payload[f"lp_{name}"]), name
 
 
 def test_analyze_hasse_three_item_chain(tmp_path):

@@ -16,6 +16,7 @@ from bundleopt import (
     solve_nested_menu,
 )
 from bundleopt import oracle
+from bundleopt.model import ProblemSpec
 from bundleopt.oracle import (
     CERT_TOL,
     DiscretizedInstance,
@@ -60,6 +61,31 @@ def test_instance_m_range_enforced():
         DiscretizedInstance.from_spec(spec, 5)
     with pytest.raises(ValueError):
         DiscretizedInstance.from_spec(spec, 1000)
+
+
+def test_instance_evaluates_only_sellable_bundles(monkeypatch):
+    # 16 items, two sellable bundles: 2 value rows are evaluated, not 65,536
+    grand = "[" + ",".join(str(j) for j in range(1, 17)) + "]"
+    spec = load_spec({
+        "n_items": 16,
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "values": {
+            "[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]},
+            grand: {"terms": [{"coef": 2.0, "exp": 1.0}]},
+        },
+        "grid_size": 1025,
+    })
+    calls = []
+    value = ProblemSpec.value
+    monkeypatch.setattr(ProblemSpec, "value", lambda self, b, t: calls.append(b) or value(self, b, t))
+    inst = DiscretizedInstance.from_spec(spec, 51)
+    assert sorted(calls) == list(inst.sellable) == [0b1, (1 << 16) - 1]
+    monkeypatch.undo()
+    for b in inst.sellable:
+        assert np.array_equal(inst.values[b], spec.value(b, inst.types))
+    unsellable = np.ones(1 << 16, dtype=bool)
+    unsellable[list(inst.sellable)] = False
+    assert not inst.values[unsellable].any()
 
 
 # ---------------------------------------------------------------------------
