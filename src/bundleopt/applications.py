@@ -168,7 +168,7 @@ def _crosscheck_against_solver(problem, menu_idx) -> None:
     add no profit: the envelope menu earns the solver's profit within 1e-9.
     """
     spec, profiles = problem.embedded, problem.profiles
-    solved = solve_nested_menu(spec, profiles, build_dominance(spec, profiles))
+    solved = solve_nested_menu(spec, build_dominance(spec, profiles))
     solver_idx = {b.bit_length() - 1 for b in solved.bundles}  # bundle {1..k+1} is quality k
     menu_set = set(menu_idx)
     if not solver_idx <= menu_set:

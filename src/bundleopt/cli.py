@@ -19,7 +19,8 @@ from pathlib import Path
 from . import applications as apps
 from .demand import compute_profiles, elasticity_grid
 from .dominance import build_dominance, check_union_elasticity, to_dot
-from .menu import NestingError, best_nested_menu, envelope_allocation, solve_nested_menu
+from .menu import MonotonicityError, NestingError, best_nested_menu, envelope_allocation
+from .menu import solve_nested_menu
 from .model import DEFAULT_GRID_SIZE, ProblemSpec, SpecError, format_bundle, load_spec, read_document
 from .oracle import DiscretizedInstance, compare, dump_lp_text, solve_lp
 
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 EXIT_INTERNAL = 4
+MAX_BETA_POINTS = 10_001  # --beta-range points; a 1e-4 step across [0, 1]
 
 
 def _fmt(x) -> str:
@@ -57,16 +59,18 @@ def _bundle_slug(mask: int) -> str:
 def _verdict(spec: ProblemSpec, instance: DiscretizedInstance):
     """The paper's claim checked on one spec: the nested menu against the LP optimum.
 
-    Returns (profiles, relation, (profit, bundles, prices) of the benchmark
-    nested menu, LP solution, verdict).  The caller builds ``instance`` first,
-    so a refused LP size costs no menu work.
+    The benchmark is the constructed minimal menu, or the best nested menu
+    when the spec is not nested or its envelope is not monotone.  Returns
+    (profiles, relation, (profit, bundles, prices) of the benchmark, LP
+    solution, verdict).  The caller builds ``instance`` first, so a refused
+    LP size costs no menu work.
     """
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
-    if relation.nested:
-        menu = solve_nested_menu(spec, profiles, relation)
+    try:
+        menu = solve_nested_menu(spec, relation)
         benchmark = menu.expected_profit, menu.bundles, list(menu.prices)
-    else:
+    except (NestingError, MonotonicityError):
         sol, chain = best_nested_menu(spec)
         benchmark = sol.expected_profit, chain, sorted({p for p in sol.payments if p > 0})
     lp = solve_lp(instance)
@@ -149,7 +153,7 @@ def cmd_solve(args) -> int:
 
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
-    menu = solve_nested_menu(spec, profiles, relation)  # NestingError exits 3 in main
+    menu = solve_nested_menu(spec, relation)  # NestingError exits 3 in main
     envelope = envelope_allocation(spec, relation)
 
     print(f"{'bundle':<12}{'quantity':>12}{'cutoff':>12}{'price':>12}{'upgrade':>12}")
@@ -248,8 +252,10 @@ def _beta_values(spec_range: str):
         raise SpecError(f"--beta-range {spec_range!r} is not lo:hi:step") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf and hi >= lo):
         raise SpecError(f"--beta-range {spec_range!r} needs finite lo <= hi and step > 0")
-    n = int(round((hi - lo) / step))
-    return [round(lo + k * step, 10) for k in range(n + 1)]
+    span = (hi - lo) / step
+    if span >= MAX_BETA_POINTS - 0.5:  # refused before any list is built
+        raise SpecError(f"--beta-range {spec_range!r}: {span + 1:.4g} points > {MAX_BETA_POINTS}")
+    return [round(lo + k * step, 10) for k in range(round(span) + 1)]
 
 
 def cmd_sweep(args) -> int:

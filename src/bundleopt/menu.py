@@ -4,24 +4,25 @@ The solver works in type space.  The virtual surplus of a bundle at type t
 equals the marginal profit of selling the bundle alone at the quantity whose
 marginal consumer is t, so profit-maximizing cutoffs are crossings of virtual
 surplus curves and every expectation reduces to quadrature on the type grid.
+Under nesting the minimal optimal menu is the grid argmax of the undominated
+chain's virtual surplus curves (``_envelope_chain``): both ``solve_nested_menu``
+and ``envelope_allocation`` read it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .demand import DemandProfile, marginal_profit, profit_curve, virtual_surplus
-from .dominance import EPS_Q, DominanceRelation
+from .demand import DemandProfile, virtual_surplus
+from .dominance import DominanceRelation
 from .model import ProblemSpec, format_bundle, is_subset
-from .numerics import chain_dp, count_descents_to_ascents, rising_root, scanned_max, switch_points
+from .numerics import chain_dp, rising_root, switch_points
 
 PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
 REVENUE_EQ_TOL = 1e-5
-PEAK_SPLIT_TOL = 1e-8  # multi-peak incremental profit: tie tolerance before erroring
 
 
 class NestingError(RuntimeError):
@@ -30,10 +31,6 @@ class NestingError(RuntimeError):
 
 class MonotonicityError(RuntimeError):
     """Envelope allocation failed to be monotone in set inclusion."""
-
-
-class MultiPeakError(RuntimeError):
-    """Incremental profit has decisively distinct peaks; construction unsound."""
 
 
 # ---------------------------------------------------------------------------
@@ -395,118 +392,18 @@ class NestedMenu:
         return rows
 
 
-def _incremental_peaks(values: np.ndarray) -> list[float]:
-    """Values of local maxima of a scanned curve (interior strict + endpoints)."""
-    padded = np.concatenate(([-np.inf], values, [-np.inf]))
-    top = (values >= padded[:-2]) & (values >= padded[2:])
-    return sorted(values[top].tolist(), reverse=True)
+def _envelope_chain(spec: ProblemSpec, relation: DominanceRelation):
+    """Bundles and cutoff types of the grid argmax of the chain's virtual surplus.
 
-
-def solve_nested_menu(
-    spec: ProblemSpec,
-    profiles: dict[int, DemandProfile],
-    relation: DominanceRelation,
-) -> NestedMenu:
-    """Construct the minimal optimal nested menu by stack-based elimination.
-
-    Walks the undominated chain from the smallest bundle up, maximizing each
-    bundle's incremental profit against the top of the stack on the profiles'
-    profit rows up to the top's quantity: a maximizer at that quantity pops
-    the stack (the smaller bundle is never worth keeping), an interior
-    maximizer pushes the bundle with its quantity, and a zero maximizer skips
-    the bundle.  Prices follow from the cutoffs via upgrade pricing; warnings
-    in the spec's validation report void the certificate.
+    Each type takes the undominated bundle with the largest virtual surplus,
+    or nothing when every surplus is negative (ties to the smaller bundle);
+    a bundle joins the menu where the argmax steps up to it, at the exact
+    crossing from ``numerics.switch_points``.  The allocation must be
+    monotone in set inclusion along the type axis.  Returns (bundles,
+    cutoffs); a bundle the bottom type already takes has cutoff t[0].
     """
     if not relation.nested:
         raise NestingError("undominated bundles are not nested; run `verify` for the LP route")
-    chain = sorted(relation.undominated)
-    invalid_reasons = []
-    if spec.validation.warnings:
-        invalid_reasons.append("validation warnings present")
-
-    stack: list[tuple[int, float]] = [(0, 1.0)]
-    i = 0
-    while i < len(chain):
-        b_i = chain[i]
-        if not stack:
-            stack.append((b_i, profiles[b_i].d_star))
-            i += 1
-            continue
-        b_hat, q_hat = stack[-1]
-
-        def inc(q, b_i=b_i, b_hat=b_hat):
-            return profit_curve(spec, b_i, q) - profit_curve(spec, b_hat, q)
-
-        def inc_slope(q, b_i=b_i, b_hat=b_hat):
-            return marginal_profit(spec, b_i, q) - marginal_profit(spec, b_hat, q)
-
-        k = int(np.searchsorted(spec.q_grid, q_hat))  # grid points below q_hat
-        qs = np.append(spec.q_grid[:k], q_hat)
-        below = profiles[b_i].profit[:k] - (profiles[b_hat].profit[:k] if b_hat else 0.0)
-        scan = np.append(below, inc(q_hat))
-        if count_descents_to_ascents(scan, noise=1e-14) > 0:
-            peaks = _incremental_peaks(scan)
-            if len(peaks) >= 2 and peaks[0] - peaks[1] > PEAK_SPLIT_TOL:
-                raise MultiPeakError(
-                    f"incremental profit of {format_bundle(b_i)} against "
-                    f"{format_bundle(b_hat)} has distinct peaks "
-                    f"({peaks[0]:.9g} vs {peaks[1]:.9g})"
-                )
-            warnings.warn(
-                f"incremental profit of {format_bundle(b_i)} against "
-                f"{format_bundle(b_hat)} is multi-peaked; certificate voided",
-                UserWarning,
-                stacklevel=2,
-            )
-            invalid_reasons.append("multi-peaked incremental profit")
-        q_star = scanned_max(inc, qs, scan, inc_slope)
-
-        if q_star >= q_hat - EPS_Q:
-            stack.pop()
-        elif q_star <= EPS_Q:
-            i += 1
-        else:
-            stack.append((b_i, q_star))
-            i += 1
-
-    menu = [(b, q) for b, q in stack if b != 0]
-    bundles = tuple(b for b, _ in menu)
-    quantities = tuple(q for _, q in menu)
-    cutoffs = tuple(float(spec.dist.quantile(1.0 - q)) for q in quantities)
-    prices = _chain_prices(spec, bundles, cutoffs)
-    upgrades = tuple(
-        prices[j] - (prices[j - 1] if j > 0 else 0.0) for j in range(len(prices))
-    )
-
-    profit = _envelope_integral(spec, bundles)
-    bound = relaxed_bound(spec)
-    if abs(profit - bound) > 1e-6:
-        invalid_reasons.append(
-            f"menu profit {profit:.9g} does not attain the relaxed bound {bound:.9g}"
-        )
-    certificate = "VALID" if not invalid_reasons else "INVALID: " + "; ".join(invalid_reasons)
-    return NestedMenu(
-        bundles=bundles,
-        quantities=quantities,
-        cutoff_types=cutoffs,
-        prices=tuple(prices),
-        upgrade_prices=upgrades,
-        expected_profit=profit,
-        bound=bound,
-        certificate=certificate,
-    )
-
-
-def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> MechanismSolution:
-    """Mechanism that assigns each type its argmax virtual-surplus bundle.
-
-    Requires the nesting condition; the resulting allocation must be monotone
-    in set inclusion along the type axis (a violation signals an assumption
-    failure upstream).  Prices are recovered from the exact cutoff crossings,
-    after which the mechanism is simulated for the final solution object.
-    """
-    if not relation.nested:
-        raise NestingError("envelope allocation requires the nesting condition")
     members = [0, *sorted(relation.undominated)]  # the empty bundle earns 0
     t = spec.t_grid
     curves = np.stack([np.zeros(t.size)] + [spec.surplus_rows[b] for b in members[1:]])
@@ -518,9 +415,55 @@ def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> Mecha
             f"envelope allocation not monotone at t={t[k]:.9g}; "
             "local quasi-concavity likely fails"
         )
-    used = [members[pick[k + 1]] for k, _cut in points]
+    bundles = [members[pick[k + 1]] for k, _cut in points]
     cutoffs = [cut for _k, cut in points]
-    if not used and pick[-1] > 0:  # a single bundle covers the whole support
-        used, cutoffs = [members[pick[-1]]], [float(t[0])]
-    prices = _chain_prices(spec, used, cutoffs)
-    return simulate_menu(spec, used, prices)
+    if pick[0] > 0:  # the bottom type already buys
+        bundles, cutoffs = [members[pick[0]], *bundles], [float(t[0]), *cutoffs]
+    return bundles, cutoffs
+
+
+def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedMenu:
+    """The minimal optimal nested menu, read off the virtual-surplus envelope.
+
+    The undominated chain's argmax allocation (``_envelope_chain``) gives the
+    tiers and their cutoff types; a tier's quantity is the mass of types at
+    or above its cutoff, and prices follow from the cutoffs via upgrade
+    pricing.  The certificate is VALID when the spec's validation report has
+    no warnings and the menu's envelope integral attains the relaxed bound
+    within 1e-6.
+    """
+    bundles, cutoffs = _envelope_chain(spec, relation)
+    quantities = tuple(float(1.0 - spec.dist.cdf(s)) for s in cutoffs)
+    prices = _chain_prices(spec, bundles, cutoffs)
+    upgrades = tuple(float(u) for u in np.diff(prices, prepend=0.0))
+
+    invalid_reasons = []
+    if spec.validation.warnings:
+        invalid_reasons.append("validation warnings present")
+    profit = _envelope_integral(spec, bundles)
+    bound = relaxed_bound(spec)
+    if abs(profit - bound) > 1e-6:
+        invalid_reasons.append(
+            f"menu profit {profit:.9g} does not attain the relaxed bound {bound:.9g}"
+        )
+    certificate = "VALID" if not invalid_reasons else "INVALID: " + "; ".join(invalid_reasons)
+    return NestedMenu(
+        bundles=tuple(bundles),
+        quantities=quantities,
+        cutoff_types=tuple(cutoffs),
+        prices=tuple(prices),
+        upgrade_prices=upgrades,
+        expected_profit=profit,
+        bound=bound,
+        certificate=certificate,
+    )
+
+
+def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> MechanismSolution:
+    """Mechanism that assigns each type its argmax virtual-surplus bundle.
+
+    The menu of ``_envelope_chain``, priced from its exact cutoff crossings
+    and simulated for the final solution object.
+    """
+    bundles, cutoffs = _envelope_chain(spec, relation)
+    return simulate_menu(spec, bundles, _chain_prices(spec, bundles, cutoffs))

@@ -69,7 +69,7 @@ class DiscretizedInstance:
     types: np.ndarray  # m quantile midpoints, increasing
     weights: np.ndarray  # mass per type (1/m each)
     values: np.ndarray  # (2^n, m), row b for bundle mask b, 0 unless b is sellable
-    costs: np.ndarray  # (2^n,)
+    costs: np.ndarray  # (2^n,), 0 unless b is sellable
     sellable: tuple  # masks with a nonzero value expression
 
     @property
@@ -89,10 +89,9 @@ class DiscretizedInstance:
                 "reduce m or the number of sellable bundles"
             )
         types = np.asarray(spec.dist.quantile((np.arange(m) + 0.5) / m), dtype=float)
-        values = np.zeros((1 << spec.n_items, m))
+        values, costs = np.zeros((1 << spec.n_items, m)), np.zeros(1 << spec.n_items)
         for b in sellable:
-            values[b] = spec.value(b, types)
-        costs = np.array([spec.cost(b) for b in range(1 << spec.n_items)])
+            values[b], costs[b] = spec.value(b, types), spec.cost(b)
         inst = DiscretizedInstance(
             types=types,
             weights=np.full(m, 1.0 / m),
@@ -104,11 +103,13 @@ class DiscretizedInstance:
         return inst
 
     def check_monotone(self) -> None:
-        """Value rows must respect set inclusion among sellable bundles."""
+        """Value rows must respect set inclusion among sellable bundles (SpecError)."""
         for b1, b2 in subset_pairs(self.sellable):
-            if np.any(self.values[b1] > self.values[b2] + 1e-9):
-                raise ValueError(
-                    f"discretized values of {format_bundle(b1)} exceed {format_bundle(b2)}"
+            above = np.flatnonzero(self.values[b1] > self.values[b2] + 1e-9)
+            if above.size:
+                raise SpecError(
+                    f"monotonicity violation: value of {format_bundle(b1)} exceeds value "
+                    f"of {format_bundle(b2)} at the LP type t={self.types[above[0]]:.6g}"
                 )
 
 

@@ -59,7 +59,7 @@ def low_gamma_sweep():
             spec = two_item_spec(beta, 0.5)
             profiles = compute_profiles(spec)
             relation = build_dominance(spec, profiles)
-            menus[beta] = (spec, solve_nested_menu(spec, profiles, relation))
+            menus[beta] = (spec, solve_nested_menu(spec, relation))
         # refine the two region boundaries on the sales-volume gaps
         beta1 = brentq(
             lambda b: sales_volume(two_item_spec(b, 0.5), 0b10)
@@ -90,7 +90,7 @@ def nested_pool_menus(nested_pool):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec, profiles, relation in nested_pool:
-            menus.append((spec, solve_nested_menu(spec, profiles, relation)))
+            menus.append((spec, solve_nested_menu(spec, relation)))
     return menus
 
 

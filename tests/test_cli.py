@@ -117,6 +117,23 @@ def test_verify_suboptimal_verdict(tmp_path, capsys):
     assert "lp uses lotteries" in capsys.readouterr().out
 
 
+def test_non_monotone_envelope_exit_codes(tmp_path, capsys):
+    # solve refuses the menu (exit 4); verify benchmarks the LP against the
+    # best nested menu instead, with a finite profit
+    from test_menu import NON_MONOTONE_ENVELOPE_DOC
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(NON_MONOTONE_ENVELOPE_DOC))
+    assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "s")]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "internal" and "not monotone" in err["detail"]
+    out = tmp_path / "v"
+    assert main(["verify", "--spec", str(path), "--out", str(out), "--types", "31"]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["nesting_condition"] is True
+    assert np.isfinite(payload["menu_profit_continuum"])
+
+
 def test_sweep_artifacts(tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -276,6 +293,13 @@ def test_mistyped_document_exit_code(command, doc, field, tmp_path, capsys):
         ("screening", {"qualities": [1.0], "distribution": _UNIFORM, "actions": [{"const": 0.0}]},
          "action 1 is identically zero"),
         ("quality", _quality(costs=[1.5, 1.6]), "interior sales volumes"),
+        # {1} = t exceeds {1,2} = 0.98t + t^2 below t = 0.02: between the
+        # spec's grid points, but at the LP's bottom type
+        ("verify", {"n_items": 2, "distribution": _UNIFORM, "grid_size": 33,
+                    "values": {"[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]},
+                               "[1,2]": {"terms": [{"coef": 0.98, "exp": 1.0},
+                                                   {"coef": 1.0, "exp": 2.0}]}}},
+         "exceeds value of {1,2} at the LP type t=0.00248756"),
     ],
 )
 def test_refused_assumption_exit_code(command, doc, detail, tmp_path, capsys):
@@ -465,6 +489,8 @@ def test_reproduce_artifacts(tmp_path, capsys):
         ("sweep", "a:b:c"),
         ("sweep", "2.0:0.1:0.1"),
         ("reproduce", "0.5:0.1:0.1"),
+        ("sweep", "0.1:2.0:1e-5"),
+        ("reproduce", "0.1:2.0:1e-12"),
     ],
 )
 def test_beta_range_refusal_exit_code(command, beta_range, tmp_path, capsys):

@@ -15,8 +15,10 @@ from bundleopt import (
     solve_nested_menu,
     virtual_surplus,
 )
+from bundleopt.dominance import check_menu_optimality
 from bundleopt.menu import (
     MechanismSolution,
+    MonotonicityError,
     NestingError,
     _chain_prices,
     _chain_terms,
@@ -141,7 +143,7 @@ def test_relaxed_bound_single_item():
 
 def test_relaxed_bound_attained_under_nesting():
     spec, profiles, rel = _pipeline(1.0, 0.5)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     assert abs(menu.expected_profit - relaxed_bound(spec)) <= 1e-6
 
 
@@ -157,7 +159,7 @@ def test_relaxed_bound_strictly_above_nested_when_not_nested():
 
 def test_menu_low_beta_two_tiers():
     spec, profiles, rel = _pipeline(0.3, 0.5)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     assert menu.bundles == (0b10, 0b11)
     assert menu.quantities[0] == pytest.approx(1 / 1.3, abs=1e-8)
     assert menu.certificate == "VALID"
@@ -170,7 +172,7 @@ def test_menu_low_beta_two_tiers():
 
 def test_menu_middle_beta_pure_bundle():
     spec, profiles, rel = _pipeline(1.0, 0.5)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     assert menu.bundles == (0b11,)
     d = profiles[0b11].d_star
     assert menu.quantities[0] == pytest.approx(d, abs=1e-9)
@@ -183,7 +185,7 @@ def test_menu_single_item_textbook_monopoly():
     spec = load_spec(single_item_doc())
     profiles = compute_profiles(spec)
     rel = build_dominance(spec, profiles)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     assert menu.bundles == (1,)
     assert menu.quantities[0] == pytest.approx(0.5, abs=1e-9)
     assert menu.prices[0] == pytest.approx(0.5, abs=1e-9)
@@ -193,14 +195,14 @@ def test_menu_single_item_textbook_monopoly():
 def test_menu_requires_nesting():
     spec, profiles, rel = _pipeline(0.5, 4.5)
     with pytest.raises(NestingError):
-        solve_nested_menu(spec, profiles, rel)
+        solve_nested_menu(spec, rel)
 
 
 def test_menu_extremal_bundles():
     # smallest menu bundle is the best seller, largest is the grand bundle
     for spec, profiles, rel in generate_clean_specs(301, 8, require_nested=True,
                                                     grid_size=2049):
-        menu = solve_nested_menu(spec, profiles, rel)
+        menu = solve_nested_menu(spec, rel)
         assert menu.bundles[0] == rel.best_selling
         assert menu.bundles[-1] == spec.grand_bundle
 
@@ -209,7 +211,7 @@ def test_menu_minimality():
     # dropping any tier and re-optimizing prices strictly loses profit
     for spec, profiles, rel in generate_clean_specs(301, 6, require_nested=True,
                                                     grid_size=2049):
-        menu = solve_nested_menu(spec, profiles, rel)
+        menu = solve_nested_menu(spec, rel)
         if len(menu.bundles) < 2:
             continue
         for j in range(len(menu.bundles)):
@@ -220,7 +222,7 @@ def test_menu_minimality():
 
 def test_price_constructions_agree():
     spec, profiles, rel = _pipeline(0.3, 0.5)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     # upgrade price from tier j to j+1 equals the incremental value at the cutoff
     for j in range(1, len(menu.bundles)):
         inc = spec.value(menu.bundles[j], menu.cutoff_types[j]) - spec.value(
@@ -255,10 +257,59 @@ def test_envelope_allocation_single_bundle():
 def test_envelope_profit_matches_menu_profit():
     for beta in (0.3, 1.0, 1.9):
         spec, profiles, rel = _pipeline(beta, 0.5)
-        menu = solve_nested_menu(spec, profiles, rel)
+        menu = solve_nested_menu(spec, rel)
         env = envelope_allocation(spec, rel)
         assert abs(env.expected_profit - menu.expected_profit) <= 1e-6
         assert abs(env.virtual_profit - menu.expected_profit) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def nested_pool():
+    return generate_clean_specs(7, 40, require_nested=True, grid_size=1025)
+
+
+def test_menu_is_the_envelope_allocation(nested_pool):
+    # one construction: the menu's tiers and prices are the envelope
+    # mechanism's allocation order and positive payments, exactly
+    for spec, _profiles, rel in nested_pool:
+        menu = solve_nested_menu(spec, rel)
+        env = envelope_allocation(spec, rel)
+        assert menu.bundles == tuple(int(b) for b in dict.fromkeys(env.allocation) if b)
+        assert menu.prices == tuple(p for p in dict.fromkeys(env.payments) if p > 0)
+
+
+def test_envelope_menu_is_best_chain_and_passes_sales_test(nested_pool):
+    # the envelope's chain is the one the lattice DP picks among all nested
+    # menus, and a VALID certificate implies the paper's sales-volume test
+    for spec, profiles, rel in nested_pool:
+        menu = solve_nested_menu(spec, rel)
+        assert list(menu.bundles) == best_nested_menu(spec)[1]
+        if menu.certificate == "VALID":
+            assert check_menu_optimality(spec, profiles, menu.bundles).sufficient
+
+
+# {1,2} alone is undominated; its -0.235 t^0.245 term has slope -inf at the
+# bottom type, where its virtual surplus is +inf: the argmax sells {1,2} at
+# t = 0, nothing just above, and {1,2} again from t = 1.08
+NON_MONOTONE_ENVELOPE_DOC = {
+    "n_items": 2,
+    "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.56},
+    "values": {
+        "[1]": {"terms": [{"coef": 0.25, "exp": 2.8}]},
+        "[2]": {"terms": [{"coef": 1.0, "exp": 2.75}]},
+        "[1,2]": {"terms": [{"coef": 0.25, "exp": 2.8}, {"coef": 1.0, "exp": 2.75},
+                            {"coef": 0.625, "exp": 0.36}, {"coef": -0.235, "exp": 0.245}]},
+    },
+    "grid_size": 1025,
+}
+
+
+def test_non_monotone_envelope_refused():
+    spec = load_spec(NON_MONOTONE_ENVELOPE_DOC)
+    rel = build_dominance(spec, compute_profiles(spec))
+    assert rel.nested
+    with pytest.raises(MonotonicityError):
+        solve_nested_menu(spec, rel)
 
 
 def test_envelope_mechanism_ic_ir():
@@ -319,7 +370,7 @@ def test_single_price_monopoly_profit():
 def test_revenue_equivalence_on_simulated_menus():
     for beta in (0.3, 1.2):
         spec, profiles, rel = _pipeline(beta, 0.5)
-        menu = solve_nested_menu(spec, profiles, rel)
+        menu = solve_nested_menu(spec, rel)
         sol = simulate_menu(spec, list(menu.bundles), list(menu.prices))
         assert sol.bottom_utility == pytest.approx(0.0, abs=1e-9)
         assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-5
@@ -343,7 +394,7 @@ def test_ic_check_reports_constructed_violation():
 
 def test_evaluate_menu_optimizes_prices_to_solver_level():
     spec, profiles, rel = _pipeline(0.3, 0.5)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     sol = evaluate_menu(spec, list(menu.bundles))  # prices optimized internally
     assert sol.expected_profit == pytest.approx(menu.expected_profit, abs=1e-6)
 
@@ -405,7 +456,7 @@ def test_simulated_choice_reproduces_menu_quantities():
     # constructed quantity within one grid cell
     for beta in (0.3, 1.9):
         spec, profiles, rel = _pipeline(beta, 0.5)
-        menu = solve_nested_menu(spec, profiles, rel)
+        menu = solve_nested_menu(spec, rel)
         sol = simulate_menu(spec, list(menu.bundles), list(menu.prices))
         cell = 1.0 / (spec.grid_size - 1)
         for b, q_want in zip(menu.bundles, menu.quantities):
@@ -441,7 +492,7 @@ def test_three_tier_menu_pipeline():
     rel = build_dominance(spec, profiles)
     assert rel.undominated == (0b001, 0b011, 0b111)
     assert rel.nested
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     assert menu.bundles == (0b001, 0b011, 0b111)
     assert menu.certificate == "VALID"
     assert all(q1 > q2 for q1, q2 in zip(menu.quantities[:-1], menu.quantities[1:]))
@@ -460,7 +511,7 @@ def test_three_item_lp_confirms_chain_menu():
     spec = load_spec(_three_item_chain_doc())
     profiles = compute_profiles(spec)
     rel = build_dominance(spec, profiles)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     inst = DiscretizedInstance.from_spec(spec, 101)
     verdict = compare(inst, menu, solve_lp(inst))
     assert verdict.verdict == "CONFIRMED"
@@ -483,7 +534,7 @@ def test_quantile_table_full_pipeline():
     profiles = compute_profiles(spec)
     rel = build_dominance(spec, profiles)
     assert rel.nested
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     assert abs(menu.expected_profit - relaxed_bound(spec)) <= 1e-6
     sol = simulate_menu(spec, list(menu.bundles), list(menu.prices))
     assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-4  # table hazard is O(h) near knots

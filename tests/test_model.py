@@ -289,9 +289,10 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
 
 def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
     # Array evaluations of v(b, .) of any size.  Loading and profiling make
-    # exactly the value and inverse-demand rows; sales volumes and the stack
-    # construction scan the rows and polish with scalar calls, so the menu
-    # solver evaluates v on no grid but the spec's own.
+    # exactly the value and inverse-demand rows; sales volumes scan the rows
+    # and the envelope construction reads the surplus rows, both polishing
+    # with scalar calls, so the menu solver evaluates v on no grid but the
+    # spec's own.
     sizes = {}
     original = MonomialSum.__call__
 
@@ -310,7 +311,7 @@ def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
     spec = two_item_spec(0.7, 0.5)
     profiles = compute_profiles(spec)
     sizes.clear()
-    menu = solve_nested_menu(spec, profiles, build_dominance(spec, profiles))
+    menu = solve_nested_menu(spec, build_dominance(spec, profiles))
     assert menu.certificate == "VALID"
     assert {n for ns in sizes.values() for n in ns} == {spec.grid_size}
 

@@ -64,7 +64,8 @@ def test_instance_m_range_enforced():
 
 
 def test_instance_evaluates_only_sellable_bundles(monkeypatch):
-    # 16 items, two sellable bundles: 2 value rows are evaluated, not 65,536
+    # 16 items, two sellable bundles: 2 value rows and 2 costs are
+    # evaluated, not 65,536
     grand = "[" + ",".join(str(j) for j in range(1, 17)) + "]"
     spec = load_spec({
         "n_items": 16,
@@ -75,12 +76,19 @@ def test_instance_evaluates_only_sellable_bundles(monkeypatch):
         },
         "grid_size": 1025,
     })
-    calls = []
-    value = ProblemSpec.value
-    monkeypatch.setattr(ProblemSpec, "value", lambda self, b, t: calls.append(b) or value(self, b, t))
+    calls = {"value": [], "cost": []}
+    for name in calls:
+        original = getattr(ProblemSpec, name)
+
+        def counting(self, b, *args, _name=name, _original=original):
+            calls[_name].append(b)
+            return _original(self, b, *args)
+
+        monkeypatch.setattr(ProblemSpec, name, counting)
     inst = DiscretizedInstance.from_spec(spec, 51)
-    assert sorted(calls) == list(inst.sellable) == [0b1, (1 << 16) - 1]
     monkeypatch.undo()
+    assert sorted(calls["value"]) == list(inst.sellable) == [0b1, (1 << 16) - 1]
+    assert sorted(calls["cost"]) == list(inst.sellable)
     for b in inst.sellable:
         assert np.array_equal(inst.values[b], spec.value(b, inst.types))
     unsellable = np.ones(1 << 16, dtype=bool)
@@ -214,7 +222,7 @@ def test_lp_matches_menu_solver_under_nesting():
     spec = two_item_spec(1.0, 0.5)
     profiles = compute_profiles(spec)
     rel = build_dominance(spec, profiles)
-    menu = solve_nested_menu(spec, profiles, rel)
+    menu = solve_nested_menu(spec, rel)
     inst = DiscretizedInstance.from_spec(spec, 201)
     lp = solve_lp(inst)
     assert abs(lp.objective - menu.expected_profit) <= 0.01
@@ -301,7 +309,7 @@ def test_lattice_dp_matches_chain_enumeration(seed, n_items):
 def test_verdict_confirmed_low_gamma():
     spec = two_item_spec(0.3, 0.5)
     profiles = compute_profiles(spec)
-    menu = solve_nested_menu(spec, profiles, build_dominance(spec, profiles))
+    menu = solve_nested_menu(spec, build_dominance(spec, profiles))
     inst = DiscretizedInstance.from_spec(spec, 201)
     verdict = compare(inst, menu, solve_lp(inst))
     assert verdict.verdict == "CONFIRMED"
