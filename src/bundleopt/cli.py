@@ -16,12 +16,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import applications as apps
 from .demand import compute_profiles, elasticity_grid
 from .dominance import build_dominance, check_union_elasticity, to_dot
-from .menu import MonotonicityError, NestingError, best_nested_menu, envelope_allocation
-from .menu import solve_nested_menu
-from .model import DEFAULT_GRID_SIZE, ProblemSpec, SpecError, format_bundle, load_spec, read_document
+from .menu import MonotonicityError, NestingError, best_nested_menu, simulate_menu, solve_nested_menu
+from .model import DEFAULT_GRID_SIZE, ProblemSpec, SpecError, format_bundle, items_from_mask
+from .model import load_spec, read_document
 from .oracle import DiscretizedInstance, compare, dump_lp_text, solve_lp
 
 EXIT_OK = 0
@@ -41,11 +43,28 @@ def _provenance(spec: ProblemSpec) -> str:
     return f"spec_sha256={spec.content_hash()} grid_size={spec.grid_size}"
 
 
-def _write_csv(path: Path, provenance: str, header, rows) -> None:
+def _csv_text(provenance: str, header, columns) -> str:
+    """CSV text of equal-length columns under a provenance comment and a header.
+
+    A float64 array column is written with ``%.12g`` from one ``tolist()``, any
+    other column through ``_fmt``; each row is one ``%`` on the field template.
+    """
+    fields, cols = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            fields.append("%.12g")
+            cols.append(col.tolist())
+        else:
+            fields.append("%s")
+            cols.append(list(map(_fmt, col)))
+    template = ",".join(fields)
     lines = [f"# {provenance}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(template % row for row in zip(*cols))
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, provenance: str, header, columns) -> None:
+    path.write_text(_csv_text(provenance, header, columns), encoding="utf-8")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -53,7 +72,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _bundle_slug(mask: int) -> str:
-    return "-".join(str(j) for j in format_bundle(mask)[1:-1].split(",")) if mask else "none"
+    return "-".join(map(str, items_from_mask(mask))) if mask else "none"
 
 
 def _verdict(spec: ProblemSpec, instance: DiscretizedInstance):
@@ -105,15 +124,13 @@ def cmd_analyze(args) -> int:
         p = profiles[b]
         eta = elasticity_grid(spec, b, cost_adjusted=False)
         eta_t = elasticity_grid(spec, b, cost_adjusted=True)
-        path = out / f"demand_{_bundle_slug(b)}.csv"
-        rows = zip(p.q_grid, p.price, p.profit, eta, eta_t)
-        lines = [f"# {prov}", "q,price,profit,eta,eta_cost_adjusted"]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        lines.append(
-            f"# summary d_star={_fmt(p.d_star)} t_star={_fmt(p.t_star)} "
-            f"peak_profit={_fmt(p.peak_profit)}"
+        text = _csv_text(
+            prov, ["q", "price", "profit", "eta", "eta_cost_adjusted"],
+            [p.q_grid, p.price, p.profit, eta, eta_t],
         )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary = (f"# summary d_star={_fmt(p.d_star)} t_star={_fmt(p.t_star)} "
+                   f"peak_profit={_fmt(p.peak_profit)}\n")
+        (out / f"demand_{_bundle_slug(b)}.csv").write_text(text + summary, encoding="utf-8")
         summary_rows.append(
             (format_bundle(b), p.d_star, p.t_star, p.peak_profit, p.corner)
         )
@@ -121,7 +138,7 @@ def cmd_analyze(args) -> int:
         out / "summary.csv",
         prov,
         ["bundle", "d_star", "t_star", "peak_profit", "corner"],
-        summary_rows,
+        zip(*summary_rows),
     )
 
     relation = build_dominance(spec, profiles)
@@ -154,7 +171,7 @@ def cmd_solve(args) -> int:
     profiles = compute_profiles(spec)
     relation = build_dominance(spec, profiles)
     menu = solve_nested_menu(spec, relation)  # NestingError exits 3 in main
-    envelope = envelope_allocation(spec, relation)
+    envelope = simulate_menu(spec, menu.bundles, menu.prices)
 
     print(f"{'bundle':<12}{'quantity':>12}{'cutoff':>12}{'price':>12}{'upgrade':>12}")
     for row in menu.as_rows():
@@ -182,24 +199,24 @@ def cmd_solve(args) -> int:
         },
     )
     if args.csv:
+        labels = {b: format_bundle(b) for b in (0, *menu.bundles)}
         _write_csv(
             out / "allocation.csv",
             prov,
             ["t", "bundle", "payment", "utility"],
-            zip(
+            [
                 envelope.types,
-                (format_bundle(b) for b in envelope.allocation),
+                [labels[b] for b in envelope.allocation.tolist()],
                 envelope.payments,
                 envelope.utilities,
-            ),
+            ],
         )
         bundles = sorted(profiles)
-        cols = [spec.surplus_rows[b] for b in bundles]
         _write_csv(
             out / "virtual_surplus.csv",
             prov,
             ["t"] + [format_bundle(b) for b in bundles],
-            zip(spec.t_grid, *cols),
+            [spec.t_grid, *(spec.surplus_rows[b] for b in bundles)],
         )
     if menu.certificate != "VALID":
         return EXIT_CERTIFICATE
@@ -265,28 +282,22 @@ def cmd_sweep(args) -> int:
     out = args.out
     prov = f"family=two_item_power gamma={_fmt(args.gamma)} grid_size={args.grid}"
 
-    rows = []
-    for p in sweep.points:
-        rows.append(
-            (
-                p.s,
-                "|".join(format_bundle(b) for b in p.menu),
-                p.tiers[0],
-                p.tiers[1],
-                p.size,
-                p.d_star.get(0b01, float("nan")),
-                p.d_star.get(0b10, float("nan")),
-                p.d_star.get(0b11, float("nan")),
-                p.union_ok,
-                p.nested,
-            )
-        )
+    pts = sweep.points
     _write_csv(
         out / "sweep.csv",
         prov,
         ["s", "menu", "tier_item1", "tier_item2", "menu_size",
          "d_star_1", "d_star_2", "d_star_12", "union_elastic", "nested"],
-        rows,
+        [
+            [p.s for p in pts],
+            ["|".join(format_bundle(b) for b in p.menu) for p in pts],
+            [p.tiers[0] for p in pts],
+            [p.tiers[1] for p in pts],
+            [p.size for p in pts],
+            *([p.d_star.get(b, float("nan")) for p in pts] for b in (0b01, 0b10, 0b11)),
+            [p.union_ok for p in pts],
+            [p.nested for p in pts],
+        ],
     )
     _write_json(
         out / "sweep.json",
@@ -314,23 +325,20 @@ def cmd_quality(args) -> int:
     if problem.multiplicative and problem.regular:
         cost_route = apps.quality_menu_from_costs(problem)
 
-    rows = []
-    for k, x in enumerate(problem.qualities):
-        rows.append(
-            (
-                x,
-                sales.d_star[k],
-                sales.d_hat[k],
-                cost_route.c_avg[k] if cost_route else float("nan"),
-                cost_route.c_check[k] if cost_route else float("nan"),
-                k in sales.menu,
-            )
-        )
+    n = len(problem.qualities)
+    nan = [float("nan")] * n
     _write_csv(
         args.out / "quality.csv",
-        f"qualities={len(problem.qualities)} grid_size={problem.grid_size}",
+        f"qualities={n} grid_size={problem.grid_size}",
         ["x", "d_star", "d_hat", "c_avg", "c_check", "in_menu"],
-        rows,
+        [
+            problem.qualities,
+            sales.d_star,
+            sales.d_hat,
+            cost_route.c_avg if cost_route else nan,
+            cost_route.c_check if cost_route else nan,
+            [k in sales.menu for k in range(n)],
+        ],
     )
     menu_x = [problem.qualities[k] for k in sales.menu]
     print(f"optimal quality menu: {menu_x} (indices {list(sales.menu)})")
@@ -408,7 +416,7 @@ def cmd_reproduce(args) -> int:
             f"family=two_item_power gamma={_fmt(gamma)} grid_size={args.grid} m={args.types}",
             ["beta", "d_star_1", "d_star_2", "d_star_12", "nested",
              "menu", "prices", "menu_profit", "lp_objective", "verdict"],
-            rows,
+            zip(*rows),
         )
 
     family = lambda b: apps.two_item_power_family(b, 0.5, grid_size=args.grid)
@@ -426,13 +434,13 @@ def cmd_reproduce(args) -> int:
         out / "regions_gamma_0_5.csv",
         f"family=two_item_power gamma=0.5 grid_size={args.grid}",
         ["beta_start", "beta_end", "menu", "transition_refined"],
-        region_rows,
+        zip(*region_rows),
     )
     _write_csv(
         out / "verdicts.csv",
         f"family=two_item_power grid_size={args.grid} m={args.types}",
         ["gamma", "beta", "verdict", "matched_gap", *(f"lp_{n}" for n in _LP_FIELDS)],
-        verdict_rows,
+        zip(*verdict_rows),
     )
     print(f"reproduction artifacts written to {out}")
     for r in regions:
@@ -512,6 +520,8 @@ def main(argv=None) -> int:
         return _fail("validation", str(exc), EXIT_VALIDATION)
     except NestingError as exc:
         return _fail("nesting", str(exc), EXIT_CERTIFICATE)
+    except MonotonicityError as exc:
+        return _fail("monotonicity", str(exc), EXIT_CERTIFICATE)
     except RuntimeError as exc:
         return _fail("internal", str(exc), EXIT_INTERNAL)
 

@@ -1,6 +1,7 @@
 """Shared test helpers: canonical instances, a seeded instance generator, the
-chain enumeration that cross-checks the chain DP, and the per-bundle LP
-builder and dense solve that cross-check the oracle's row generation."""
+chain enumeration that cross-checks the chain DP, the per-bundle LP builder
+and dense solve that cross-check the oracle's row generation, and the
+per-value CSV writer that cross-checks the CLI's column-wise one."""
 
 from __future__ import annotations
 
@@ -211,3 +212,20 @@ def dense_solution(instance):
         stationarity=float("nan"),
         duality_gap=float("nan"),
     )
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def csv_text_reference(provenance, header, columns) -> str:
+    """Reference for ``cli._csv_text``: ``_fmt`` on every value, joined row by row.
+
+    The per-value writer the column-wise one replaced, kept to check it against.
+    """
+    lines = [f"# {provenance}", ",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from bundleopt.dominance import TiedBestSellerWarning
 from bundleopt.model import MonomialSum
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
-from support import random_instance_doc, two_item_doc
+from support import csv_text_reference, random_instance_doc, two_item_doc
 
 
 @pytest.fixture
@@ -77,6 +78,98 @@ def test_solve_artifacts_and_exit(spec_file, tmp_path, capsys):
     assert (out / "virtual_surplus.csv").exists()
 
 
+def _csv_fields(line):
+    # bundle labels such as {1,2} are written unquoted: split outside braces
+    return re.split(r",(?![^{]*\})", line)
+
+
+def test_solve_csv_shape(spec_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--spec", spec_file, "--out", str(out), "--csv"]) == 0
+    menu = {row["bundle"] for row in json.loads((out / "solution.json").read_text())["menu"]}
+    tables = {}
+    for name in ("allocation.csv", "virtual_surplus.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0].startswith("# spec_sha256=") and lines[0].endswith(" grid_size=1025")
+        header, rows = _csv_fields(lines[1]), [_csv_fields(line) for line in lines[2:]]
+        assert len(rows) == 1025, name
+        assert all(len(row) == len(header) for row in rows), name
+        tables[name] = header, rows
+    assert tables["allocation.csv"][0] == ["t", "bundle", "payment", "utility"]
+    assert tables["virtual_surplus.csv"][0] == ["t", "{1}", "{2}", "{1,2}"]
+    sold = {row[1] for row in tables["allocation.csv"][1]}
+    assert menu <= sold <= menu | {"{}"}
+
+
+_AWKWARD = [
+    np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0, -2.5e-7]),
+    [np.float64(0.1 + 0.2), 1e16, np.float64(-0.0), float("nan"), 5e-324,
+     np.float64(np.inf), 3.0, np.float64(1 / 3), -1e-300],
+    [True, np.True_, False, np.False_, True, np.bool_(False), False, True, True],
+    [0, 1, -7, np.int64(12), 2**70, np.int32(-3), 5, 6, 7],
+    ["{}", "{1,2}", "a|b", "", "nan", "VALID", "x", "y", "z"],
+    np.arange(9, dtype=np.float32) / 3,
+    np.arange(9),
+]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        _AWKWARD,
+        [_AWKWARD[0], _AWKWARD[4], _AWKWARD[0][::-1]],
+        [np.array([0.5])],
+        [np.array([]), []],
+        [],
+    ],
+    ids=["mixed", "float-string-float", "one-value", "no-rows", "no-columns"],
+)
+def test_csv_text_matches_per_value_reference(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    text = cli._csv_text("prov", header, columns)
+    assert text == csv_text_reference("prov", header, columns)
+    assert text.count("\n") == 2 + min(map(len, columns), default=0)
+
+
+def test_csv_artifacts_match_per_value_reference(tmp_path, monkeypatch):
+    # every CSV that analyze, solve --csv, sweep, quality and reproduce write
+    # is byte for byte what the per-value writer makes of the same columns
+    from test_menu import _three_item_chain_doc
+
+    docs = {"two": two_item_doc(0.3, 0.5, grid_size=257),
+            "three": _three_item_chain_doc(grid_size=257),
+            "quality": {"qualities": [1.0, 2.0, 3.0], "costs": [0.2, 0.2, 0.9],
+                        "values": {"kind": "multiplicative"},
+                        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+                        "grid_size": 257}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    runs = [
+        ["analyze", "--spec", str(tmp_path / "two.json")],
+        ["analyze", "--spec", str(tmp_path / "three.json")],
+        ["solve", "--spec", str(tmp_path / "two.json"), "--csv"],
+        ["solve", "--spec", str(tmp_path / "three.json"), "--csv"],
+        ["sweep", "--gamma", "0.5", "--beta-range", "0.3:1.2:0.45", "--grid", "257"],
+        ["quality", "--spec", str(tmp_path / "quality.json")],
+        ["reproduce", "--grid", "257", "--types", "21", "--beta-range", "0.3:1.1:0.8"],
+    ]
+    csv_names = set()
+    for k, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"new{k}")]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_csv_text", csv_text_reference)
+            assert main(argv + ["--out", str(tmp_path / f"ref{k}")]) == 0
+        names = sorted(p.name for p in (tmp_path / f"new{k}").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / f"ref{k}").iterdir())
+        for name in names:
+            new, ref = (tmp_path / f"{side}{k}" / name for side in ("new", "ref"))
+            assert new.read_bytes() == ref.read_bytes(), (argv[0], name)
+        csv_names |= {name for name in names if name.endswith(".csv")}
+    assert {"summary.csv", "demand_1-2-3.csv", "allocation.csv", "virtual_surplus.csv",
+            "sweep.csv", "quality.csv", "reproduce_gamma_4_5.csv", "regions_gamma_0_5.csv",
+            "verdicts.csv"} <= csv_names
+
+
 def test_solve_nesting_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(two_item_doc(0.5, 4.5, grid_size=1025)))
@@ -118,15 +211,15 @@ def test_verify_suboptimal_verdict(tmp_path, capsys):
 
 
 def test_non_monotone_envelope_exit_codes(tmp_path, capsys):
-    # solve refuses the menu (exit 4); verify benchmarks the LP against the
-    # best nested menu instead, with a finite profit
+    # solve refuses the menu (exit 3, the input is at fault); verify
+    # benchmarks the LP against the best nested menu instead, with a finite profit
     from test_menu import NON_MONOTONE_ENVELOPE_DOC
 
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(NON_MONOTONE_ENVELOPE_DOC))
-    assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "s")]) == 4
+    assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "s")]) == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["error"] == "internal" and "not monotone" in err["detail"]
+    assert err["error"] == "monotonicity" and "not monotone" in err["detail"]
     out = tmp_path / "v"
     assert main(["verify", "--spec", str(path), "--out", str(out), "--types", "31"]) == 0
     payload = json.loads((out / "verify.json").read_text())
