@@ -3,8 +3,10 @@
 Quality-differentiated goods embed into the bundling machinery as chains
 {1}, {1,2}, ..., {1..n}; screening with costly actions embeds as an
 (n_qualities + n_actions)-item problem whose extra items opt out of each
-action.  Sales volumes are read from the core's demand profiles, of the
-embedding or of each product sold alone; other bundles carry zero value.
+action.  Embeddings and the two-item family are built as mask-keyed specs
+and pass ``model.check_spec``, as a loaded problem file does.  Sales volumes
+are read from the core's demand profiles, of the embedding or of each
+product sold alone; other bundles carry zero value.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .demand import DemandProfile, compute_profile, compute_profiles, virtual_surplus
+from .demand import DemandProfile, compute_profile, compute_profiles
 from .dominance import EPS_Q, build_dominance, check_union_elasticity
 from .menu import _envelope_integral, solve_nested_menu
 from .model import (
@@ -30,20 +32,21 @@ from .model import (
     _object,
     _parse_distribution,
     _parse_expression,
-    items_from_mask,
-    load_spec,
+    check_grid_size,
+    check_spec,
 )
 from .numerics import count_descents_to_ascents, rising_root
 
 TIE_TOL = 1e-9
 TRANSITION_TOL = 1e-4  # bisection width of a refined menu change point
-UNIT_VALUE = MonomialSum(terms=((1.0, 1.0),))  # v(t) = t
 
 
 def _lone_product(
-    value: MonomialSum, cost: float, dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE
+    value: MonomialSum, cost: float, dist: TypeDistribution, grid_size: int
 ) -> ProblemSpec:
-    """One-item spec for a product sold alone: its demand, profit and sales volume."""
+    """One-item spec for a product sold alone: its demand, profit and sales volume.
+
+    Unchecked: a good priced above its top value is a legal screening input."""
     return ProblemSpec(
         n_items=1, values={1: value}, costs={1: float(cost)}, dist=dist, grid_size=grid_size
     )
@@ -78,11 +81,13 @@ class QualityProblem:
     grid_size: int = DEFAULT_GRID_SIZE
 
     @staticmethod
-    def from_document(doc: dict) -> "QualityProblem":
-        xs = tuple(_numbers(_field(doc, "qualities", "quality problem"), "'qualities'"))
+    def from_document(
+        doc: dict, label: str = "quality problem", costs_key: str = "costs"
+    ) -> "QualityProblem":
+        xs = tuple(_numbers(_field(doc, "qualities", label), "'qualities'"))
         if any(x2 <= x1 for x1, x2 in zip(xs[:-1], xs[1:])) or any(x <= 0 for x in xs):
             raise SpecError("qualities must be positive and strictly increasing")
-        costs = tuple(_numbers(doc.get("costs", [0.0] * len(xs)), "quality 'costs'"))
+        costs = tuple(_numbers(doc.get(costs_key, [0.0] * len(xs)), "quality 'costs'"))
         if len(costs) != len(xs):
             raise SpecError("need one cost per quality")
         vspec = _object(doc.get("values", {"kind": "multiplicative"}), "quality 'values'")
@@ -98,14 +103,9 @@ class QualityProblem:
         zero = [k + 1 for k, v in enumerate(values) if v.is_zero()]
         if zero:
             raise SpecError(f"value of quality {zero[0]} is identically zero")
-        dist = _parse_distribution(_field(doc, "distribution", "quality problem"))
-        return QualityProblem(
-            qualities=xs,
-            values=values,
-            costs=costs,
-            dist=dist,
-            grid_size=_integer(doc.get("grid_size", DEFAULT_GRID_SIZE), "'grid_size'"),
-        )
+        dist = _parse_distribution(_field(doc, "distribution", label))
+        grid_size = _integer(doc.get("grid_size", DEFAULT_GRID_SIZE), "'grid_size'")
+        return QualityProblem(xs, values, costs, dist, check_grid_size(grid_size))
 
     @property
     def multiplicative(self) -> bool:
@@ -116,21 +116,10 @@ class QualityProblem:
 
     @cached_property
     def embedded(self) -> ProblemSpec:
-        """Bundling problem whose chain bundle {1..k} is quality k, loaded once."""
-        doc = {
-            "n_items": len(self.qualities),
-            "distribution": self.dist.to_dict(),
-            "values": {
-                str(list(range(1, k + 2))): self.values[k].to_dict()
-                for k in range(len(self.qualities))
-            },
-            "costs": {
-                str(list(range(1, k + 2))): self.costs[k]
-                for k in range(len(self.qualities))
-            },
-            "grid_size": self.grid_size,
-        }
-        return load_spec(doc)
+        """Bundling problem whose chain bundle {1..k+1} is quality k, checked once."""
+        chain = [(2 << k) - 1 for k in range(len(self.qualities))]
+        values, costs = dict(zip(chain, self.values)), dict(zip(chain, self.costs))
+        return check_spec(ProblemSpec(len(chain), values, costs, self.dist, self.grid_size))
 
     @cached_property
     def profiles(self) -> dict[int, DemandProfile]:
@@ -206,15 +195,13 @@ def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
 
 def is_regular(dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE) -> bool:
     """Virtual value t - (1-F)/f strictly increasing (1e-10 slack)."""
-    unit = _lone_product(UNIT_VALUE, 0.0, dist, grid_size)
-    vv = virtual_surplus(unit, 1, unit.t_grid)
-    return bool(np.all(np.diff(vv) > -1e-10))
+    t = np.linspace(dist.lo, dist.hi, grid_size)
+    return bool(np.all(np.diff(t - dist.inv_hazard(t)) > -1e-10))
 
 
 def unit_mr_inverse(dist: TypeDistribution, c: float) -> float:
     """Quantity where the unit-value marginal revenue equals c (regular F)."""
-    unit = _lone_product(UNIT_VALUE, c, dist)
-    t_root = rising_root(lambda t: virtual_surplus(unit, 1, t), dist.lo, dist.hi)
+    t_root = rising_root(lambda t: t - c - dist.inv_hazard(t), dist.lo, dist.hi)
     return float(1.0 - dist.cdf(t_root))
 
 
@@ -261,26 +248,13 @@ def quality_menu_from_costs(problem: QualityProblem) -> EnvelopeResult:
 class ScreeningProblem:
     """Qualities with utilities u(x,t), costly actions with disutilities c(y,t)."""
 
-    qualities: tuple
-    utilities: tuple  # MonomialSum per quality
-    production_costs: tuple
+    quality: QualityProblem  # utilities, production costs, distribution and grid
     action_costs: tuple  # MonomialSum per action, strictly increasing in t
-    dist: TypeDistribution
-    grid_size: int = DEFAULT_GRID_SIZE
 
     @staticmethod
     def from_document(doc: dict) -> "ScreeningProblem":
         label = "screening problem"
-        qualities = _numbers(_field(doc, "qualities", label), "'qualities'")
-        quality = QualityProblem.from_document(
-            {
-                "qualities": qualities,
-                "costs": doc.get("production_costs", [0.0] * len(qualities)),
-                "values": doc.get("values", {"kind": "multiplicative"}),
-                "distribution": _field(doc, "distribution", label),
-                "grid_size": doc.get("grid_size", DEFAULT_GRID_SIZE),
-            }
-        )
+        quality = QualityProblem.from_document(doc, label, costs_key="production_costs")
         actions = tuple(
             _parse_expression(a, f"action {j + 1}")
             for j, a in enumerate(_field(doc, "actions", label))
@@ -290,25 +264,19 @@ class ScreeningProblem:
         zero = [j + 1 for j, a in enumerate(actions) if a.is_zero()]
         if zero:
             raise SpecError(f"disutility of action {zero[0]} is identically zero")
-        return ScreeningProblem(
-            qualities=quality.qualities,
-            utilities=quality.values,
-            production_costs=quality.costs,
-            action_costs=actions,
-            dist=quality.dist,
-            grid_size=quality.grid_size,
-        )
+        return ScreeningProblem(quality=quality, action_costs=actions)
 
     @cached_property
     def goods(self) -> tuple:
         """Each quality as a product sold alone."""
-        priced = zip(self.utilities, self.production_costs)
-        return tuple(_lone_product(v, c, self.dist, self.grid_size) for v, c in priced)
+        q = self.quality
+        return tuple(_lone_product(v, c, q.dist, q.grid_size) for v, c in zip(q.values, q.costs))
 
     @cached_property
     def opt_outs(self) -> tuple:
         """Skipping each action as a product sold alone, worth the disutility saved."""
-        return tuple(_lone_product(c, 0.0, self.dist, self.grid_size) for c in self.action_costs)
+        q = self.quality
+        return tuple(_lone_product(c, 0.0, q.dist, q.grid_size) for c in self.action_costs)
 
     @cached_property
     def surplus_pairs(self) -> tuple:
@@ -317,7 +285,7 @@ class ScreeningProblem:
             (i, j)
             for i, good in enumerate(self.goods)
             for j, opt_out in enumerate(self.opt_outs)
-            if np.max(good.value_rows[1] - opt_out.value_rows[1] - self.production_costs[i]) > 1e-12
+            if np.max(good.value_rows[1] - opt_out.value_rows[1] - self.quality.costs[i]) > 1e-12
         )
 
 
@@ -400,7 +368,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
         pos = net[:-1] > 1e-12
         if np.any(pos & (np.diff(net) < -1e-10)):
             failures.append(f"net value of quality {i} minus action {j} not increasing where positive")
-        k = int(min(d_x[i], d_y[j]) * (problem.grid_size - 1))
+        k = int(min(d_x[i], d_y[j]) * (problem.quality.grid_size - 1))
         net_profit = profiles_x[i].profit[: k + 1] - profiles_y[j].profit[: k + 1]
         if k >= 2 and count_descents_to_ascents(net_profit) > 0:
             failures.append(
@@ -430,43 +398,34 @@ def embed_screening(problem: ScreeningProblem):
     costly action.  Returns (spec, info) where info maps bundle masks to
     their meaning and lists the masks that involve performing an action.
     """
-    n = len(problem.qualities)
+    quality = problem.quality
+    n = len(quality.qualities)
     m = len(problem.action_costs)
     all_optouts = ((1 << m) - 1) << n
 
-    values: dict[str, dict] = {}
-    costs: dict[str, float] = {}
+    values: dict[int, MonomialSum] = {}
+    costs: dict[int, float] = {}
     info = {"clean": {}, "damaged": {}, "costly_masks": []}
     for i in range(n):
-        quality_bits = (1 << (i + 1)) - 1
+        quality_bits = (2 << i) - 1
         clean = quality_bits | all_optouts
-        key = str(list(items_from_mask(clean)))
-        values[key] = problem.utilities[i].to_dict()
-        costs[key] = problem.production_costs[i]
+        values[clean] = quality.values[i]
+        costs[clean] = quality.costs[i]
         info["clean"][clean] = i
         for j in range(m):
             if (i, j) not in problem.surplus_pairs:
                 continue
             mask = quality_bits | (all_optouts & ~(1 << (n + j)))
-            expr = MonomialSum(
-                terms=problem.utilities[i].terms
+            values[mask] = MonomialSum(
+                terms=quality.values[i].terms
                 + tuple((-c, e) for c, e in problem.action_costs[j].terms),
-                const=problem.utilities[i].const - problem.action_costs[j].const,
+                const=quality.values[i].const - problem.action_costs[j].const,
             )
-            key = str(list(items_from_mask(mask)))
-            values[key] = expr.to_dict()
-            costs[key] = problem.production_costs[i]
+            costs[mask] = quality.costs[i]
             info["damaged"][mask] = (i, j)
             info["costly_masks"].append(mask)
 
-    doc = {
-        "n_items": n + m,
-        "distribution": problem.dist.to_dict(),
-        "values": values,
-        "costs": costs,
-        "grid_size": problem.grid_size,
-    }
-    return load_spec(doc), info
+    return check_spec(ProblemSpec(n + m, values, costs, quality.dist, quality.grid_size)), info
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +436,13 @@ def two_item_power_family(
     beta: float, gamma: float, grid_size: int = DEFAULT_GRID_SIZE
 ) -> ProblemSpec:
     """Built-in benchmark on U[0, 2]: items t and t^beta whose union adds t^gamma."""
-    return load_spec(
-        {
-            "n_items": 2,
-            "distribution": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
-            "values": {
-                "[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]},
-                "[2]": {"terms": [{"coef": 1.0, "exp": beta}]},
-                "[1,2]": {
-                    "terms": [
-                        {"coef": 1.0, "exp": 1.0},
-                        {"coef": 1.0, "exp": beta},
-                        {"coef": 1.0, "exp": gamma},
-                    ]
-                },
-            },
-            "grid_size": grid_size,
-        }
-    )
+    t, t_beta, t_gamma = (1.0, 1.0), (1.0, float(beta)), (1.0, float(gamma))
+    values = {
+        0b01: MonomialSum(terms=(t,)),
+        0b10: MonomialSum(terms=(t_beta,)),
+        0b11: MonomialSum(terms=(t, t_beta, t_gamma)),
+    }
+    return check_spec(ProblemSpec(2, values, {}, TypeDistribution.uniform(0.0, 2.0), grid_size))
 
 
 def menu_tier(menu: Sequence[int], item: int) -> Optional[int]:

@@ -7,7 +7,8 @@ interval.  Bundles are bitmasks over item indices; item j in the JSON schema
 treated as identically zero and ignored by the downstream analysis.  Each
 spec evaluates a bundle's curves on its grids once, into read-only tables
 whose size ``check_table_size`` bounds; n <= 16 bounds the LP oracle, which
-evaluates all 2^n masks.
+evaluates all 2^n masks.  ``check_spec`` is the one gate of a spec, whether
+``load_spec`` parsed it from a document or a program built it directly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .numerics import count_descents_to_ascents
 
 DEFAULT_GRID_SIZE = 4097
+MIN_GRID_SIZE = 33  # fewest grid points the validation checks are reliable on
 STRICT_TOL = 1e-10  # slack for strictness checks on the validation grid
 TOP_SLACK = 1e-9  # slack for the efficiency-at-top comparison
 # Size limits: every bundle of 9 items at the default grid.  On a 2-vCPU
@@ -257,21 +259,22 @@ class TypeDistribution:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem instance; immutable, safe to share across workers."""
+    """Problem instance, validated by ``check_spec``; immutable, safe to share across workers."""
 
     n_items: int
     values: dict  # mask -> MonomialSum (only explicitly specified bundles)
     costs: dict  # mask -> float
     dist: TypeDistribution
     grid_size: int = DEFAULT_GRID_SIZE
-    t_grid: np.ndarray = field(init=False, repr=False, compare=False)
-    q_grid: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "t_grid", np.linspace(self.dist.lo, self.dist.hi, self.grid_size)
-        )
-        object.__setattr__(self, "q_grid", np.linspace(0.0, 1.0, self.grid_size))
+    # built on first read: ``check_spec`` refuses a bad or oversized grid before either exists
+    @cached_property
+    def t_grid(self) -> np.ndarray:
+        return np.linspace(self.dist.lo, self.dist.hi, self.grid_size)
+
+    @cached_property
+    def q_grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.grid_size)
 
     @property
     def grand_bundle(self) -> int:
@@ -498,20 +501,17 @@ def _parse_distribution(obj) -> TypeDistribution:
 
 
 def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> ProblemSpec:
-    """Load and validate a problem file (path or already-parsed dict).
+    """Parse a problem file (path or already-parsed dict) and ``check_spec`` it.
 
-    Rejects the instance with SpecError when any load-time assumption fails:
-    malformed schema, nonzero value for the empty bundle, negative costs,
-    values non-monotone in set inclusion or decreasing in type, or a grand
-    bundle that is not efficient for the highest type.
+    ``grid_size`` overrides the file's, and the default applies when neither
+    is given.  A bad n_items is refused before any bundle key is parsed.
     """
     doc = read_document(source)
     try:
         n_items = int(doc["n_items"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError("problem file must declare integer n_items") from exc
-    if not 1 <= n_items <= 16:
-        raise SpecError(f"n_items={n_items} outside supported range 1..16")
+    _check_n_items(n_items)
 
     dist = _parse_distribution(doc.get("distribution"))
 
@@ -528,33 +528,45 @@ def load_spec(source: Union[str, dict], grid_size: Optional[int] = None) -> Prob
     for key, c in _object(doc.get("costs") or {}, "'costs'").items():
         mask = _parse_bundle_key(key, n_items)
         c = _number(c, f"cost of bundle {key}")
-        if c < 0:
-            raise SpecError(f"negative cost {c} for bundle {format_bundle(mask)}")
         if mask == 0 and c != 0.0:
             raise SpecError("the empty bundle must have zero cost")
         if mask != 0:
             costs[mask] = c
 
-    gs = _integer(grid_size or doc.get("grid_size") or DEFAULT_GRID_SIZE, "'grid_size'")
-    if gs < 33:
-        raise SpecError(f"grid_size={gs} too small for reliable validation")
+    gs = doc.get("grid_size") if grid_size is None else grid_size
+    gs = DEFAULT_GRID_SIZE if gs is None else _integer(gs, "'grid_size'")
+    return check_spec(ProblemSpec(n_items, values, costs, dist, gs))
 
-    if dist.lo < 0 and any(v.has_fractional_exponent() for v in values.values()):
+
+def _check_n_items(n_items: int) -> None:
+    if not 1 <= n_items <= 16:
+        raise SpecError(f"n_items={n_items} outside supported range 1..16")
+
+
+def check_grid_size(grid_size: int) -> int:
+    if grid_size < MIN_GRID_SIZE:
+        raise SpecError(f"grid_size={grid_size} too small for reliable validation")
+    return grid_size
+
+
+def check_spec(spec: ProblemSpec) -> ProblemSpec:
+    """``spec`` once its load-time assumptions hold, else a SpecError: n_items
+    in 1..16, nonnegative costs, ``MIN_GRID_SIZE`` grid points, fractional
+    exponents on a nonnegative support only, values finite, nondecreasing in t
+    where positive and monotone in set inclusion, an efficient grand bundle at
+    the top type, and no hard failure of ``validate_assumptions``."""
+    _check_n_items(spec.n_items)
+    for b, c in spec.costs.items():
+        if c < 0:
+            raise SpecError(f"negative cost {c} for bundle {format_bundle(b)}")
+    check_grid_size(spec.grid_size)
+    if spec.dist.lo < 0 and any(v.has_fractional_exponent() for v in spec.values.values()):
         raise SpecError("fractional exponents require a nonnegative type support")
 
-    spec = ProblemSpec(n_items=n_items, values=values, costs=costs, dist=dist, grid_size=gs)
-    _check_load_time(spec)
-    if spec.validation.hard_failures:
-        raise SpecError("; ".join(spec.validation.hard_failures))
-    return spec
-
-
-def _check_load_time(spec: ProblemSpec) -> None:
-    t = spec.t_grid
-    bundles = spec.nonzero_bundles()
-
     # values may dip negative (e.g. net values of damaged goods); such types
-    # simply never buy, so only monotonicity-where-positive is enforced
+    # simply never buy, so only monotonicity-where-positive is enforced.  The
+    # first table read refuses an oversized spec before any grid is built.
+    bundles = spec.nonzero_bundles()
     for b in bundles:
         v = spec.value_rows[b]
         if not np.all(np.isfinite(v)):
@@ -563,7 +575,7 @@ def _check_load_time(spec: ProblemSpec) -> None:
         drop = np.flatnonzero(pos & (np.diff(v) < -STRICT_TOL))
         if drop.size:
             raise SpecError(
-                f"value of {format_bundle(b)} decreases in t at t={t[drop[0]]:.6g} "
+                f"value of {format_bundle(b)} decreases in t at t={spec.t_grid[drop[0]]:.6g} "
                 "where it is positive"
             )
 
@@ -574,7 +586,7 @@ def _check_load_time(spec: ProblemSpec) -> None:
         if bad.size:
             raise SpecError(
                 f"monotonicity violation: value of {format_bundle(b1)} exceeds "
-                f"value of {format_bundle(b2)} at t={t[bad[0]]:.6g}"
+                f"value of {format_bundle(b2)} at t={spec.t_grid[bad[0]]:.6g}"
             )
 
     t_top = spec.dist.hi
@@ -594,6 +606,9 @@ def _check_load_time(spec: ProblemSpec) -> None:
                 f"efficiency-at-top failure: bundle {format_bundle(b)} has surplus "
                 f"{surplus:.6g} > {top_surplus:.6g} of the grand bundle at the top type"
             )
+    if spec.validation.hard_failures:
+        raise SpecError("; ".join(spec.validation.hard_failures))
+    return spec
 
 
 # ---------------------------------------------------------------------------

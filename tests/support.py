@@ -1,7 +1,9 @@
 """Shared test helpers: canonical instances, a seeded instance generator, the
 chain enumeration that cross-checks the chain DP, the per-bundle LP builder
-and dense solve that cross-check the oracle's row generation, and the
-per-value CSV writer that cross-checks the CLI's column-wise one."""
+and dense solve that cross-check the oracle's row generation, the per-value
+CSV writer that cross-checks the CLI's column-wise one, and the document
+route and unit-value specs that cross-check the applications' directly built
+specs and virtual values."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from bundleopt import load_spec
-from bundleopt.model import is_subset
+from bundleopt.demand import virtual_surplus
+from bundleopt.model import MonomialSum, ProblemSpec, is_subset, items_from_mask
+from bundleopt.numerics import rising_root
 from bundleopt.oracle import LPSolution
 
 
@@ -229,3 +233,67 @@ def csv_text_reference(provenance, header, columns) -> str:
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the document route: embeddings written as problem documents and loaded
+
+
+def quality_embedding_doc(problem):
+    """Reference for ``QualityProblem.embedded``: the chain {1..k+1} as quality k."""
+    keys = [str(list(range(1, k + 2))) for k in range(len(problem.qualities))]
+    return {
+        "n_items": len(problem.qualities),
+        "distribution": problem.dist.to_dict(),
+        "values": {key: v.to_dict() for key, v in zip(keys, problem.values)},
+        "costs": dict(zip(keys, problem.costs)),
+        "grid_size": problem.grid_size,
+    }
+
+
+def screening_embedding_doc(problem):
+    """Reference for ``embed_screening``'s spec: quality items, then opt-out items."""
+    quality = problem.quality
+    n, m = len(quality.qualities), len(problem.action_costs)
+    all_optouts = ((1 << m) - 1) << n
+    values, costs = {}, {}
+    for i in range(n):
+        quality_bits = (1 << (i + 1)) - 1
+        key = str(list(items_from_mask(quality_bits | all_optouts)))
+        values[key], costs[key] = quality.values[i].to_dict(), quality.costs[i]
+        for j in range(m):
+            if (i, j) not in problem.surplus_pairs:
+                continue
+            expr = MonomialSum(
+                terms=quality.values[i].terms
+                + tuple((-c, e) for c, e in problem.action_costs[j].terms),
+                const=quality.values[i].const - problem.action_costs[j].const,
+            )
+            key = str(list(items_from_mask(quality_bits | (all_optouts & ~(1 << (n + j))))))
+            values[key], costs[key] = expr.to_dict(), quality.costs[i]
+    return {
+        "n_items": n + m,
+        "distribution": quality.dist.to_dict(),
+        "values": values,
+        "costs": costs,
+        "grid_size": quality.grid_size,
+    }
+
+
+def _unit_spec(dist, cost, grid_size):
+    unit = MonomialSum(terms=((1.0, 1.0),))  # v(t) = t
+    return ProblemSpec(n_items=1, values={1: unit}, costs={1: float(cost)}, dist=dist,
+                       grid_size=grid_size)
+
+
+def unit_spec_is_regular(dist, grid_size=4097):
+    """Reference for ``is_regular``: the virtual surplus of a unit-value spec."""
+    unit = _unit_spec(dist, 0.0, grid_size)
+    return bool(np.all(np.diff(virtual_surplus(unit, 1, unit.t_grid)) > -1e-10))
+
+
+def unit_spec_mr_inverse(dist, c):
+    """Reference for ``unit_mr_inverse``: the root of a unit-value spec's virtual surplus."""
+    unit = _unit_spec(dist, c, 4097)
+    t_root = rising_root(lambda t: virtual_surplus(unit, 1, t), dist.lo, dist.hi)
+    return float(1.0 - dist.cdf(t_root))

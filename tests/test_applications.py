@@ -22,8 +22,15 @@ from bundleopt.applications import (
     two_item_power_family,
     unit_mr_inverse,
 )
-from bundleopt.model import TypeDistribution
+from bundleopt.model import SpecError, TypeDistribution, load_spec
 from bundleopt.oracle import DiscretizedInstance, best_nested_discrete, solve_lp
+from support import (
+    quality_embedding_doc,
+    screening_embedding_doc,
+    two_item_doc,
+    unit_spec_is_regular,
+    unit_spec_mr_inverse,
+)
 
 
 def _quality_doc(costs, qualities=(1.0, 2.0, 3.0), lo=0.0, hi=1.0):
@@ -104,8 +111,8 @@ def test_quality_menu_cost_route_agrees():
 def test_quality_problem_embeds_once(monkeypatch):
     # both routes read the one embedded spec: it is loaded and validated once
     calls = []
-    load_spec = applications.load_spec
-    monkeypatch.setattr(applications, "load_spec", lambda doc: calls.append(doc) or load_spec(doc))
+    check_spec = applications.check_spec
+    monkeypatch.setattr(applications, "check_spec", lambda spec: calls.append(spec) or check_spec(spec))
     qp = QualityProblem.from_document(_quality_doc([0.2, 0.2, 0.9]))
     assert qp.multiplicative
     assert quality_menu_from_sales(qp).menu == quality_menu_from_costs(qp).menu == (1, 2)
@@ -307,3 +314,121 @@ def test_menu_region_boundaries():
     assert [r["menu"] for r in regions] == [(0b10, 0b11), (0b11,), (0b01, 0b11)]
     assert regions[0]["transition"] == pytest.approx(0.74, abs=0.01)
     assert regions[1]["transition"] == pytest.approx(1.5, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# program-built specs against the document route
+
+_PAPER_BETAS = [round(0.1 * k, 10) for k in range(1, 21)]
+_QTABLE = {"kind": "quantile_table", "u": [0.0, 0.3, 0.7, 1.0], "t": [0.0, 0.4, 0.8, 1.2]}
+_EXPRS = {"kind": "exprs", "exprs": [
+    {"terms": [{"coef": 1.0, "exp": 1.0}]},
+    {"terms": [{"coef": 1.5, "exp": 1.0}, {"coef": 0.3, "exp": 2.0}]},
+    {"terms": [{"coef": 2.0, "exp": 1.0}, {"coef": 0.6, "exp": 2.0}], "const": 0.01},
+]}
+
+
+def _assert_same_spec(spec, doc):
+    for ref in (load_spec(doc), load_spec(spec.document())):
+        assert ref.content_hash() == spec.content_hash()
+        assert (ref.n_items, ref.values, ref.costs, ref.grid_size) == (
+            spec.n_items, spec.values, spec.costs, spec.grid_size)
+        for table in ("value_rows", "price_rows", "surplus_rows"):
+            ours, theirs = getattr(spec, table), getattr(ref, table)
+            assert ours.keys() == theirs.keys()
+            assert all(np.array_equal(ours[b], theirs[b]) for b in ours), table
+
+
+@pytest.mark.parametrize("gamma", [0.5, 4.5])
+def test_family_matches_document_route(gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for beta in _PAPER_BETAS + [1, 2]:  # integer exponents are written as floats
+            doc = two_item_doc(beta, gamma, grid_size=1025)
+            _assert_same_spec(two_item_power_family(beta, gamma, grid_size=1025), doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(dict(_quality_doc([0.2, 0.2, 0.9]), grid_size=1025), id="multiplicative"),
+        pytest.param(dict(_quality_doc([0.1, 0.3, 0.8]), values=_EXPRS, grid_size=1025),
+                     id="exprs"),
+        pytest.param(dict(_quality_doc([0.1, 0.3, 0.8]), values=_EXPRS, distribution=_QTABLE,
+                          grid_size=1025), id="exprs-quantile-table"),
+    ],
+)
+def test_quality_embedding_matches_document_route(doc):
+    problem = QualityProblem.from_document(doc)
+    _assert_same_spec(problem.embedded, quality_embedding_doc(problem))
+
+
+@pytest.mark.parametrize(
+    "exponents, costs, distribution",
+    [
+        ((3.0,), [0.0], None),
+        ((3.0, 2.0), [0.1, 0.3], None),
+        ((1.5, 2.5), [0.1, 0.3], _QTABLE),
+    ],
+)
+def test_screening_embedding_matches_document_route(exponents, costs, distribution):
+    doc = dict(_screening_doc(0.3, exponents[0]), grid_size=1025,
+               qualities=[1.0, 2.0][: len(costs)], production_costs=costs,
+               actions=[{"terms": [{"coef": 0.3, "exp": e}]} for e in exponents])
+    if distribution is not None:
+        doc["distribution"] = distribution
+    problem = ScreeningProblem.from_document(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec, info = embed_screening(problem)
+        _assert_same_spec(spec, screening_embedding_doc(problem))
+    assert info["costly_masks"]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        TypeDistribution.uniform(0.0, 1.0),
+        TypeDistribution.uniform(1.0, 3.0),
+        TypeDistribution.quantile_table(_QTABLE["u"], _QTABLE["t"]),
+        TypeDistribution.quantile_table([0.0, 0.5, 0.9, 1.0], [0.0, 0.2, 1.0, 3.0]),
+    ],
+    ids=["uniform01", "uniform13", "qtable", "qtable-irregular"],
+)
+def test_unit_virtual_value_matches_unit_spec(dist):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for grid_size in (33, 1025, 4097):
+            assert is_regular(dist, grid_size) == unit_spec_is_regular(dist, grid_size)
+        for c in np.linspace(-0.5, 3.5, 57):
+            assert unit_mr_inverse(dist, c) == unit_spec_mr_inverse(dist, c)
+
+
+def _many_qualities(k):
+    return dict(_quality_doc([0.0] * k, qualities=range(1, k + 1)), grid_size=33)
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        pytest.param(lambda: QualityProblem.from_document(_quality_doc([-0.1, 0.5], (1.0, 2.0))),
+                     "negative cost -0.1 for bundle {1}", id="quality-negative-cost"),
+        pytest.param(lambda: QualityProblem.from_document(_many_qualities(17)),
+                     "n_items=17 outside supported range 1..16", id="quality-17"),
+        pytest.param(lambda: ScreeningProblem.from_document(
+            dict(_screening_doc(0.3, 3.0), grid_size=33,
+                 actions=[{"terms": [{"coef": 0.3, "exp": 3.0 + j}]} for j in range(16)])),
+                     "n_items=17 outside supported range 1..16", id="screening-17"),
+    ],
+)
+def test_embedding_refusals_match_document_route(problem, message):
+    # an embedding is refused as its problem document would be
+    problem = problem()
+    if isinstance(problem, QualityProblem):
+        build, doc = lambda: problem.embedded, quality_embedding_doc(problem)
+    else:
+        build, doc = lambda: embed_screening(problem), screening_embedding_doc(problem)
+    for route in (build, lambda: load_spec(doc)):
+        with pytest.raises(SpecError) as err:
+            route()
+        assert str(err.value) == message

@@ -404,6 +404,39 @@ def test_refused_assumption_exit_code(command, doc, detail, tmp_path, capsys):
     assert err["error"] == "validation" and detail in err["detail"]
 
 
+_SCREENING_ONE = {"qualities": [1.0], "distribution": _UNIFORM,
+                  "actions": [{"terms": [{"coef": 0.3, "exp": 3.0}]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, grid",
+    [
+        (["solve", "--grid", "0"], _one_item(), 0),
+        (["solve"], _one_item(grid_size=0), 0),
+        (["solve", "--grid", "-5"], _one_item(), -5),
+        (["sweep", "--gamma", "0.5", "--beta-range", "0.5:0.6:0.1", "--grid", "0"], None, 0),
+        (["quality"], _quality(grid_size=0), 0),
+        (["screening"], dict(_SCREENING_ONE, grid_size=0), 0),
+        (["screening"], dict(_SCREENING_ONE, grid_size=5), 5),
+    ],
+    ids=["solve-flag0", "solve-file0", "solve-flag-5", "sweep-flag0", "quality-file0",
+         "screening-file0", "screening-file5"],
+)
+def test_grid_below_floor_exit_code(argv, doc, grid, tmp_path, capsys):
+    # a grid below 33 points is refused from the flag and from every kind of
+    # problem file; a grid of 0 is not read as "absent"
+    if doc is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--spec", str(path)]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    detail = f"grid_size={grid} too small for reliable validation"
+    assert err == {"error": "validation", "detail": detail}
+    assert not any((tmp_path / "o").iterdir())
+
+
 def test_quality_run_profiles_each_quality_once(monkeypatch, tmp_path, capsys):
     # the sales route, the solver cross-check and the cost route all read the
     # embedding's one set of demand profiles; regularity is checked once

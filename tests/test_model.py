@@ -17,7 +17,7 @@ from bundleopt import (
     validate_assumptions,
     virtual_surplus,
 )
-from bundleopt.model import format_bundle, is_subset, items_from_mask, mask_from_items
+from bundleopt.model import check_spec, format_bundle, is_subset, items_from_mask, mask_from_items
 
 from support import random_instance_doc, single_item_doc, two_item_doc, two_item_spec
 
@@ -332,3 +332,13 @@ def test_oversized_spec_refused_before_tables():
     assert f"{pairs} subset pairs" in str(err.value)
     assert f"{table_mb:.2f} MB" in str(err.value)
     assert not {"_value_rows", "_price_rows", "_surplus_rows"} & set(vars(spec))
+
+
+def test_oversized_grid_refused_before_grids():
+    # three bundles on two million points need 144 MB of tables: check_spec
+    # refuses the spec before its type or quantity grid is allocated
+    t = MonomialSum(terms=((1.0, 1.0),))
+    spec = ProblemSpec(2, {1: t, 2: t, 3: t}, {}, TypeDistribution.uniform(0.0, 1.0), 2_000_000)
+    with pytest.raises(SpecError, match="3 bundles .* 144.00 MB of grid tables"):
+        check_spec(spec)
+    assert not {"t_grid", "q_grid"} & set(vars(spec))
