@@ -461,12 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
+    def common(p, spec_required=True, grid=True):
         if spec_required:
             p.add_argument("--spec", required=True, help="problem JSON file")
-        # a built-in family has no problem file to carry a grid size
-        grid = None if spec_required else DEFAULT_GRID_SIZE
-        p.add_argument("--grid", type=int, default=grid, help="type-grid size override")
+        if grid:
+            # a built-in family has no problem file to carry a grid size
+            default = None if spec_required else DEFAULT_GRID_SIZE
+            p.add_argument("--grid", type=int, default=default, help="type-grid size override")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("analyze", help="demand curves, elasticities, dominance")
@@ -491,12 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-range", default="0.1:2.0:0.1", help="lo:hi:step")
     p.set_defaults(func=cmd_sweep)
 
+    # quality and screening documents carry the only grid size they run on
     p = sub.add_parser("quality", help="quality-menu envelopes")
-    common(p)
+    common(p, grid=False)
     p.set_defaults(func=cmd_quality)
 
     p = sub.add_parser("screening", help="costly-screening criterion")
-    common(p)
+    common(p, grid=False)
     p.add_argument("--types", type=int, default=201, help="LP type-grid size")
     p.add_argument("--verify-lp", action="store_true", help="cross-check via the embedded LP")
     p.set_defaults(func=cmd_screening)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec, format_bundle
-from .numerics import scanned_max
+from .numerics import any_true, scanned_max
 
 CORNER_TOL = 1e-9  # sales volume this close to 0 or 1 counts as a corner solution
 NEG_INF = float("-inf")
@@ -26,15 +26,14 @@ def demand_price(spec: ProblemSpec, b: int, q) -> float:
     Valid because values are nondecreasing in type, so the value
     distribution's quantile is the value at the type quantile.
     """
-    q_arr = np.asarray(q, dtype=float)
-    if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
+    if any_true((q < 0.0) | (q > 1.0)):
         raise ValueError(f"quantity {q} outside [0, 1]")
-    return spec.value(b, spec.dist.quantile(1.0 - q_arr))
+    return spec.value(b, spec.dist.quantile(1.0 - q))
 
 
 def profit_curve(spec: ProblemSpec, b: int, q) -> float:
     """Profit (P(b,q) - C(b)) * q from selling bundle b alone at quantity q."""
-    return (demand_price(spec, b, q) - spec.cost(b)) * np.asarray(q, dtype=float)
+    return (demand_price(spec, b, q) - spec.cost(b)) * q
 
 
 virtual_surplus = ProblemSpec.virtual_surplus  # virtual_surplus(spec, b, t)
@@ -42,7 +41,7 @@ virtual_surplus = ProblemSpec.virtual_surplus  # virtual_surplus(spec, b, t)
 
 def marginal_profit(spec: ProblemSpec, b: int, q):
     """Analytic d profit / d quantity: the virtual surplus at the marginal type."""
-    return virtual_surplus(spec, b, spec.dist.quantile(1.0 - np.asarray(q, dtype=float)))
+    return virtual_surplus(spec, b, spec.dist.quantile(1.0 - q))
 
 
 def sales_volume(spec: ProblemSpec, b: int) -> float:
@@ -74,15 +73,13 @@ def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False)
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantity {q} outside [0, 1]")
-    q_arr = np.array([q], dtype=float)
-    price = demand_price(spec, b, q_arr)
-    eta = _elasticity(spec, b, q_arr, price, spec.price_slope(b, q_arr), cost_adjusted)
-    if cost_adjusted and price[0] <= spec.cost(b):
+    price = demand_price(spec, b, q)
+    if cost_adjusted and price <= spec.cost(b):
         raise UnsellableError(
-            f"price {price[0]:.6g} does not cover cost {spec.cost(b):.6g} "
+            f"price {price:.6g} does not cover cost {spec.cost(b):.6g} "
             f"for {format_bundle(b)} at q={q:.6g}"
         )
-    return float(eta[0])
+    return float(_elasticity(spec, b, q, price, spec.price_slope(b, q), cost_adjusted))
 
 
 def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> np.ndarray:
@@ -106,8 +103,7 @@ def _elasticity(spec: ProblemSpec, b: int, q, p, dp, cost_adjusted: bool):
     base = p - spec.cost(b) if cost_adjusted else p
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = base / (q * dp)
-    eta[(q <= 0.0) | (base <= 0.0) | (dp == 0.0) | ~np.isfinite(eta)] = NEG_INF
-    return eta
+    return np.where((q <= 0.0) | (base <= 0.0) | (dp == 0.0) | ~np.isfinite(eta), NEG_INF, eta)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,7 @@ class MonotonicityError(RuntimeError):
 
 def _surplus_gap(spec: ProblemSpec, b: int, below: int):
     """x -> virtual surplus of b minus that of ``below`` (0 for the empty bundle)."""
-    return lambda x: float(
-        virtual_surplus(spec, b, x) - (virtual_surplus(spec, below, x) if below else 0.0)
-    )
+    return lambda x: virtual_surplus(spec, b, x) - (below and virtual_surplus(spec, below, x))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ interval.  Bundles are bitmasks over item indices; item j in the JSON schema
 (1-based) is bit j-1.  Bundles without an explicit value expression are
 treated as identically zero and ignored by the downstream analysis.  Each
 spec evaluates a bundle's curves on its grids once, into read-only tables
-whose size ``check_table_size`` bounds; n <= 16 bounds the LP oracle, which
-evaluates all 2^n masks.  ``check_spec`` is the one gate of a spec, whether
-``load_spec`` parsed it from a document or a program built it directly.
+whose size is bounded before the first is built; n <= 16 bounds the LP
+oracle, which evaluates all 2^n masks.  ``check_spec`` is the one gate of a
+spec, whether ``load_spec`` parsed it or a program built it directly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import numbers
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import count_descents_to_ascents
+from .numerics import any_true, count_descents_to_ascents
 
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 33  # fewest grid points the validation checks are reliable on
@@ -43,6 +44,15 @@ class SpecError(ValueError):
 
 class HazardClampWarning(UserWarning):
     """Non-finite (1-F)/f values were clamped to the nearest interior value."""
+
+
+def _number_or_array(out, t):
+    """``out`` as a Python float when ``t`` is one number, else as an array of t's
+    shape.  A point runs the ufunc loops of a grid on the float itself, so it
+    agrees bit for bit with the grid entry at it."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return float(out)
+    return out if isinstance(out, np.ndarray) else np.full(np.shape(t), out)
 
 
 # ---------------------------------------------------------------------------
@@ -103,31 +113,28 @@ class MonomialSum:
                 raise SpecError(f"negative exponent {exp} in value expression")
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.full(t_arr.shape, self.const, dtype=float)
+        out = self.const
         for coef, exp in self.terms:
-            out = out + coef * np.power(t_arr, exp)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+            out = out + coef * np.power(t, exp)
+        return _number_or_array(out, t)
 
     def slope(self, t):
-        """Analytic derivative in t.  Infinite at t=0 for exponents in (0,1)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t_arr.shape, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        """Analytic derivative in t.  Infinite at t=0 for exponents in (0,1); a power
+        can be non-finite only where t <= 0 meets a fractional exponent."""
+        quiet = any_true(t <= 0.0) and self.has_fractional_exponent()
+        with np.errstate(divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            out = 0.0
             for coef, exp in self.terms:
-                if exp == 0.0:
-                    continue
-                out = out + coef * exp * np.power(t_arr, exp - 1.0)
-        nan = np.isnan(out) & (t_arr == 0.0)
-        if np.any(nan):
+                if exp != 0.0:
+                    out = out + coef * exp * np.power(t, exp - 1.0)
+        nan = quiet and np.isnan(out) & (t == 0.0)
+        if any_true(nan):
             # opposite-sign singular terms cancel to nan at zero; the most
             # singular exponent dominates the true limit
             frac = sorted((e, c) for c, e in self.terms if 0.0 < e < 1.0 and c != 0.0)
             lead = sum(c for e, c in frac if e == frac[0][0])
-            out[nan] = np.inf * np.sign(lead) if lead != 0.0 else 0.0
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return float(out[0])
-        return out
+            out = np.where(nan, np.inf * np.sign(lead) if lead != 0.0 else 0.0, out)
+        return _number_or_array(out, t)
 
     def is_zero(self) -> bool:
         return self.const == 0.0 and all(c == 0.0 for c, _ in self.terms)
@@ -191,45 +198,40 @@ class TypeDistribution:
         )
 
     def cdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
         if self.kind == "uniform":
-            out = np.clip((t_arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+            out = np.minimum(1.0, np.maximum(0.0, (t - self.lo) / (self.hi - self.lo)))
         else:
-            out = np.interp(t_arr, self.t_knots, self.u_knots)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+            out = np.interp(t, self.t_knots, self.u_knots)
+        return _number_or_array(out, t)
 
     def quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
         if self.kind == "uniform":
-            out = self.lo + np.clip(u_arr, 0.0, 1.0) * (self.hi - self.lo)
+            out = self.lo + np.minimum(1.0, np.maximum(0.0, u)) * (self.hi - self.lo)
         else:
-            out = np.interp(u_arr, self.u_knots, self.t_knots)
-        return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+            out = np.interp(u, self.u_knots, self.t_knots)
+        return _number_or_array(out, u)
 
     def pdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
         if self.kind == "uniform":
-            out = np.full(t_arr.shape, 1.0 / (self.hi - self.lo))
+            out = 1.0 / (self.hi - self.lo)
         else:
-            out = 1.0 / self._quantile_slope(self.cdf(t_arr))
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+            out = 1.0 / self._quantile_slope(self.cdf(t))
+        return _number_or_array(out, t)
 
     def _quantile_slope(self, u, delta: float = 1e-6):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        up = np.minimum(u_arr + delta, 1.0)
-        dn = np.maximum(u_arr - delta, 0.0)
+        up = np.minimum(u + delta, 1.0)
+        dn = np.maximum(u - delta, 0.0)
         return (self.quantile(up) - self.quantile(dn)) / (up - dn)
 
     def inv_hazard(self, t):
         """(1 - F(t)) / f(t); non-finite values clamped to the nearest interior one."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == "uniform":
-            out = self.hi - np.clip(t_arr, self.lo, self.hi)
+            out = self.hi - np.minimum(self.hi, np.maximum(self.lo, t))
         else:
-            u = np.clip(self.cdf(t_arr), 0.0, 1.0)
+            u = np.minimum(1.0, np.maximum(0.0, self.cdf(t)))
             out = (1.0 - u) * self._quantile_slope(u)
         bad = ~np.isfinite(out)
-        if np.any(bad):
+        if any_true(bad):
             warnings.warn(
                 "clamping non-finite (1-F)/f values near the support boundary",
                 HazardClampWarning,
@@ -241,7 +243,7 @@ class TypeDistribution:
             idx = np.searchsorted(good, np.flatnonzero(bad))
             idx = np.clip(idx, 0, good.size - 1)
             out[bad] = out[good[idx]]
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return _number_or_array(out, t)
 
     def to_dict(self) -> dict:
         if self.kind == "uniform":
@@ -286,9 +288,6 @@ class ProblemSpec:
     def value(self, b: int, t):
         return self.value_expr(b)(t)
 
-    def value_slope(self, b: int, t):
-        return self.value_expr(b).slope(t)
-
     def cost(self, b: int) -> float:
         return self.costs.get(b, 0.0)
 
@@ -297,12 +296,11 @@ class ProblemSpec:
         return (self.price_rows[b] - self.cost(b)) * self.q_grid
 
     def price_slope(self, b: int, q):
-        """dP/dq of the inverse demand at the quantities q.
+        """dP/dq of the inverse demand at the quantity or quantities q.
 
         A centered finite difference with step max(1e-6, 1e-4 q), evaluation
         points clipped to [0, 1].
         """
-        q = np.asarray(q, dtype=float)
         h = np.maximum(1e-6, 1e-4 * q)
         qp, qm = np.minimum(q + h, 1.0), np.maximum(q - h, 0.0)
         price = lambda x: self.value(b, self.dist.quantile(1.0 - x))
@@ -315,7 +313,8 @@ class ProblemSpec:
         marginal consumer has type t.  May be -inf at the bottom of the support
         when the value has a fractional-exponent term there.
         """
-        return self.value(b, t) - self.cost(b) - self.dist.inv_hazard(t) * self.value_slope(b, t)
+        expr = self.value_expr(b)
+        return expr(t) - self.cost(b) - self.dist.inv_hazard(t) * expr.slope(t)
 
     def nonzero_bundles(self) -> tuple[int, ...]:
         """Bundles with a non-trivial value expression, ascending by mask."""
@@ -343,9 +342,29 @@ class ProblemSpec:
         """``price_slope`` on ``q_grid``: a fourth table, built only by elasticities."""
         return self._table(lambda b: self.price_slope(b, self.q_grid))
 
+    @cached_property
+    def _table_bundles(self) -> tuple[int, ...]:
+        """Bundles with a table row; once per spec, before any table exists, a SpecError
+        states their count, proper-subset pairs (a sum over subsets of the 2^n masks)
+        and table size if one exceeds its limit."""
+        bundles = list(self.nonzero_bundles())
+        below = np.zeros(1 << self.n_items, dtype=np.int64)
+        below[bundles] = 1
+        for i in range(self.n_items):
+            halves = below.reshape(-1, 2, 1 << i)
+            halves[:, 1, :] += halves[:, 0, :]
+        pairs = int(below[bundles].sum()) - len(bundles)
+        table_bytes = 3 * len(bundles) * self.grid_size * 8
+        if len(bundles) > MAX_BUNDLES or pairs > MAX_SUBSET_PAIRS or table_bytes > MAX_TABLE_BYTES:
+            raise SpecError(
+                f"spec too large: {len(bundles)} bundles (limit {MAX_BUNDLES}), "
+                f"{pairs} subset pairs (limit {MAX_SUBSET_PAIRS}), "
+                f"{table_bytes / 1e6:.2f} MB of grid tables (limit {MAX_TABLE_BYTES / 1e6:.2f} MB)"
+            )
+        return tuple(bundles)
+
     def _table(self, curve) -> "GridRows":
-        check_table_size(self)
-        rows = GridRows((b, curve(b)) for b in self.nonzero_bundles())
+        rows = GridRows((b, curve(b)) for b in self._table_bundles)
         for row in rows.values():
             row.setflags(write=False)
         return rows
@@ -384,26 +403,6 @@ class GridRows(dict):
 
     def __missing__(self, b):
         raise ValueError(f"bundle {format_bundle(b)} has no value expression")
-
-
-def check_table_size(spec: ProblemSpec) -> None:
-    """SpecError stating the bundle count, the proper-subset pair count and the
-    table size when one exceeds its limit; pairs are counted by a sum over
-    subsets of the 2^n masks, before any table is allocated."""
-    bundles = list(spec.nonzero_bundles())
-    below = np.zeros(1 << spec.n_items, dtype=np.int64)
-    below[bundles] = 1
-    for i in range(spec.n_items):
-        halves = below.reshape(-1, 2, 1 << i)
-        halves[:, 1, :] += halves[:, 0, :]
-    pairs = int(below[bundles].sum()) - len(bundles)
-    table_bytes = 3 * len(bundles) * spec.grid_size * 8
-    if len(bundles) > MAX_BUNDLES or pairs > MAX_SUBSET_PAIRS or table_bytes > MAX_TABLE_BYTES:
-        raise SpecError(
-            f"spec too large: {len(bundles)} bundles (limit {MAX_BUNDLES}), "
-            f"{pairs} subset pairs (limit {MAX_SUBSET_PAIRS}), "
-            f"{table_bytes / 1e6:.2f} MB of grid tables (limit {MAX_TABLE_BYTES / 1e6:.2f} MB)"
-        )
 
 
 # ---------------------------------------------------------------------------

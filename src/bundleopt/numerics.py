@@ -24,6 +24,11 @@ class MultiplePeaksWarning(UserWarning):
     """Raised when a scan finds several near-tied local maxima."""
 
 
+def any_true(mask) -> bool:
+    """Whether a comparison holds: on one number, or at any entry of an array."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def rising_root(g: Callable[[float], float], lo: float, hi: float) -> Optional[float]:
     """Where g rises through zero on [lo, hi], clamped to the bracket.
 

@@ -1,11 +1,14 @@
 """Shared test helpers: canonical instances, a seeded instance generator, the
 chain enumeration that cross-checks the chain DP, the per-bundle LP builder
 and dense solve that cross-check the oracle's row generation, the per-value
-CSV writer that cross-checks the CLI's column-wise one, and the document
-route and unit-value specs that cross-check the applications' directly built
-specs and virtual values."""
+CSV writer that cross-checks the CLI's column-wise one, the document route
+and unit-value specs that cross-check the applications' directly built specs
+and virtual values, and the 0-d-array formulas that cross-check the model's
+point evaluations on plain floats."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 from scipy import sparse
@@ -13,7 +16,14 @@ from scipy.optimize import linprog
 
 from bundleopt import load_spec
 from bundleopt.demand import virtual_surplus
-from bundleopt.model import MonomialSum, ProblemSpec, is_subset, items_from_mask
+from bundleopt.model import (
+    HazardClampWarning,
+    MonomialSum,
+    ProblemSpec,
+    SpecError,
+    is_subset,
+    items_from_mask,
+)
 from bundleopt.numerics import rising_root
 from bundleopt.oracle import LPSolution
 
@@ -297,3 +307,83 @@ def unit_spec_mr_inverse(dist, c):
     unit = _unit_spec(dist, c, 4097)
     t_root = rising_root(lambda t: virtual_surplus(unit, 1, t), dist.lo, dist.hi)
     return float(1.0 - dist.cdf(t_root))
+
+
+# Reference point formulas: every input goes through a 0-d or 1-d array, as
+# the model evaluated a point before it ran the ufuncs on the float itself.
+def _scalar_out(t, out):
+    return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+
+
+def reference_value(expr, t):
+    """``MonomialSum.__call__`` on a 0-d array."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.full(t_arr.shape, expr.const, dtype=float)
+    for coef, exp in expr.terms:
+        out = out + coef * np.power(t_arr, exp)
+    return _scalar_out(t, out)
+
+
+def reference_slope(expr, t):
+    """``MonomialSum.slope`` on a 1-d array, with the limit at t = 0."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros(t_arr.shape, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for coef, exp in expr.terms:
+            if exp != 0.0:
+                out = out + coef * exp * np.power(t_arr, exp - 1.0)
+    nan = np.isnan(out) & (t_arr == 0.0)
+    if np.any(nan):
+        frac = sorted((e, c) for c, e in expr.terms if 0.0 < e < 1.0 and c != 0.0)
+        lead = sum(c for e, c in frac if e == frac[0][0])
+        out[nan] = np.inf * np.sign(lead) if lead != 0.0 else 0.0
+    return float(out[0]) if np.asarray(t).ndim == 0 else out
+
+
+def reference_cdf(dist, t):
+    t_arr = np.asarray(t, dtype=float)
+    if dist.kind == "uniform":
+        out = np.clip((t_arr - dist.lo) / (dist.hi - dist.lo), 0.0, 1.0)
+    else:
+        out = np.interp(t_arr, dist.t_knots, dist.u_knots)
+    return _scalar_out(t, out)
+
+
+def reference_quantile(dist, u):
+    u_arr = np.asarray(u, dtype=float)
+    if dist.kind == "uniform":
+        out = dist.lo + np.clip(u_arr, 0.0, 1.0) * (dist.hi - dist.lo)
+    else:
+        out = np.interp(u_arr, dist.u_knots, dist.t_knots)
+    return _scalar_out(u, out)
+
+
+def reference_inv_hazard(dist, t):
+    """``TypeDistribution.inv_hazard`` on a 1-d array, clamp included."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if dist.kind == "uniform":
+        out = dist.hi - np.clip(t_arr, dist.lo, dist.hi)
+    else:
+        u = np.atleast_1d(np.clip(reference_cdf(dist, t_arr), 0.0, 1.0))
+        up, dn = np.minimum(u + 1e-6, 1.0), np.maximum(u - 1e-6, 0.0)
+        slope = (reference_quantile(dist, up) - reference_quantile(dist, dn)) / (up - dn)
+        out = (1.0 - u) * slope
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        warnings.warn("clamping non-finite (1-F)/f values", HazardClampWarning)
+        good = np.flatnonzero(~bad)
+        if good.size == 0:
+            raise SpecError("(1-F)/f is non-finite everywhere on the grid")
+        idx = np.clip(np.searchsorted(good, np.flatnonzero(bad)), 0, good.size - 1)
+        out[bad] = out[good[idx]]
+    return float(out[0]) if np.asarray(t).ndim == 0 else out
+
+
+def reference_marginal_profit(spec, b, q):
+    """``demand.marginal_profit``: the virtual surplus at the type of quantile 1 - q."""
+    t = reference_quantile(spec.dist, 1.0 - np.asarray(q, dtype=float))
+    expr = spec.value_expr(b)
+    return (
+        reference_value(expr, t) - spec.cost(b)
+        - reference_inv_hazard(spec.dist, t) * reference_slope(expr, t)
+    )

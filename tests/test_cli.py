@@ -437,6 +437,22 @@ def test_grid_below_floor_exit_code(argv, doc, grid, tmp_path, capsys):
     assert not any((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [("quality", _quality(grid_size=257)), ("screening", dict(_SCREENING_ONE, grid_size=257))],
+)
+def test_document_grid_has_no_flag(command, doc, tmp_path, capsys):
+    # a quality or screening document's grid_size is the only grid it runs
+    # on, so --grid is refused rather than silently ignored
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", str(path), "--grid", "0", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_quality_run_profiles_each_quality_once(monkeypatch, tmp_path, capsys):
     # the sales route, the solver cross-check and the cost route all read the
     # embedding's one set of demand profiles; regularity is checked once

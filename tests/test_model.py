@@ -1,5 +1,7 @@
 """Problem loading, validation, distributions, and bundle arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,28 @@ from bundleopt import (
     validate_assumptions,
     virtual_surplus,
 )
-from bundleopt.model import check_spec, format_bundle, is_subset, items_from_mask, mask_from_items
+from bundleopt.demand import marginal_profit
+from bundleopt.model import (
+    HazardClampWarning,
+    check_spec,
+    format_bundle,
+    is_subset,
+    items_from_mask,
+    mask_from_items,
+)
 
-from support import random_instance_doc, single_item_doc, two_item_doc, two_item_spec
+from support import (
+    random_instance_doc,
+    reference_cdf,
+    reference_inv_hazard,
+    reference_marginal_profit,
+    reference_quantile,
+    reference_slope,
+    reference_value,
+    single_item_doc,
+    two_item_doc,
+    two_item_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +183,108 @@ def test_slope_consistent_with_finite_difference():
 def test_negative_exponent_rejected():
     with pytest.raises(SpecError):
         MonomialSum(terms=((1.0, -0.5),))
+
+
+def _random_expressions(rng, n):
+    """Seeded monomial sums with exponents 0, whole numbers and fractions in
+    (0, 1); every third one adds an opposite-sign singular term at t = 0."""
+    exprs = []
+    for k in range(n):
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            exp = (0.0, float(rng.integers(1, 5)), float(rng.uniform(0.0, 1.0)))[rng.integers(3)]
+            terms.append((float(rng.uniform(-2.0, 2.0)), exp))
+        if k % 3 == 0:
+            exp = float(rng.uniform(0.05, 0.95))
+            terms += [(1.5, exp), (-float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.05, 0.95)))]
+        exprs.append(MonomialSum(terms=tuple(terms), const=float(rng.uniform(-1.0, 1.0))))
+    return exprs
+
+
+_POINT_DISTRIBUTIONS = [
+    TypeDistribution.uniform(0.0, 2.0),
+    TypeDistribution.uniform(0.5, 3.0),
+    TypeDistribution.quantile_table(np.linspace(0.0, 1.0, 201), 2.0 * np.sqrt(np.linspace(0.0, 1.0, 201))),
+    TypeDistribution.quantile_table([0.0, 0.2, 0.7, 1.0], [1.0, 1.5, 1.6, 3.0]),
+]
+
+
+def _same(a, b) -> bool:
+    """Bit-level agreement of two floats or arrays: ==, nan where nan, and zero signs."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_points_match(point, reference, xs):
+    """``point`` of each entry of ``xs`` as a float is a float, equal to the
+    array path's entry and to the reference formula on a 0-d array."""
+    grid = point(xs)
+    assert _same(grid, reference(xs))
+    for k, x in enumerate(xs):
+        for y in (float(x), x):  # a Python float and a numpy float64
+            got = point(y)
+            assert type(got) is float
+            assert _same(got, grid[k]) and _same(got, reference(y)), (float(x), got, grid[k])
+
+
+def test_point_evaluations_equal_grid_and_reference():
+    rng = np.random.default_rng(18)
+    exprs = _random_expressions(rng, 24)
+    u = np.concatenate(([-0.25, -0.0, 0.0, 1.0, 1.25], np.linspace(0.0, 1.0, 65), rng.uniform(0, 1, 32)))
+    for dist in _POINT_DISTRIBUTIONS:
+        t = np.concatenate(
+            ([0.0, dist.lo, dist.hi], np.linspace(dist.lo, dist.hi, 65), rng.uniform(dist.lo, dist.hi, 32))
+        )
+        with warnings.catch_warnings():
+            # no RuntimeWarning escapes a point evaluation, not even at t = 0
+            warnings.simplefilter("error", RuntimeWarning)
+            for expr in exprs:
+                _assert_points_match(expr, lambda x: reference_value(expr, x), t)
+                _assert_points_match(expr.slope, lambda x: reference_slope(expr, x), t)
+            outside = np.concatenate(([dist.lo - 0.5, -0.0, dist.hi + 0.5], t))
+            _assert_points_match(dist.cdf, lambda x: reference_cdf(dist, x), outside)
+            _assert_points_match(dist.inv_hazard, lambda x: reference_inv_hazard(dist, x), outside)
+            _assert_points_match(dist.quantile, lambda x: reference_quantile(dist, x), u)
+            for expr in exprs[:6]:
+                spec = ProblemSpec(1, {1: expr}, {1: 0.25}, dist, 65)
+                _assert_points_match(
+                    lambda q: marginal_profit(spec, 1, q),
+                    lambda q: reference_marginal_profit(spec, 1, q),
+                    spec.q_grid,
+                )
+
+
+@pytest.mark.parametrize(
+    "terms, limit",
+    [
+        (((1.0, 0.5),), np.inf),
+        (((1.0, 0.5), (-2.0, 0.25)), -np.inf),  # the most singular exponent leads
+        (((2.0, 0.5), (-1.0, 0.5)), np.inf),
+        (((1.0, 0.5), (-1.0, 0.5), (3.0, 2.0)), 0.0),  # the singular terms cancel
+        (((1.0, 1.0), (1.0, 2.0)), 1.0),
+    ],
+)
+def test_slope_limit_at_zero(terms, limit):
+    expr = MonomialSum(terms=terms)
+    t = np.array([0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert expr.slope(0.0) == limit
+        assert expr.slope(t)[0] == limit
+    assert _same(expr.slope(0.0), reference_slope(expr, 0.0))
+
+
+def test_hazard_clamp_point_and_grid():
+    for dist in _POINT_DISTRIBUTIONS:
+        t = np.array([np.nan, dist.lo, np.nan, dist.hi, np.nan])
+        with pytest.warns(HazardClampWarning):
+            got = dist.inv_hazard(t)
+        with pytest.warns(HazardClampWarning):
+            want = reference_inv_hazard(dist, t)
+        assert _same(got, want)
+        assert _same(got, [dist.inv_hazard(dist.lo)] * 2 + [dist.inv_hazard(dist.hi)] * 3)
+        with pytest.warns(HazardClampWarning), pytest.raises(SpecError, match="non-finite everywhere"):
+            dist.inv_hazard(float("nan"))
 
 
 # ---------------------------------------------------------------------------
