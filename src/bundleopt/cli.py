@@ -11,6 +11,7 @@ Library warnings pass through to stderr unfiltered.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -454,6 +455,7 @@ def cmd_reproduce(args) -> int:
 # entry point
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bundleopt",

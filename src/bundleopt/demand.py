@@ -47,7 +47,7 @@ def marginal_profit(spec: ProblemSpec, b: int, q):
 def sales_volume(spec: ProblemSpec, b: int) -> float:
     """Profit-maximizing quantity D*(b) of bundle b sold alone, on [0, 1].
 
-    The maximum of b's profit row (``ProblemSpec.profit_row``) on the spec's
+    The maximum of b's profit row (``ProblemSpec.profit_rows``) on the spec's
     quantity grid brackets the peak, and the root of the analytic marginal
     profit there is the stationary point (numerics.scanned_max).  Warns
     (numerics.MultiplePeaksWarning) when near-tied maxima suggest the
@@ -58,7 +58,7 @@ def sales_volume(spec: ProblemSpec, b: int) -> float:
     return scanned_max(
         lambda q: profit_curve(spec, b, q),
         spec.q_grid,
-        spec.profit_row(b),
+        spec.profit_rows[b],
         lambda q: marginal_profit(spec, b, q),
         warn_label=f"profit of {format_bundle(b)}",
     )
@@ -129,7 +129,7 @@ def compute_profile(spec: ProblemSpec, b: int) -> DemandProfile:
         bundle=b,
         q_grid=spec.q_grid,
         price=spec.price_rows[b],
-        profit=spec.profit_row(b),
+        profit=spec.profit_rows[b],
         d_star=d_star,
         t_star=float(spec.dist.quantile(1.0 - d_star)),
         peak_profit=float(profit_curve(spec, b, d_star)),

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .demand import DemandProfile, virtual_surplus
+from .demand import virtual_surplus
 from .dominance import DominanceRelation
 from .model import ProblemSpec, format_bundle, is_subset
 from .numerics import chain_dp, rising_root, switch_points
@@ -105,27 +105,6 @@ class MechanismSolution:
     @property
     def bottom_utility(self) -> float:
         return float(self.utilities[0])
-
-
-def ic_report(spec: ProblemSpec, sol: MechanismSolution):
-    """Worst IC violation over all (type, option) pairs and worst IR violation.
-
-    Returns (ic_violation, (type, bundle), ir_violation); positive numbers
-    mean the constraint is broken by that amount.
-    """
-    options = sorted(
-        {(int(b), float(p)) for b, p in zip(sol.allocation, sol.payments)} | {(0, 0.0)}
-    )
-    ic_worst = -np.inf
-    ic_pair = None
-    for b, p in options:
-        gain = spec.value(b, sol.types) - p - sol.utilities
-        k = int(np.argmax(gain))
-        if gain[k] > ic_worst:
-            ic_worst = float(gain[k])
-            ic_pair = (float(sol.types[k]), b)
-    ir_worst = float(-np.min(sol.utilities))
-    return ic_worst, ic_pair, ir_worst
 
 
 def _segment_virtual_profit(spec: ProblemSpec, segments) -> float:
@@ -323,26 +302,6 @@ def evaluate_menu(
             )
         _cutoffs, prices = optimize_chain(spec, bundles)
     return simulate_menu(spec, bundles, prices)
-
-
-def two_item_base_test(spec: ProblemSpec, profiles: dict[int, DemandProfile]):
-    """Two-item suboptimality test via the best-selling item as menu base.
-
-    Any minimal optimal nested menu must start at the best-selling bundle, so
-    if basing the two-tier menu on it earns strictly less than basing it on
-    the other item, nested bundling is strictly suboptimal.  Returns
-    (flag, profit_with_best_base, profit_with_other_base).
-    """
-    if spec.n_items != 2:
-        raise ValueError("base test is specific to two items")
-    singles = [b for b in (0b01, 0b10) if b in profiles]
-    if len(singles) != 2 or 0b11 not in profiles:
-        raise ValueError("base test needs both single items and the full bundle")
-    best = max(singles, key=lambda b: (profiles[b].d_star, -b))
-    other = singles[0] if best == singles[1] else singles[1]
-    p_best = evaluate_menu(spec, [best, 0b11]).expected_profit
-    p_other = evaluate_menu(spec, [other, 0b11]).expected_profit
-    return p_best < p_other - 1e-9, p_best, p_other
 
 
 def best_nested_menu(spec: ProblemSpec):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -112,29 +113,39 @@ class MonomialSum:
             if exp < 0:
                 raise SpecError(f"negative exponent {exp} in value expression")
 
-    def __call__(self, t):
+    def __call__(self, t, powers: Optional["Powers"] = None):
+        """The value at t; ``powers``, when given, is the memo bound to the grid t."""
         out = self.const
         for coef, exp in self.terms:
-            out = out + coef * np.power(t, exp)
+            out = out + coef * (np.power(t, exp) if powers is None else powers[exp])
         return _number_or_array(out, t)
 
-    def slope(self, t):
-        """Analytic derivative in t.  Infinite at t=0 for exponents in (0,1); a power
-        can be non-finite only where t <= 0 meets a fractional exponent."""
+    def slope(self, t, powers: Optional["Powers"] = None):
+        """Analytic derivative in t, with its limit at t=0 (``_slope_at_zero``); a
+        power can be non-finite only where t <= 0 meets a fractional exponent."""
         quiet = any_true(t <= 0.0) and self.has_fractional_exponent()
         with np.errstate(divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
             out = 0.0
             for coef, exp in self.terms:
                 if exp != 0.0:
-                    out = out + coef * exp * np.power(t, exp - 1.0)
+                    power = np.power(t, exp - 1.0) if powers is None else powers[exp - 1.0]
+                    out = out + coef * exp * power
         nan = quiet and np.isnan(out) & (t == 0.0)
         if any_true(nan):
-            # opposite-sign singular terms cancel to nan at zero; the most
-            # singular exponent dominates the true limit
-            frac = sorted((e, c) for c, e in self.terms if 0.0 < e < 1.0 and c != 0.0)
-            lead = sum(c for e, c in frac if e == frac[0][0])
-            out = np.where(nan, np.inf * np.sign(lead) if lead != 0.0 else 0.0, out)
+            out = np.where(nan, self._slope_at_zero(), out)
         return _number_or_array(out, t)
+
+    def _slope_at_zero(self) -> float:
+        """The slope's limit as t -> 0+: the sign of the most singular exponent in
+        (0, 1) whose coefficients do not cancel, times inf; the finite slopes' sum
+        when all of them cancel.  Terms with a zero coefficient have no say."""
+        lead: dict[float, float] = {}
+        for e, c in sorted((e, c) for c, e in self.terms if 0.0 < e < 1.0 and c != 0.0):
+            lead[e] = lead.get(e, 0.0) + c
+        for total in lead.values():
+            if total != 0.0:
+                return math.copysign(math.inf, total)
+        return float(sum(c for c, e in self.terms if e == 1.0))
 
     def is_zero(self) -> bool:
         return self.const == 0.0 and all(c == 0.0 for c, _ in self.terms)
@@ -150,6 +161,19 @@ class MonomialSum:
 
 
 ZERO_VALUE = MonomialSum(terms=(), const=0.0)
+
+
+class Powers(dict):
+    """``grid ** exp`` by exponent, each raised once: the memo of the one grid array
+    it is made for, which lives while one table is built."""
+
+    def __init__(self, grid: np.ndarray):
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, exp):
+        self[exp] = power = np.power(self.grid, exp)
+        return power
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +293,15 @@ class ProblemSpec:
     dist: TypeDistribution
     grid_size: int = DEFAULT_GRID_SIZE
 
-    # built on first read: ``check_spec`` refuses a bad or oversized grid before either exists
+    # built on first read, once ``_table_bundles`` has bounded the tables on them
     @cached_property
     def t_grid(self) -> np.ndarray:
+        self._table_bundles
         return np.linspace(self.dist.lo, self.dist.hi, self.grid_size)
 
     @cached_property
     def q_grid(self) -> np.ndarray:
+        self._table_bundles
         return np.linspace(0.0, 1.0, self.grid_size)
 
     @property
@@ -285,15 +311,11 @@ class ProblemSpec:
     def value_expr(self, b: int) -> MonomialSum:
         return self.values.get(b, ZERO_VALUE)
 
-    def value(self, b: int, t):
-        return self.value_expr(b)(t)
+    def value(self, b: int, t, powers: Optional["Powers"] = None):
+        return self.value_expr(b)(t, powers)
 
     def cost(self, b: int) -> float:
         return self.costs.get(b, 0.0)
-
-    def profit_row(self, b: int) -> np.ndarray:
-        """Profit (P(b, q) - C(b)) * q of bundle b sold alone, on ``q_grid``."""
-        return (self.price_rows[b] - self.cost(b)) * self.q_grid
 
     def price_slope(self, b: int, q):
         """dP/dq of the inverse demand at the quantity or quantities q.
@@ -301,50 +323,69 @@ class ProblemSpec:
         A centered finite difference with step max(1e-6, 1e-4 q), evaluation
         points clipped to [0, 1].
         """
+        qp, qm, tp, tm = self._difference_ends(q)
+        expr = self.value_expr(b)
+        return (expr(tp) - expr(tm)) / (qp - qm)
+
+    def _difference_ends(self, q):
+        """``price_slope``'s two ends at q: their quantities, then their types."""
         h = np.maximum(1e-6, 1e-4 * q)
         qp, qm = np.minimum(q + h, 1.0), np.maximum(q - h, 0.0)
-        price = lambda x: self.value(b, self.dist.quantile(1.0 - x))
-        return (price(qp) - price(qm)) / (qp - qm)
+        return qp, qm, self.dist.quantile(1.0 - qp), self.dist.quantile(1.0 - qm)
 
-    def virtual_surplus(self, b: int, t):
+    def virtual_surplus(self, b: int, t, powers: Optional["Powers"] = None, inv_hazard=None):
         """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
 
         The marginal profit of selling bundle b alone at the quantity whose
         marginal consumer has type t.  May be -inf at the bottom of the support
-        when the value has a fractional-exponent term there.
+        when the value has a fractional-exponent term there.  A table passes
+        the memo of its grid t and (1-F)/f there, which it computes once.
         """
         expr = self.value_expr(b)
-        return expr(t) - self.cost(b) - self.dist.inv_hazard(t) * expr.slope(t)
+        if inv_hazard is None:
+            inv_hazard = self.dist.inv_hazard(t)
+        return expr(t, powers) - self.cost(b) - inv_hazard * expr.slope(t, powers)
 
     def nonzero_bundles(self) -> tuple[int, ...]:
         """Bundles with a non-trivial value expression, ascending by mask."""
         return tuple(sorted(b for b, v in self.values.items() if b != 0 and not v.is_zero()))
 
-    # grid tables, one read-only row per nonzero bundle, built on first read
+    # grid tables, one read-only row per nonzero bundle, built on first read;
+    # each raises every distinct exponent on its grid once, through a Powers memo
     @cached_property
     def value_rows(self) -> "GridRows":
         """v(b, t) on ``t_grid``."""
-        return self._table(lambda b: self.value(b, self.t_grid))
+        powers = Powers(self.t_grid)
+        return self._table(lambda b: self.value(b, powers.grid, powers))
 
     @cached_property
     def price_rows(self) -> "GridRows":
         """Inverse demand v(b, Q(1-q)) on ``q_grid``."""
-        t = self.dist.quantile(1.0 - self.q_grid)
-        return self._table(lambda b: self.value(b, t))
+        powers = Powers(self.dist.quantile(1.0 - self.q_grid))
+        return self._table(lambda b: self.value(b, powers.grid, powers))
+
+    @cached_property
+    def profit_rows(self) -> "GridRows":
+        """Profit (P(b, q) - C(b)) * q of bundle b sold alone, on ``q_grid``."""
+        return self._table(lambda b: (self.price_rows[b] - self.cost(b)) * self.q_grid)
 
     @cached_property
     def surplus_rows(self) -> "GridRows":
         """Virtual surplus on ``t_grid``."""
-        return self._table(lambda b: self.virtual_surplus(b, self.t_grid))
+        powers = Powers(self.t_grid)
+        inv_hazard = self.dist.inv_hazard(powers.grid)
+        return self._table(lambda b: self.virtual_surplus(b, powers.grid, powers, inv_hazard))
 
     @cached_property
     def slope_rows(self) -> "GridRows":
-        """``price_slope`` on ``q_grid``: a fourth table, built only by elasticities."""
-        return self._table(lambda b: self.price_slope(b, self.q_grid))
+        """``price_slope`` on ``q_grid``: a fifth table, built only by elasticities."""
+        qp, qm, tp, tm = self._difference_ends(self.q_grid)
+        up, down, step = Powers(tp), Powers(tm), qp - qm
+        return self._table(lambda b: (self.value(b, tp, up) - self.value(b, tm, down)) / step)
 
     @cached_property
     def _table_bundles(self) -> tuple[int, ...]:
-        """Bundles with a table row; once per spec, before any table exists, a SpecError
+        """Bundles with a table row; once per spec, before any grid exists, a SpecError
         states their count, proper-subset pairs (a sum over subsets of the 2^n masks)
         and table size if one exceeds its limit."""
         bundles = list(self.nonzero_bundles())
@@ -568,24 +609,24 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
     bundles = spec.nonzero_bundles()
     for b in bundles:
         v = spec.value_rows[b]
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise SpecError(f"value of {format_bundle(b)} is non-finite on the grid")
-        pos = v[:-1] > STRICT_TOL
-        drop = np.flatnonzero(pos & (np.diff(v) < -STRICT_TOL))
-        if drop.size:
+        drop = v[1:] - v[:-1] < -STRICT_TOL
+        drop &= v[:-1] > STRICT_TOL
+        if drop.any():
             raise SpecError(
-                f"value of {format_bundle(b)} decreases in t at t={spec.t_grid[drop[0]]:.6g} "
-                "where it is positive"
+                f"value of {format_bundle(b)} decreases in t at "
+                f"t={spec.t_grid[drop.argmax()]:.6g} where it is positive"
             )
 
     # monotone in set inclusion; pairs with an omitted (zero) superset are the
     # ignore convention and are skipped
     for b1, b2 in subset_pairs(bundles):
-        bad = np.flatnonzero(spec.value_rows[b1] > spec.value_rows[b2] + STRICT_TOL)
-        if bad.size:
+        bad = spec.value_rows[b1] > spec.value_rows[b2] + STRICT_TOL
+        if bad.any():
             raise SpecError(
                 f"monotonicity violation: value of {format_bundle(b1)} exceeds "
-                f"value of {format_bundle(b2)} at t={spec.t_grid[bad[0]]:.6g}"
+                f"value of {format_bundle(b2)} at t={spec.t_grid[bad.argmax()]:.6g}"
             )
 
     t_top = spec.dist.hi
@@ -639,10 +680,10 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     bundles = spec.nonzero_bundles()
     t = spec.t_grid
 
-    profits = {b: spec.profit_row(b) for b in bundles}
-    d_star_idx = {b: int(np.argmax(pi)) for b, pi in profits.items()}
-    for b, pi in profits.items():
-        if count_descents_to_ascents(pi) > 0:
+    profits = spec.profit_rows
+    d_star_idx = {b: int(profits[b].argmax()) for b in bundles}
+    for b in bundles:
+        if count_descents_to_ascents(profits[b]) > 0:
             report.warnings.append(
                 f"profit curve of {format_bundle(b)} has multiple peaks on [0,1]"
             )
@@ -651,14 +692,15 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
         report.checked_pairs += 1
         inc = spec.value_rows[b2] - spec.value_rows[b1]
         pos = inc[:-1] > STRICT_TOL
-        d_inc = np.diff(inc)
-        bad = np.flatnonzero(pos & (d_inc < -STRICT_TOL))
-        if bad.size:
+        d_inc = inc[1:] - inc[:-1]
+        bad = d_inc < -STRICT_TOL
+        bad &= pos
+        if bad.any():
             report.hard_failures.append(
                 f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
-                f"decreases at t={t[bad[0]]:.6g} where it is positive"
+                f"decreases at t={t[bad.argmax()]:.6g} where it is positive"
             )
-        elif np.any(pos & (np.abs(d_inc) <= STRICT_TOL)):
+        elif (pos & (np.abs(d_inc) <= STRICT_TOL)).any():
             report.warnings.append(
                 f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
                 "is locally flat where positive"

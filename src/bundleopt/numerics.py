@@ -187,11 +187,8 @@ def count_descents_to_ascents(y: np.ndarray, noise: Optional[float] = None) -> i
     """Number of strict fall-then-rise turns in y; 0 means single-peaked on the grid."""
     y = np.asarray(y, dtype=float)
     if noise is None:
-        spread = float(np.max(y) - np.min(y)) if y.size else 0.0
+        spread = float(y.max() - y.min()) if y.size else 0.0
         noise = max(1e-12, 1e-14 * spread)
-    d = np.diff(y)
-    sign = np.zeros_like(d, dtype=int)
-    sign[d > noise] = 1
-    sign[d < -noise] = -1
-    sign = sign[sign != 0]
-    return int(np.count_nonzero((sign[:-1] == -1) & (sign[1:] == 1)))
+    d = y[1:] - y[:-1]
+    falls = d[np.abs(d) > noise] < 0.0  # the steps beyond the noise, compressed once
+    return int(np.count_nonzero(falls[:-1] & ~falls[1:]))

@@ -3,8 +3,10 @@ chain enumeration that cross-checks the chain DP, the per-bundle LP builder
 and dense solve that cross-check the oracle's row generation, the per-value
 CSV writer that cross-checks the CLI's column-wise one, the document route
 and unit-value specs that cross-check the applications' directly built specs
-and virtual values, and the 0-d-array formulas that cross-check the model's
-point evaluations on plain floats."""
+and virtual values, the 0-d-array formulas that cross-check the model's
+point evaluations on plain floats, the per-bundle rows and per-pair checks
+that cross-check its grid tables and ``validate_assumptions``, and the menu
+checks no command runs (``ic_report``, ``two_item_base_test``)."""
 
 from __future__ import annotations
 
@@ -16,13 +18,18 @@ from scipy.optimize import linprog
 
 from bundleopt import load_spec
 from bundleopt.demand import virtual_surplus
+from bundleopt.menu import MechanismSolution, evaluate_menu
 from bundleopt.model import (
+    STRICT_TOL,
     HazardClampWarning,
     MonomialSum,
     ProblemSpec,
     SpecError,
+    ValidationReport,
+    format_bundle,
     is_subset,
     items_from_mask,
+    subset_pairs,
 )
 from bundleopt.numerics import rising_root
 from bundleopt.oracle import LPSolution
@@ -334,9 +341,14 @@ def reference_slope(expr, t):
                 out = out + coef * exp * np.power(t_arr, exp - 1.0)
     nan = np.isnan(out) & (t_arr == 0.0)
     if np.any(nan):
-        frac = sorted((e, c) for c, e in expr.terms if 0.0 < e < 1.0 and c != 0.0)
-        lead = sum(c for e, c in frac if e == frac[0][0])
-        out[nan] = np.inf * np.sign(lead) if lead != 0.0 else 0.0
+        # the most singular exponent whose coefficients do not cancel leads;
+        # if all cancel, the limit is the slope of the t**1 terms
+        singular = sorted((e, c) for c, e in expr.terms if 0.0 < e < 1.0 and c != 0.0)
+        exps = sorted({e for e, _ in singular})
+        sums = [sum(c for e, c in singular if e == lead) for lead in exps]
+        lead = next((x for x in sums if x != 0.0), 0.0)
+        finite = sum(c for c, e in expr.terms if e == 1.0)
+        out[nan] = np.inf * np.sign(lead) if lead != 0.0 else finite
     return float(out[0]) if np.asarray(t).ndim == 0 else out
 
 
@@ -387,3 +399,111 @@ def reference_marginal_profit(spec, b, q):
         reference_value(expr, t) - spec.cost(b)
         - reference_inv_hazard(spec.dist, t) * reference_slope(expr, t)
     )
+
+
+def reference_rows(spec, b):
+    """Reference for the spec's five grid tables: bundle b's rows, each from the
+    0-d-array formulas above with no power, type or (1-F)/f shared across rows."""
+    expr, cost, dist = spec.value_expr(b), spec.cost(b), spec.dist
+    t, q = spec.t_grid, spec.q_grid
+    price = reference_value(expr, reference_quantile(dist, 1.0 - q))
+    h = np.maximum(1e-6, 1e-4 * q)
+    qp, qm = np.minimum(q + h, 1.0), np.maximum(q - h, 0.0)
+    up, down = (reference_value(expr, reference_quantile(dist, 1.0 - x)) for x in (qp, qm))
+    hazard = reference_inv_hazard(dist, t)
+    surplus = reference_value(expr, t) - cost - hazard * reference_slope(expr, t)
+    return {
+        "value_rows": reference_value(expr, t),
+        "price_rows": price,
+        "profit_rows": (price - cost) * q,
+        "surplus_rows": surplus,
+        "slope_rows": (up - down) / (qp - qm),
+    }
+
+
+def turns_by_loop(y, noise=None):
+    """Reference for ``numerics.count_descents_to_ascents``, one step at a time."""
+    if noise is None:
+        noise = max(1e-12, 1e-14 * float(np.max(y) - np.min(y))) if len(y) else 1e-12
+    steps = [int(np.sign(d)) for d in np.diff(y) if abs(d) > noise]
+    return sum(1 for a, b in zip(steps, steps[1:]) if a == -1 and b == 1)
+
+
+def reference_validation(spec):
+    """Reference for ``validate_assumptions``: each profit row and each subset
+    pair checked on its own rows, turns counted by ``turns_by_loop``."""
+    report = ValidationReport()
+    bundles = spec.nonzero_bundles()
+    rows = {b: reference_rows(spec, b) for b in bundles}
+    profits = {b: r["profit_rows"] for b, r in rows.items()}
+    values = {b: r["value_rows"] for b, r in rows.items()}
+    for b in bundles:
+        if turns_by_loop(profits[b]) > 0:
+            report.warnings.append(
+                f"profit curve of {format_bundle(b)} has multiple peaks on [0,1]"
+            )
+    for b1, b2 in subset_pairs(bundles):
+        report.checked_pairs += 1
+        pair = f"{format_bundle(b1)} -> {format_bundle(b2)}"
+        inc = values[b2] - values[b1]
+        pos = inc[:-1] > STRICT_TOL
+        d_inc = np.diff(inc)
+        bad = np.flatnonzero(pos & (d_inc < -STRICT_TOL))
+        if bad.size:
+            report.hard_failures.append(
+                f"incremental value {pair} decreases at t={spec.t_grid[bad[0]]:.6g} "
+                "where it is positive"
+            )
+        elif np.any(pos & (np.abs(d_inc) <= STRICT_TOL)):
+            report.warnings.append(f"incremental value {pair} is locally flat where positive")
+        k = min(int(np.argmax(profits[b1])), int(np.argmax(profits[b2])))
+        if k >= 2 and turns_by_loop(profits[b2][: k + 1] - profits[b1][: k + 1]) > 0:
+            report.warnings.append(
+                f"incremental profit {pair} has multiple peaks before both sales volumes"
+            )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# menu checks no command runs
+
+
+def ic_report(spec: ProblemSpec, sol: MechanismSolution):
+    """Worst IC violation over all (type, option) pairs and worst IR violation.
+
+    Returns (ic_violation, (type, bundle), ir_violation); positive numbers
+    mean the constraint is broken by that amount.
+    """
+    options = sorted(
+        {(int(b), float(p)) for b, p in zip(sol.allocation, sol.payments)} | {(0, 0.0)}
+    )
+    ic_worst = -np.inf
+    ic_pair = None
+    for b, p in options:
+        gain = spec.value(b, sol.types) - p - sol.utilities
+        k = int(np.argmax(gain))
+        if gain[k] > ic_worst:
+            ic_worst = float(gain[k])
+            ic_pair = (float(sol.types[k]), b)
+    ir_worst = float(-np.min(sol.utilities))
+    return ic_worst, ic_pair, ir_worst
+
+
+def two_item_base_test(spec: ProblemSpec, profiles):
+    """Two-item suboptimality test via the best-selling item as menu base.
+
+    Any minimal optimal nested menu must start at the best-selling bundle, so
+    if basing the two-tier menu on it earns strictly less than basing it on
+    the other item, nested bundling is strictly suboptimal.  Returns
+    (flag, profit_with_best_base, profit_with_other_base).
+    """
+    if spec.n_items != 2:
+        raise ValueError("base test is specific to two items")
+    singles = [b for b in (0b01, 0b10) if b in profiles]
+    if len(singles) != 2 or 0b11 not in profiles:
+        raise ValueError("base test needs both single items and the full bundle")
+    best = max(singles, key=lambda b: (profiles[b].d_star, -b))
+    other = singles[0] if best == singles[1] else singles[1]
+    p_best = evaluate_menu(spec, [best, 0b11]).expected_profit
+    p_other = evaluate_menu(spec, [other, 0b11]).expected_profit
+    return p_best < p_other - 1e-9, p_best, p_other

@@ -78,6 +78,17 @@ def test_solve_artifacts_and_exit(spec_file, tmp_path, capsys):
     assert (out / "virtual_surplus.csv").exists()
 
 
+def test_parser_carries_nothing_between_calls(spec_file, tmp_path):
+    # main parses with one parser per process; an option of one call must not
+    # reach the next
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["solve", "--spec", spec_file, "--out", str(first), "--csv"]) == 0
+    assert main(["solve", "--spec", spec_file, "--out", str(second)]) == 0
+    assert (first / "allocation.csv").exists()
+    assert (second / "solution.json").exists() and not list(second.glob("*.csv"))
+    assert cli.build_parser() is cli.build_parser()
+
+
 def _csv_fields(line):
     # bundle labels such as {1,2} are written unquoted: split outside braces
     return re.split(r",(?![^{]*\})", line)
@@ -702,10 +713,10 @@ def test_analyze_evaluates_price_slope_once_per_bundle(tmp_path, monkeypatch):
     calls = {}
     original = MonomialSum.__call__
 
-    def counting(self, t):
+    def counting(self, t, powers=None):
         if np.size(t) == 1025:
             calls[id(self)] = calls.get(id(self), 0) + 1
-        return original(self, t)
+        return original(self, t, powers)
 
     monkeypatch.setattr(MonomialSum, "__call__", counting)
     path = tmp_path / "problem.json"

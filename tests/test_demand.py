@@ -99,7 +99,7 @@ def test_array_scan_matches_pointwise_evaluation():
     for spec, profiles, _rel in generate_clean_specs(5, 3, grid_size=1025):
         q = spec.q_grid
         for b in profiles:
-            scans = [(profit_curve, spec.profit_row(b))] + [
+            scans = [(profit_curve, spec.profit_rows[b])] + [
                 (curve, curve(spec, b, q)) for curve in (profit_curve, marginal_profit)
             ]
             for curve, scan in scans:

@@ -22,19 +22,19 @@ from bundleopt.menu import (
     NestingError,
     _chain_prices,
     _chain_terms,
-    ic_report,
     optimize_chain,
     simulate_menu,
-    two_item_base_test,
 )
 from bundleopt.model import MonomialSum
 from bundleopt.numerics import chain_dp
 
 from support import (
     generate_clean_specs,
+    ic_report,
     iter_chains,
     random_instance_doc,
     single_item_doc,
+    two_item_base_test,
     two_item_spec,
 )
 
@@ -584,10 +584,10 @@ def test_segment_virtual_profit_reads_surplus_rows(monkeypatch):
     for name in ("__call__", "slope"):
         original = getattr(MonomialSum, name)
 
-        def counting(self, t, _name=name, _original=original):
+        def counting(self, t, powers=None, _name=name, _original=original):
             if np.ndim(t) >= 1:
                 sizes.append((_name, np.size(t)))
-            return _original(self, t)
+            return _original(self, t, powers)
 
         monkeypatch.setattr(MonomialSum, name, counting)
     sol = simulate_menu(spec, chain, prices)

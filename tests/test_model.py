@@ -13,11 +13,9 @@ from bundleopt import (
     best_nested_menu,
     build_dominance,
     compute_profiles,
-    demand_price,
     load_spec,
     solve_nested_menu,
     validate_assumptions,
-    virtual_surplus,
 )
 from bundleopt.demand import marginal_profit
 from bundleopt.model import (
@@ -35,7 +33,9 @@ from support import (
     reference_inv_hazard,
     reference_marginal_profit,
     reference_quantile,
+    reference_rows,
     reference_slope,
+    reference_validation,
     reference_value,
     single_item_doc,
     two_item_doc,
@@ -262,6 +262,9 @@ def test_point_evaluations_equal_grid_and_reference():
         (((2.0, 0.5), (-1.0, 0.5)), np.inf),
         (((1.0, 0.5), (-1.0, 0.5), (3.0, 2.0)), 0.0),  # the singular terms cancel
         (((1.0, 1.0), (1.0, 2.0)), 1.0),
+        (((1.0, 0.5), (-1.0, 0.5), (2.0, 1.0)), 2.0),  # then the finite slopes count
+        (((1.0, 1.0), (0.0, 0.5)), 1.0),  # a zero coefficient has no say
+        (((1.0, 0.3), (-1.0, 0.3), (2.0, 0.6)), np.inf),  # the next exponent leads
     ],
 )
 def test_slope_limit_at_zero(terms, limit):
@@ -367,27 +370,87 @@ def _table_specs():
         for n in range(2, 6):
             yield load_spec(random_instance_doc(np.random.default_rng(seed), n))
     u = np.linspace(0.0, 1.0, 201)
+    quantile_table = {"kind": "quantile_table", "u": list(u), "t": list(2.0 * np.sqrt(u))}
     doc = single_item_doc()
-    doc["distribution"] = {"kind": "quantile_table", "u": list(u), "t": list(2.0 * np.sqrt(u))}
+    doc["distribution"] = quantile_table
     yield load_spec(doc)
+    # fractional exponents at t = 0, on a uniform and a quantile-table support
+    yield two_item_spec(0.5, 0.3, grid_size=1025)
+    doc = two_item_doc(0.6, 0.5, grid_size=1025)
+    doc["distribution"] = quantile_table
+    yield load_spec(doc)
+    # a constant; value exponents 1 and 0.5 that are also slope exponents (of
+    # 2 and 1.5); singular terms that cancel at t = 0
+    values = {
+        1: MonomialSum(terms=((1.0, 2.0), (1.0, 1.0)), const=0.25),
+        2: MonomialSum(terms=((1.0, 1.5), (1.0, 0.5))),
+        3: MonomialSum(terms=((1.0, 2.0), (1.0, 1.0), (1.0, 1.5), (1.0, 0.5), (1.0, 0.3),
+                              (-1.0, 0.3)), const=0.5),
+    }
+    yield check_spec(ProblemSpec(2, values, {1: 0.1}, TypeDistribution.uniform(0.0, 1.0), 513))
+    two_t = MonomialSum(terms=((1.0, 0.5), (-1.0, 0.5), (2.0, 1.0)))
+    yield check_spec(ProblemSpec(1, {1: two_t}, {}, TypeDistribution.uniform(0.0, 1.0), 33))
+
+
+TABLES = ("value_rows", "price_rows", "profit_rows", "surplus_rows", "slope_rows")
 
 
 def test_grid_tables_equal_direct_evaluation():
+    # each table raises an exponent once on its grid and shares (1-F)/f and
+    # the slope's two difference ends across bundles; every row must still be
+    # the per-bundle formula's, bit for bit
     for spec in _table_specs():
         for b in spec.nonzero_bundles():
-            rows = (spec.value_rows[b], spec.price_rows[b], spec.surplus_rows[b])
-            direct = (
-                spec.value(b, spec.t_grid),
-                demand_price(spec, b, spec.q_grid),
-                virtual_surplus(spec, b, spec.t_grid),
-            )
-            for row, want in zip(rows, direct):
-                assert np.array_equal(row, want, equal_nan=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HazardClampWarning)
+                want = reference_rows(spec, b)
+            for name in TABLES:
+                row = getattr(spec, name)[b]
+                assert row.tobytes() == want[name].tobytes(), (name, format_bundle(b))
                 assert not row.flags.writeable
                 with pytest.raises(ValueError):
                     row[0] = 0.0
-        with pytest.raises(ValueError, match="no value expression"):
-            spec.surplus_rows[0]
+        for name in TABLES:
+            with pytest.raises(ValueError, match="no value expression"):
+                getattr(spec, name)[0]
+
+
+def _validation_pool():
+    """Unchecked 1-3 item specs with coefficients on a 0.1 grid, so that flat and
+    decreasing incremental values and multi-peaked profit curves all occur."""
+    rng = np.random.default_rng(5)
+    u = np.linspace(0.0, 1.0, 201)
+    dists = (
+        TypeDistribution.uniform(0.0, 1.0),
+        TypeDistribution.quantile_table(u, 2.0 * np.sqrt(u)),
+    )
+    exps = (0.0, 0.5, 1.0, 2.0, 6.0)
+    for k in range(80):
+        n = int(rng.integers(1, 4))
+        values = {}
+        for b in range(1, 1 << n):
+            terms = tuple(
+                (round(float(rng.uniform(-1.0, 2.0)), 1), float(rng.choice(exps)))
+                for _ in range(int(rng.integers(1, 4)))
+            )
+            values[b] = MonomialSum(terms=terms, const=float(rng.choice((0.0, 0.0, 0.2))))
+        costs = {b: round(float(rng.uniform(0.0, 0.4)), 2) for b in values if rng.random() < 0.5}
+        yield ProblemSpec(n, values, costs, dists[k % 2], 257)
+
+
+def test_validation_equals_per_pair_reference():
+    found = set()
+    for spec in _validation_pool():
+        report = validate_assumptions(spec)
+        assert report == reference_validation(spec)
+        for line in report.hard_failures + report.warnings:
+            found.add(" ".join(w for w in line.split() if w.isalpha() and w != "t"))
+    assert {
+        "incremental value decreases at where it is positive",
+        "incremental value is locally flat where positive",
+        "profit curve of has multiple peaks on",
+        "incremental profit has multiple peaks before both sales volumes",
+    } <= found
 
 
 def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
@@ -397,10 +460,10 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     calls = {}
     original = MonomialSum.__call__
 
-    def counting(self, t):
+    def counting(self, t, powers=None):
         if np.ndim(t) == 1 and np.size(t) == 4097:
             calls[id(self)] = calls.get(id(self), 0) + 1
-        return original(self, t)
+        return original(self, t, powers)
 
     monkeypatch.setattr(MonomialSum, "__call__", counting)
     spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
@@ -419,10 +482,10 @@ def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
     sizes = {}
     original = MonomialSum.__call__
 
-    def counting(self, t):
+    def counting(self, t, powers=None):
         if np.ndim(t) >= 1:
             sizes.setdefault(id(self), []).append(np.size(t))
-        return original(self, t)
+        return original(self, t, powers)
 
     monkeypatch.setattr(MonomialSum, "__call__", counting)
     spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))

@@ -15,6 +15,8 @@ from bundleopt.numerics import (
     switch_points,
 )
 
+from support import turns_by_loop
+
 
 def _scan(f, slope, lo=0.0, hi=1.0, n=1001):
     xs = np.linspace(lo, hi, n)
@@ -155,11 +157,6 @@ def test_switch_points_lie_in_their_cells():
         assert all(p1 <= p2 for (_k1, p1), (_k2, p2) in zip(points, points[1:]))
 
 
-def _turns_by_loop(y, noise):
-    steps = [int(np.sign(d)) for d in np.diff(y) if abs(d) > noise]
-    return sum(1 for a, b in zip(steps, steps[1:]) if a == -1 and b == 1)
-
-
 def test_count_turns():
     q = np.linspace(0, 1, 101)
     assert count_descents_to_ascents(q * (1 - q)) == 0
@@ -168,4 +165,10 @@ def test_count_turns():
     rng = np.random.default_rng(7)
     for _ in range(20):
         y = np.round(rng.normal(size=int(rng.integers(0, 40))), 1)
-        assert count_descents_to_ascents(y, noise=0.05) == _turns_by_loop(y, 0.05)
+        assert count_descents_to_ascents(y, noise=0.05) == turns_by_loop(y, 0.05)
+        assert count_descents_to_ascents(y) == turns_by_loop(y)
+        with np.errstate(invalid="ignore"):
+            for bad in (np.nan, np.inf, -np.inf):
+                z = np.where(rng.random(y.size) < 0.2, bad, y)
+                assert count_descents_to_ascents(z) == turns_by_loop(z)
+                assert count_descents_to_ascents(z, noise=0.05) == turns_by_loop(z, 0.05)
