@@ -220,33 +220,26 @@ def simulate_menu(
 # optimal cutoffs for a fixed chain
 
 
-def _chain_terms(spec: ProblemSpec, bundles: Sequence[int]):
-    """Continuum ``numerics.chain_dp`` terms Psi_b - Psi_p on the type grid.
+def _chain_potentials(spec: ProblemSpec, bundles: Sequence[int]):
+    """Continuum ``numerics.chain_dp`` potentials Psi_b on the type grid.
 
     Psi_b is the top-down cumulative trapezoid of b's virtual surplus times the
-    density (Psi_0 = 0).  Cutoffs where the posted price v(b, t) would be
-    nonpositive are excluded, and so is a floored bottom point.
+    density, -inf at cutoffs where the posted price v(b, t) would be
+    nonpositive and at a floored bottom point.
     """
     t = spec.t_grid
     f = spec.dist.pdf(t)
-    psi, blocked, sellable = {0: np.zeros(t.size)}, {0: False}, {}
+    psi = {}
     for b in bundles:
         phi = spec.surplus_rows[b]
         bad = ~np.isfinite(phi)
-        blocked[b] = bool(bad[0])
         y = np.where(bad, phi[np.argmax(~bad)], phi) * f  # floored at the first finite value
         cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-        psi[b] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
-        sellable[b] = spec.value_rows[b] > 0.0
-
-    def term(p, b):
-        out = psi[b] - psi[p]
-        out[~sellable[b]] = -np.inf
-        if blocked[b] or blocked[p]:
-            out[0] = -np.inf
-        return out
-
-    return term
+        psi[b] = row = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        row[spec.value_rows[b] <= 0.0] = -np.inf
+        if bad[0]:
+            row[0] = -np.inf
+    return psi
 
 
 def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
@@ -261,7 +254,7 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
     and the priced-out member takes its cutoff.  Returns (cutoffs, prices).
     """
     chain = sorted(bundles)
-    value, path = chain_dp(_chain_terms(spec, chain), chain, fixed=True)
+    value, path = chain_dp(_chain_potentials(spec, chain), chain, fixed=True)
     if not np.isfinite(value):
         raise ValueError("no feasible positive-price cutoffs for this chain")
 
@@ -309,10 +302,10 @@ def best_nested_menu(spec: ProblemSpec):
 
     One ``numerics.chain_dp`` over the inclusion lattice of bundles with nonzero
     value (grand bundle not required) finds the best chain on the type grid in
-    O(3^n * grid); only that chain is priced and simulated.  Returns (solution, chain).
+    O(n * 2^n * grid); only that chain is priced and simulated.  Returns (solution, chain).
     """
     bundles = spec.nonzero_bundles()
-    _value, path = chain_dp(_chain_terms(spec, bundles), bundles)
+    _value, path = chain_dp(_chain_potentials(spec, bundles), bundles)
     chain = [b for b, _k in path]
     return evaluate_menu(spec, chain), chain
 

@@ -32,11 +32,11 @@ MIN_GRID_SIZE = 33  # fewest grid points the validation checks are reliable on
 STRICT_TOL = 1e-10  # slack for strictness checks on the validation grid
 TOP_SLACK = 1e-9  # slack for the efficiency-at-top comparison
 # Size limits: every bundle of 9 items at the default grid.  On a 2-vCPU
-# host that spec loads, profiles and finds its best nested menu in about 5 s
-# and 260 MB peak; one more item takes about 13 s and 450 MB.
+# host that spec loads, profiles and finds its best nested menu in about
+# 0.75 s and 210 MB peak; one more item takes about 1.6 s and 340 MB.
 MAX_BUNDLES = 511
 MAX_SUBSET_PAIRS = 18_660  # 3^9 - 2^10 + 1 proper-subset pairs
-MAX_TABLE_BYTES = 3 * MAX_BUNDLES * DEFAULT_GRID_SIZE * 8  # three float64 tables
+MAX_TABLE_BYTES = 5 * MAX_BUNDLES * DEFAULT_GRID_SIZE * 8  # five float64 tables
 
 
 class SpecError(ValueError):
@@ -395,7 +395,7 @@ class ProblemSpec:
             halves = below.reshape(-1, 2, 1 << i)
             halves[:, 1, :] += halves[:, 0, :]
         pairs = int(below[bundles].sum()) - len(bundles)
-        table_bytes = 3 * len(bundles) * self.grid_size * 8
+        table_bytes = 5 * len(bundles) * self.grid_size * 8
         if len(bundles) > MAX_BUNDLES or pairs > MAX_SUBSET_PAIRS or table_bytes > MAX_TABLE_BYTES:
             raise SpecError(
                 f"spec too large: {len(bundles)} bundles (limit {MAX_BUNDLES}), "
@@ -412,7 +412,7 @@ class ProblemSpec:
 
     @cached_property
     def validation(self) -> "ValidationReport":
-        """``validate_assumptions`` of this spec, run once."""
+        """``validate_assumptions`` of this spec, run on the first read."""
         return validate_assumptions(self)
 
     def zero_costs(self) -> bool:
@@ -594,7 +594,8 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
     in 1..16, nonnegative costs, ``MIN_GRID_SIZE`` grid points, fractional
     exponents on a nonnegative support only, values finite, nondecreasing in t
     where positive and monotone in set inclusion, an efficient grand bundle at
-    the top type, and no hard failure of ``validate_assumptions``."""
+    the top type, and no hard failure of ``validate_assumptions`` (its
+    warnings wait for the first read of ``spec.validation``)."""
     _check_n_items(spec.n_items)
     for b, c in spec.costs.items():
         if c < 0:
@@ -646,8 +647,9 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
                 f"efficiency-at-top failure: bundle {format_bundle(b)} has surplus "
                 f"{surplus:.6g} > {top_surplus:.6g} of the grand bundle at the top type"
             )
-    if spec.validation.hard_failures:
-        raise SpecError("; ".join(spec.validation.hard_failures))
+    failures = [_increment(spec, b1, b2)[0] for b1, b2 in subset_pairs(bundles)]
+    if any(failures):
+        raise SpecError("; ".join(filter(None, failures)))
     return spec
 
 
@@ -678,7 +680,6 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     remain explorable)."""
     report = ValidationReport()
     bundles = spec.nonzero_bundles()
-    t = spec.t_grid
 
     profits = spec.profit_rows
     d_star_idx = {b: int(profits[b].argmax()) for b in bundles}
@@ -690,16 +691,9 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
 
     for b1, b2 in subset_pairs(bundles):
         report.checked_pairs += 1
-        inc = spec.value_rows[b2] - spec.value_rows[b1]
-        pos = inc[:-1] > STRICT_TOL
-        d_inc = inc[1:] - inc[:-1]
-        bad = d_inc < -STRICT_TOL
-        bad &= pos
-        if bad.any():
-            report.hard_failures.append(
-                f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
-                f"decreases at t={t[bad.argmax()]:.6g} where it is positive"
-            )
+        failure, pos, d_inc = _increment(spec, b1, b2)
+        if failure:
+            report.hard_failures.append(failure)
         elif (pos & (np.abs(d_inc) <= STRICT_TOL)).any():
             report.warnings.append(
                 f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
@@ -714,3 +708,18 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
                     "has multiple peaks before both sales volumes"
                 )
     return report
+
+
+def _increment(spec: ProblemSpec, b1: int, b2: int):
+    """The incremental value b1 -> b2 on the grid: its hard failure (a decrease
+    where positive) or None, where it is positive, and its steps."""
+    inc = spec.value_rows[b2] - spec.value_rows[b1]
+    pos, d_inc = inc[:-1] > STRICT_TOL, inc[1:] - inc[:-1]
+    bad = pos & (d_inc < -STRICT_TOL)
+    failure = None
+    if bad.any():
+        failure = (
+            f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
+            f"decreases at t={spec.t_grid[bad.argmax()]:.6g} where it is positive"
+        )
+    return failure, pos, d_inc

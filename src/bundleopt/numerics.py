@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -145,41 +145,63 @@ def switch_points(
     return pick, points
 
 
-def chain_dp(term: Callable[[int, int], np.ndarray], bundles: Sequence[int], fixed: bool = False):
+def chain_dp(potentials: Mapping[int, np.ndarray], bundles: Sequence[int], fixed: bool = False):
     """Best chain of ascending bundle masks with ordered cutoff indices, by one DP.
 
-    A step from p to b with b's cutoff at index k earns term(p, b)[k]; paths
-    start at 0.  With ``fixed`` the path is the chain ``bundles`` and indices
-    never fall.  Otherwise b follows 0 or any proper subset among ``bundles``,
-    the path ends anywhere, and indices rise, so every member but the last
-    sells to some type.  The longest path, best[b] = max over p in preds[b] of
-    term(p, b) + cummax(best[p]) elementwise with best[0] = 0, costs
-    O(3^n * grid) on the lattice.  Ties keep the smallest predecessor, the last
-    index attaining each running max and the smallest final mask.  Returns
-    (value, [(bundle, index), ...]) in chain order.
+    Under upgrade pricing a step from p to b with b's cutoff at index k earns
+    Psi_b[k] - Psi_p[k], where Psi_b is ``potentials[b]`` (Psi_0 = 0) and -inf
+    forbids a cutoff.  Paths start at 0.  With ``fixed`` the path is the chain
+    ``bundles`` and indices never fall.  Otherwise b follows 0 or any proper
+    subset among ``bundles``, the path ends anywhere, and indices rise, so
+    every member but the last sells to some type.  So best[b] = Psi_b + the
+    max over predecessors p of gain[p]: 0 for p = 0, else the running max of
+    best[p] before (``fixed``: up to) each index minus a finite Psi_p, -inf
+    elsewhere.  When bundles fill half the masks below the largest, one
+    ascending walk keeps each mask's max over its subsets (a subset-max
+    transform, O(n * 2^n * grid)); sparser bundles scan their subsets.  Ties
+    keep the smallest predecessor, the last index attaining each running max
+    and the smallest final mask.  Returns (value, [(bundle, index), ...]).
     """
-    if fixed:
-        if any(lo & ~hi for lo, hi in zip(bundles[:-1], bundles[1:])):
-            raise ValueError(f"masks {list(bundles)} are not a nested chain")
-        preds = {b: [p] for p, b in zip([0, *bundles[:-1]], bundles)}
+    if fixed and any(lo & ~hi for lo, hi in zip(bundles[:-1], bundles[1:])):
+        raise ValueError(f"masks {list(bundles)} are not a nested chain")
+    bundles = list(bundles) if fixed else sorted(bundles)
+    shift, width = int(not fixed), potentials[bundles[0]].size
+    best, gain = {}, {0: np.zeros(width)}
+
+    def preds(b):
+        if fixed:
+            return [([0] + bundles)[bundles.index(b)]]
+        return [0] + [p for p in bundles if p != b and p & ~b == 0]
+
+    def visit(b, lead):
+        best[b] = potentials[b] + lead
+        ahead = np.full(width, -np.inf)
+        np.maximum.accumulate(best[b][: width - shift], out=ahead[shift:])
+        gain[b] = np.subtract(ahead, potentials[b], out=np.full(width, -np.inf),
+                              where=potentials[b] > -np.inf)
+
+    masks = 1 << max(bundles).bit_length()
+    if not fixed and masks <= 2 * len(bundles):
+        sellable, below = set(bundles), np.zeros((masks, width))  # max of gain over subsets
+        for s in range(1, masks):
+            below[s] = below[[s ^ 1 << j for j in range(s.bit_length()) if s >> j & 1]].max(axis=0)
+            if s in sellable:
+                visit(s, below[s])
+                np.maximum(below[s], gain[s], out=below[s])
     else:
-        preds = {b: [0] + [p for p in bundles if p != b and p & ~b == 0] for b in bundles}
-    shift = 0 if fixed else 1
-    top, ahead, arg, src = {}, {}, {}, {}
-    for b in bundles:
-        cands = np.stack([term(p, b) if p == 0 else term(p, b) + ahead[p] for p in preds[b]])
-        j = np.argmax(cands, axis=0)  # first maximum: the smallest predecessor
-        total = cands[j, np.arange(j.size)]
-        peak = np.maximum.accumulate(total)
-        arg[b] = np.maximum.accumulate(np.where(total == peak, np.arange(total.size), -1))
-        ahead[b] = np.concatenate((np.full(shift, -np.inf), peak[: peak.size - shift]))
-        top[b], src[b] = float(peak[-1]), np.asarray(preds[b])[j]
-    b = bundles[-1] if fixed else max(bundles, key=top.get)
-    value, k, path = top[b], int(arg[b][-1]), []
+        for b in bundles:
+            visit(b, np.max([gain[p] for p in preds(b)], axis=0))
+
+    def cutoff(b, k):  # the last index up to k attaining the running max of best[b]
+        head = best[b][: k + 1]
+        return int(np.flatnonzero(head == head.max())[-1])
+
+    b = bundles[-1] if fixed else max(bundles, key=lambda b: best[b].max())
+    value, k, path = float(best[b].max()), cutoff(b, width - 1), []
     while b != 0:
         path.append((b, k))
-        b = int(src[b][k])
-        k = int(arg[b][k - shift]) if b else k
+        b = max(preds(b), key=lambda p: gain[p][k])  # first maximum: the smallest predecessor
+        k = cutoff(b, k - shift) if b else k
     return value, path[::-1]
 
 

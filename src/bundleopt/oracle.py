@@ -255,39 +255,37 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     )
 
 
-def _chain_terms(instance: DiscretizedInstance):
-    """Discrete ``numerics.chain_dp`` terms, pricing each upgrade at its marginal buyer.
+def _chain_potentials(instance: DiscretizedInstance, bundles):
+    """Discrete ``numerics.chain_dp`` potentials, pricing each upgrade at its marginal buyer.
 
-    Stepping from p to b at marginal-type index k earns
-    ((v_b - v_p)(t_k) - (c_b - c_p)) * (m - k)/m; index m sells to nobody.
+    Psi_b[k] = (v_b(t_k) - c_b) * (m - k)/m for marginal-type index k; index m
+    sells to nobody.
     """
-    m = instance.m
-    mass = np.concatenate((np.arange(m, 0, -1), [0])) / m  # marginal index k -> (m-k)/m
-    sold = np.concatenate((np.ones(m), [0.0]))
-
-    def term(p, b):
-        inc = np.concatenate((instance.values[b] - instance.values[p], [0.0]))
-        return (inc - (instance.costs[b] - instance.costs[p]) * sold) * mass
-
-    return term
+    rows = list(bundles)
+    psi = np.zeros((len(rows), instance.m + 1))
+    psi[:, :-1] = instance.values[rows] - instance.costs[rows, None]
+    return dict(zip(rows, psi * (np.arange(instance.m, -1, -1) / instance.m)))
 
 
 def discrete_chain_profit(instance: DiscretizedInstance, chain) -> float:
     """Optimal profit from selling a nested chain on the discrete instance.
 
-    The profit is separable in the marginal-type indices: the fixed-chain
-    ``numerics.chain_dp`` solves it exactly.
+    The profit is separable in the marginal-type indices: ``numerics.chain_dp``
+    over the chain's own masks solves it exactly, a priced-out member dropping
+    out of the path.
     """
     chain = sorted(set(int(b) for b in chain))
-    return chain_dp(_chain_terms(instance), chain, fixed=True)[0]
+    if any(lo & ~hi for lo, hi in zip(chain[:-1], chain[1:])):
+        raise ValueError(f"masks {chain} are not a nested chain")
+    return chain_dp(_chain_potentials(instance, chain), chain)[0]
 
 
 def best_nested_discrete(instance: DiscretizedInstance) -> tuple[float, tuple]:
     """Best discrete-instance (profit, chain) over every chain of sellable bundles.
 
-    One ``numerics.chain_dp`` over their inclusion lattice, in O(3^n * m).
+    One ``numerics.chain_dp`` over their inclusion lattice, in O(n * 2^n * m).
     """
-    profit, path = chain_dp(_chain_terms(instance), instance.sellable)
+    profit, path = chain_dp(_chain_potentials(instance, instance.sellable), instance.sellable)
     return profit, tuple(b for b, _k in path)
 
 

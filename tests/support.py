@@ -1,12 +1,13 @@
 """Shared test helpers: canonical instances, a seeded instance generator, the
-chain enumeration that cross-checks the chain DP, the per-bundle LP builder
-and dense solve that cross-check the oracle's row generation, the per-value
-CSV writer that cross-checks the CLI's column-wise one, the document route
-and unit-value specs that cross-check the applications' directly built specs
-and virtual values, the 0-d-array formulas that cross-check the model's
-point evaluations on plain floats, the per-bundle rows and per-pair checks
-that cross-check its grid tables and ``validate_assumptions``, and the menu
-checks no command runs (``ic_report``, ``two_item_base_test``)."""
+chain enumeration and the pairwise DP that cross-check the chain DP, the
+per-bundle LP builder and dense solve that cross-check the oracle's row
+generation, the per-value CSV writer that cross-checks the CLI's column-wise
+one, the document route and unit-value specs that cross-check the
+applications' directly built specs and virtual values, the 0-d-array formulas
+that cross-check the model's point evaluations on plain floats, the
+per-bundle rows and per-pair checks that cross-check its grid tables and
+``validate_assumptions``, and the menu checks no command runs (``ic_report``,
+``two_item_base_test``)."""
 
 from __future__ import annotations
 
@@ -147,6 +148,77 @@ def iter_chains(bundles):
                 continue
             chains.append(chain + (b,))
     return [c for c in chains if c]
+
+
+def reference_chain_dp(term, bundles, fixed=False):
+    """Reference for ``numerics.chain_dp``: the pairwise DP it replaced.
+
+    ``term(p, b)`` is the row earned by stepping from p to b; every step
+    stacks one row per predecessor, O(3^n * grid) on the lattice.  Same
+    contract, ties and return value as ``chain_dp``.
+    """
+    if fixed:
+        if any(lo & ~hi for lo, hi in zip(bundles[:-1], bundles[1:])):
+            raise ValueError(f"masks {list(bundles)} are not a nested chain")
+        preds = {b: [p] for p, b in zip([0, *bundles[:-1]], bundles)}
+    else:
+        preds = {b: [0] + [p for p in bundles if p != b and p & ~b == 0] for b in bundles}
+    shift = 0 if fixed else 1
+    top, ahead, arg, src = {}, {}, {}, {}
+    for b in bundles:
+        cands = np.stack([term(p, b) if p == 0 else term(p, b) + ahead[p] for p in preds[b]])
+        j = np.argmax(cands, axis=0)  # first maximum: the smallest predecessor
+        total = cands[j, np.arange(j.size)]
+        peak = np.maximum.accumulate(total)
+        arg[b] = np.maximum.accumulate(np.where(total == peak, np.arange(total.size), -1))
+        ahead[b] = np.concatenate((np.full(shift, -np.inf), peak[: peak.size - shift]))
+        top[b], src[b] = float(peak[-1]), np.asarray(preds[b])[j]
+    b = bundles[-1] if fixed else max(bundles, key=top.get)
+    value, k, path = top[b], int(arg[b][-1]), []
+    while b != 0:
+        path.append((b, k))
+        b = int(src[b][k])
+        k = int(arg[b][k - shift]) if b else k
+    return value, path[::-1]
+
+
+def reference_chain_terms(spec, bundles):
+    """Continuum ``reference_chain_dp`` terms Psi_b - Psi_p on the type grid,
+    with the masks of ``menu._chain_potentials`` applied per step."""
+    t = spec.t_grid
+    f = spec.dist.pdf(t)
+    psi, blocked, sellable = {0: np.zeros(t.size)}, {0: False}, {}
+    for b in bundles:
+        phi = spec.surplus_rows[b]
+        bad = ~np.isfinite(phi)
+        blocked[b] = bool(bad[0])
+        y = np.where(bad, phi[np.argmax(~bad)], phi) * f
+        cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
+        psi[b] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        sellable[b] = spec.value_rows[b] > 0.0
+
+    def term(p, b):
+        out = psi[b] - psi[p]
+        out[~sellable[b]] = -np.inf
+        if blocked[b] or blocked[p]:
+            out[0] = -np.inf
+        return out
+
+    return term
+
+
+def reference_discrete_terms(instance):
+    """Discrete ``reference_chain_dp`` terms: the upgrade from p to b priced at
+    marginal-type index k earns ((v_b - v_p)(t_k) - (c_b - c_p)) * (m - k)/m."""
+    m = instance.m
+    mass = np.concatenate((np.arange(m, 0, -1), [0])) / m
+    sold = np.concatenate((np.ones(m), [0.0]))
+
+    def term(p, b):
+        inc = np.concatenate((instance.values[b] - instance.values[p], [0.0]))
+        return (inc - (instance.costs[b] - instance.costs[p]) * sold) * mass
+
+    return term
 
 
 def dense_lp(instance):

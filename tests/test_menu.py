@@ -21,7 +21,7 @@ from bundleopt.menu import (
     MonotonicityError,
     NestingError,
     _chain_prices,
-    _chain_terms,
+    _chain_potentials,
     optimize_chain,
     simulate_menu,
 )
@@ -427,7 +427,7 @@ def test_polished_chain_within_bound_of_grid_cutoffs(seed, n_items, chain):
     # priced-out groups: polishing the DP's grid cutoffs may lose a sub-cell
     # sliver of simulated profit, never more than 2.5e-7 on these chains
     spec = load_spec(random_instance_doc(np.random.default_rng(seed), n_items, grid_size=1025))
-    _value, path = chain_dp(_chain_terms(spec, chain), chain, fixed=True)
+    _value, path = chain_dp(_chain_potentials(spec, chain), chain, fixed=True)
     grid_cutoffs = [float(spec.t_grid[k]) for _b, k in path]
     grid = simulate_menu(spec, chain, _chain_prices(spec, chain, grid_cutoffs))
     polished = evaluate_menu(spec, chain)

@@ -453,6 +453,31 @@ def test_validation_equals_per_pair_reference():
     } <= found
 
 
+def test_check_spec_raises_on_hard_failures_and_defers_warnings():
+    # check_spec refuses a spec on the report's hard failures alone; a spec
+    # it passes computes the whole report on the first read of validation
+    passed = 0
+    for spec in _validation_pool():
+        try:
+            check_spec(spec)
+        except SpecError:
+            continue
+        assert "validation" not in vars(spec)
+        want = reference_validation(spec)
+        assert spec.validation == want and not want.hard_failures
+        passed += 1
+    assert passed
+    # both increments 0.3 + 0.2t - 0.3t^2 fall beyond t = 1/3
+    t = MonomialSum(terms=((1.0, 1.0),))
+    top = MonomialSum(terms=((1.2, 1.0), (-0.3, 2.0)), const=0.3)
+    spec = ProblemSpec(2, {1: t, 2: t, 3: top}, {}, TypeDistribution.uniform(0.0, 1.0), 257)
+    failures = reference_validation(spec).hard_failures
+    assert len(failures) == 2
+    with pytest.raises(SpecError) as err:
+        check_spec(spec)
+    assert str(err.value) == "; ".join(failures)
+
+
 def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     # Full-grid evaluations of v(b, .) per bundle: one for each of the three
     # tables (values and virtual surplus on t_grid, inverse demand on q_grid);
@@ -513,7 +538,7 @@ def test_oversized_spec_refused_before_tables():
     )
     with pytest.raises(SpecError) as err:
         spec.surplus_rows[1]
-    table_mb = 3 * 512 * 4097 * 8 / 1e6
+    table_mb = 5 * 512 * 4097 * 8 / 1e6
     assert "512 bundles" in str(err.value)
     assert f"{pairs} subset pairs" in str(err.value)
     assert f"{table_mb:.2f} MB" in str(err.value)
@@ -521,10 +546,10 @@ def test_oversized_spec_refused_before_tables():
 
 
 def test_oversized_grid_refused_before_grids():
-    # three bundles on two million points need 144 MB of tables: check_spec
+    # three bundles on two million points need 240 MB of tables: check_spec
     # refuses the spec before its type or quantity grid is allocated
     t = MonomialSum(terms=((1.0, 1.0),))
     spec = ProblemSpec(2, {1: t, 2: t, 3: t}, {}, TypeDistribution.uniform(0.0, 1.0), 2_000_000)
-    with pytest.raises(SpecError, match="3 bundles .* 144.00 MB of grid tables"):
+    with pytest.raises(SpecError, match="3 bundles .* 240.00 MB of grid tables"):
         check_spec(spec)
     assert not {"t_grid", "q_grid"} & set(vars(spec))

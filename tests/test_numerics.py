@@ -1,21 +1,39 @@
 """Shared numeric primitives: scanned maximization, root polishing, switch points,
-peak counting."""
+the chain DP, peak counting."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from bundleopt import load_spec
+from bundleopt.menu import _chain_potentials
+from bundleopt.model import SpecError
 from bundleopt.numerics import (
     MultiplePeaksWarning,
+    chain_dp,
     count_descents_to_ascents,
     rising_root,
     scanned_max,
     switch_points,
 )
+from bundleopt.oracle import (
+    DiscretizedInstance,
+    _chain_potentials as _discrete_potentials,
+    best_nested_discrete,
+    discrete_chain_profit,
+)
 
-from support import turns_by_loop
+from support import (
+    iter_chains,
+    random_instance_doc,
+    reference_chain_dp,
+    reference_chain_terms,
+    reference_discrete_terms,
+    turns_by_loop,
+)
 
 
 def _scan(f, slope, lo=0.0, hi=1.0, n=1001):
@@ -155,6 +173,118 @@ def test_switch_points_lie_in_their_cells():
         assert [k for k, _p in points] == np.flatnonzero(np.diff(pick)).tolist()
         assert all(xs[k] <= p <= xs[k + 1] for k, p in points)
         assert all(p1 <= p2 for (_k1, p1), (_k2, p2) in zip(points, points[1:]))
+
+
+def _chain_dp_pool():
+    """Seeded 2-6 item specs at grid 1025: with and without costs, a quantile
+    table, a constant in every value (a blocked bottom type at a positive
+    price), and one with only the single items and the grand bundle."""
+    u = np.linspace(0.0, 1.0, 65)
+    table = {"kind": "quantile_table", "u": u.tolist(), "t": (0.5 * (u + u**2)).tolist()}
+    for n in range(2, 7):
+        for seed in range(2):
+            rng = np.random.default_rng(10 * n + seed)
+            doc = random_instance_doc(rng, n, allow_costs=seed == 0, grid_size=1025)
+            yield load_spec(doc)
+            if n == 3:
+                yield load_spec({**doc, "distribution": table})
+                shifted = {k: {**v, "const": 0.05} for k, v in doc["values"].items()}
+                yield load_spec({**doc, "values": shifted})
+            if n == 6 and seed == 0:
+                keep = {str([j]) for j in range(1, n + 1)} | {str(list(range(1, n + 1)))}
+                sparse = {k: v for k, v in doc["values"].items() if k in keep}
+                yield load_spec({**doc, "values": sparse})
+
+
+def _same_chain(got, want):
+    assert got[1] == want[1]
+    assert abs(got[0] - want[0]) <= 4 * math.ulp(want[0])
+
+
+def test_chain_dp_matches_pairwise_reference():
+    # the same path as the pairwise DP it replaced, and its value within 4 ulps,
+    # on the continuum grid and on m = 51 and 201 discrete types
+    blocked = quantile = sparse = 0
+    for spec in _chain_dp_pool():
+        bundles = spec.nonzero_bundles()
+        blocked += any(not np.isfinite(spec.surplus_rows[b][0]) for b in bundles)
+        quantile += spec.dist.kind == "quantile_table"
+        sparse += 1 << spec.n_items > 2 * len(bundles)
+        psi = _chain_potentials(spec, bundles)
+        for b in bundles:  # -inf at a nonpositive price and at a blocked bottom type
+            masked = spec.value_rows[b] <= 0.0
+            masked[0] |= not np.isfinite(spec.surplus_rows[b][0])
+            assert np.array_equal(np.isneginf(psi[b]), masked)
+        value, path = chain_dp(psi, bundles)
+        assert all(k1 < k2 for (_b1, k1), (_b2, k2) in zip(path, path[1:]))
+        want = reference_chain_dp(reference_chain_terms(spec, bundles), bundles)
+        _same_chain((value, path), want)
+        if spec.n_items <= 3:
+            for chain in map(list, iter_chains(bundles)):
+                _same_chain(
+                    chain_dp(_chain_potentials(spec, chain), chain, fixed=True),
+                    reference_chain_dp(reference_chain_terms(spec, chain), chain, fixed=True),
+                )
+        for m in (51, 201):
+            inst = DiscretizedInstance.from_spec(spec, m)
+            _same_chain(
+                chain_dp(_discrete_potentials(inst, bundles), bundles),
+                reference_chain_dp(reference_discrete_terms(inst), bundles),
+            )
+    assert blocked and quantile and sparse
+
+
+def test_chain_dp_ties_match_pairwise_reference():
+    # small-integer potentials make ties exact: the same path and value as the
+    # pairwise DP, whose steps earn Psi_b - Psi_p where both are finite
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        masks = [b for b in range(1, 1 << n) if rng.random() < 0.8] or [1]
+        width = int(rng.integers(1, 7))
+        psi = {b: rng.integers(-1, 3, width).astype(float) for b in masks}
+        for row in psi.values():
+            row[rng.random(width) < 0.15] = -np.inf
+
+        def term(p, b):
+            below = psi[p] if p else np.zeros(width)
+            out = np.full(width, -np.inf)
+            both = np.isfinite(psi[b]) & np.isfinite(below)
+            out[both] = psi[b][both] - below[both]
+            return out
+
+        assert chain_dp(psi, masks) == reference_chain_dp(term, masks)
+        prefixes = np.cumsum([1 << int(j) for j in rng.permutation(n)])
+        chain = [int(b) for b in prefixes if b in psi]
+        if chain:
+            assert chain_dp(psi, chain, fixed=True) == reference_chain_dp(term, chain, fixed=True)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**16),
+    n_items=st.integers(2, 4),
+    grid_size=st.sampled_from([65, 257]),
+    m=st.sampled_from([11, 31]),
+)
+def test_lattice_dp_optimum_is_best_enumerated_chain(seed, n_items, grid_size, m):
+    try:
+        doc = random_instance_doc(np.random.default_rng(seed), n_items, grid_size=grid_size)
+        spec = load_spec(doc)
+    except SpecError:
+        assume(False)
+    bundles = spec.nonzero_bundles()
+    chains = [list(c) for c in iter_chains(bundles)]
+    psi = _chain_potentials(spec, bundles)
+    value, path = chain_dp(psi, bundles)
+    best = max(chain_dp(psi, chain, fixed=True)[0] for chain in chains)
+    assert value == pytest.approx(best, rel=1e-13, abs=1e-13)
+    assert chain_dp(psi, [b for b, _k in path], fixed=True)[0] == pytest.approx(value, rel=1e-13)
+
+    inst = DiscretizedInstance.from_spec(spec, m)
+    profit, chain = best_nested_discrete(inst)
+    assert profit == max(discrete_chain_profit(inst, c) for c in chains)
+    assert discrete_chain_profit(inst, chain) == profit
 
 
 def test_count_turns():
