@@ -85,7 +85,7 @@ def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False)
 def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> np.ndarray:
     """Vectorized elasticity over the shared q grid, -inf at degenerate points.
 
-    Reads the spec's price and slope tables, so both variants of every
+    Reads the spec's price and exact slope tables, so both variants of every
     bundle share one evaluation of dP/dq.
     """
     return _elasticity(
@@ -96,8 +96,8 @@ def elasticity_grid(spec: ProblemSpec, b: int, cost_adjusted: bool = False) -> n
 def _elasticity(spec: ProblemSpec, b: int, q, p, dp, cost_adjusted: bool):
     """Elasticities at the quantities q, whose prices are p and slopes dp.
 
-    dP/dq is ``ProblemSpec.price_slope``.  Degenerate points (q at 0,
-    vanishing price or margin, flat demand) get -inf so sweeps stay
+    dP/dq is the analytic ``ProblemSpec.price_slope``.  Degenerate points (q
+    at 0, vanishing price or margin, flat demand) get -inf so sweeps stay
     rectangular.
     """
     base = p - spec.cost(b) if cost_adjusted else p

@@ -114,18 +114,20 @@ def check_union_elasticity(
     but the union's is not.  With costs present the cost-adjusted elasticity
     is used.  The first ``MAX_RECORDED`` failures are kept.  Pairs whose union
     carries no value expression cannot be evaluated and are recorded as skipped.
+    Each bundle's elastic and inelastic masks are built once; a pair ANDs them.
     """
     cost_adjusted = not spec.zero_costs()
     report = UnionElasticityReport(holds=True, cost_adjusted=cost_adjusted)
 
     bundles = sorted(profiles)
-    etas = {}
-    valid = {}
+    etas, elastic, inelastic = {}, {}, {}
     q = spec.q_grid
     for b in bundles:
         # finite only where q > 0 and the price (net of cost) is positive
-        etas[b] = elasticity_grid(spec, b, cost_adjusted=cost_adjusted)
-        valid[b] = (q < 1.0) & np.isfinite(etas[b])
+        etas[b] = eta = elasticity_grid(spec, b, cost_adjusted=cost_adjusted)
+        valid = (q < 1.0) & np.isfinite(eta)
+        elastic[b] = valid & (eta < -1.0 - ETA_TOL)
+        inelastic[b] = valid & (eta >= -1.0 + ETA_TOL)
 
     for i, b1 in enumerate(bundles):
         for b2 in bundles[i + 1 :]:
@@ -135,14 +137,7 @@ def check_union_elasticity(
             if union not in profiles:
                 report.skipped_pairs.append((b1, b2))
                 continue
-            mask = valid[b1] & valid[b2] & valid[union]
-            flagged = (
-                mask
-                & (etas[b1] < -1.0 - ETA_TOL)
-                & (etas[b2] < -1.0 - ETA_TOL)
-                & (etas[union] >= -1.0 + ETA_TOL)
-            )
-            idx = np.flatnonzero(flagged)
+            idx = np.flatnonzero(elastic[b1] & elastic[b2] & inelastic[union])
             if idx.size:
                 report.holds = False
                 report.n_flagged += int(idx.size)

@@ -56,6 +56,14 @@ def _number_or_array(out, t):
     return out if isinstance(out, np.ndarray) else np.full(np.shape(t), out)
 
 
+def _clip(x, lo, hi):
+    """``np.minimum(hi, np.maximum(lo, x))``, on a float by comparisons with the same
+    answers: NaN passes, and x wins a tie, so -0.0 stays -0.0 against 0.0."""
+    if isinstance(x, float):
+        return lo if lo > x else (hi if hi < x else x)
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 # ---------------------------------------------------------------------------
 # bundles as bitmasks
 
@@ -123,17 +131,23 @@ class MonomialSum:
     def slope(self, t, powers: Optional["Powers"] = None):
         """Analytic derivative in t, with its limit at t=0 (``_slope_at_zero``); a
         power can be non-finite only where t <= 0 meets a fractional exponent."""
+        if isinstance(t, float) and t > 0.0:
+            return float(self._slope_terms(t, powers))
         quiet = any_true(t <= 0.0) and self.has_fractional_exponent()
         with np.errstate(divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-            out = 0.0
-            for coef, exp in self.terms:
-                if exp != 0.0:
-                    power = np.power(t, exp - 1.0) if powers is None else powers[exp - 1.0]
-                    out = out + coef * exp * power
+            out = self._slope_terms(t, powers)
         nan = quiet and np.isnan(out) & (t == 0.0)
         if any_true(nan):
             out = np.where(nan, self._slope_at_zero(), out)
         return _number_or_array(out, t)
+
+    def _slope_terms(self, t, powers):
+        out = 0.0
+        for coef, exp in self.terms:
+            if exp != 0.0:
+                power = np.power(t, exp - 1.0) if powers is None else powers[exp - 1.0]
+                out = out + coef * exp * power
+        return out
 
     def _slope_at_zero(self) -> float:
         """The slope's limit as t -> 0+: the sign of the most singular exponent in
@@ -185,9 +199,8 @@ class TypeDistribution:
     """Type distribution on [lo, hi]: uniform or a monotone quantile table.
 
     Quantile tables map probability knots u (0 -> 1, strictly increasing) to
-    type knots t (strictly increasing) with linear interpolation; (1-F)/f is
-    evaluated as (1-u) * Q'(u) with Q' by centered finite differences of the
-    quantile function.
+    type knots t (strictly increasing) with linear interpolation.  The density
+    1/Q'(F(t)) and (1-F)/f = (1-u) * Q'(u) read the exact ``quantile_slope`` Q'.
     """
 
     kind: str  # "uniform" | "quantile_table"
@@ -223,37 +236,41 @@ class TypeDistribution:
 
     def cdf(self, t):
         if self.kind == "uniform":
-            out = np.minimum(1.0, np.maximum(0.0, (t - self.lo) / (self.hi - self.lo)))
+            out = _clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         else:
             out = np.interp(t, self.t_knots, self.u_knots)
         return _number_or_array(out, t)
 
     def quantile(self, u):
         if self.kind == "uniform":
-            out = self.lo + np.minimum(1.0, np.maximum(0.0, u)) * (self.hi - self.lo)
+            out = self.lo + _clip(u, 0.0, 1.0) * (self.hi - self.lo)
         else:
             out = np.interp(u, self.u_knots, self.t_knots)
         return _number_or_array(out, u)
 
-    def pdf(self, t):
+    def quantile_slope(self, u):
+        """Q'(u): hi - lo if uniform, else the slope of the table segment holding u;
+        at a knot the one above it (the right derivative, so the density is
+        right-continuous in t), the last one at u >= 1 and the first at u <= 0."""
         if self.kind == "uniform":
-            out = 1.0 / (self.hi - self.lo)
+            out = self.hi - self.lo
         else:
-            out = 1.0 / self._quantile_slope(self.cdf(t))
-        return _number_or_array(out, t)
+            k = np.clip(np.searchsorted(self.u_knots, u, side="right") - 1, 0, self.u_knots.size - 2)
+            out = (np.diff(self.t_knots) / np.diff(self.u_knots))[k]
+        return _number_or_array(out, u)
 
-    def _quantile_slope(self, u, delta: float = 1e-6):
-        up = np.minimum(u + delta, 1.0)
-        dn = np.maximum(u - delta, 0.0)
-        return (self.quantile(up) - self.quantile(dn)) / (up - dn)
+    def pdf(self, t):
+        return 1.0 / self.quantile_slope(self.cdf(t))
 
     def inv_hazard(self, t):
         """(1 - F(t)) / f(t); non-finite values clamped to the nearest interior one."""
         if self.kind == "uniform":
-            out = self.hi - np.minimum(self.hi, np.maximum(self.lo, t))
+            out = self.hi - _clip(t, self.lo, self.hi)
         else:
-            u = np.minimum(1.0, np.maximum(0.0, self.cdf(t)))
-            out = (1.0 - u) * self._quantile_slope(u)
+            u = self.cdf(t)  # np.interp keeps it in [0, 1]
+            out = (1.0 - u) * self.quantile_slope(u)
+        if isinstance(out, float) and math.isfinite(out):
+            return float(out)
         bad = ~np.isfinite(out)
         if any_true(bad):
             warnings.warn(
@@ -318,20 +335,11 @@ class ProblemSpec:
         return self.costs.get(b, 0.0)
 
     def price_slope(self, b: int, q):
-        """dP/dq of the inverse demand at the quantity or quantities q.
-
-        A centered finite difference with step max(1e-6, 1e-4 q), evaluation
-        points clipped to [0, 1].
-        """
-        qp, qm, tp, tm = self._difference_ends(q)
-        expr = self.value_expr(b)
-        return (expr(tp) - expr(tm)) / (qp - qm)
-
-    def _difference_ends(self, q):
-        """``price_slope``'s two ends at q: their quantities, then their types."""
-        h = np.maximum(1e-6, 1e-4 * q)
-        qp, qm = np.minimum(q + h, 1.0), np.maximum(q - h, 0.0)
-        return qp, qm, self.dist.quantile(1.0 - qp), self.dist.quantile(1.0 - qm)
+        """dP/dq of the inverse demand at the quantity or quantities q: P(q) =
+        v_b(Q(1-q)), so -v_b'(t) Q'(1-q) at t = Q(1-q), the left derivative in q at
+        a quantile-table knot (``quantile_slope``); equal to ``slope_rows``."""
+        u = 1.0 - q
+        return -self.value_expr(b).slope(self.dist.quantile(u)) * self.dist.quantile_slope(u)
 
     def virtual_surplus(self, b: int, t, powers: Optional["Powers"] = None, inv_hazard=None):
         """v(b,t) - C(b) - (1-F(t))/f(t) * v_t(b,t).
@@ -359,9 +367,14 @@ class ProblemSpec:
         return self._table(lambda b: self.value(b, powers.grid, powers))
 
     @cached_property
+    def price_types(self) -> np.ndarray:
+        """The marginal type Q(1-q) at each quantity of ``q_grid``."""
+        return self.dist.quantile(1.0 - self.q_grid)
+
+    @cached_property
     def price_rows(self) -> "GridRows":
         """Inverse demand v(b, Q(1-q)) on ``q_grid``."""
-        powers = Powers(self.dist.quantile(1.0 - self.q_grid))
+        powers = Powers(self.price_types)
         return self._table(lambda b: self.value(b, powers.grid, powers))
 
     @cached_property
@@ -378,10 +391,11 @@ class ProblemSpec:
 
     @cached_property
     def slope_rows(self) -> "GridRows":
-        """``price_slope`` on ``q_grid``: a fifth table, built only by elasticities."""
-        qp, qm, tp, tm = self._difference_ends(self.q_grid)
-        up, down, step = Powers(tp), Powers(tm), qp - qm
-        return self._table(lambda b: (self.value(b, tp, up) - self.value(b, tm, down)) / step)
+        """``price_slope`` on ``q_grid``: a fifth table, built only by elasticities,
+        from the powers e - 1 of ``price_types`` and one Q'(1-q) row."""
+        powers = Powers(self.price_types)
+        dq = self.dist.quantile_slope(1.0 - self.q_grid)
+        return self._table(lambda b: -self.value_expr(b).slope(powers.grid, powers) * dq)
 
     @cached_property
     def _table_bundles(self) -> tuple[int, ...]:

@@ -105,11 +105,10 @@ def scanned_max(
     MultiplePeaksWarning and the smallest argmax is kept.
     """
     ys = np.asarray(ys, dtype=float)
-    best = np.max(ys)
-    near = np.flatnonzero(ys >= best - TIE_TOL)
+    near = np.flatnonzero(ys >= ys.max() - TIE_TOL)
     # a 2-point adjacent tie is a peak sitting on a cell midpoint, not a
     # uniqueness violation; larger or disconnected tie sets are
-    if np.any(np.diff(near) > 1) or near.size >= 3:
+    if near.size >= 3 or (near.size == 2 and near[1] - near[0] > 1):
         warnings.warn(
             f"multiple near-tied maxima{' for ' + warn_label if warn_label else ''}; "
             "keeping the smallest argument",

@@ -6,11 +6,13 @@ one, the document route and unit-value specs that cross-check the
 applications' directly built specs and virtual values, the 0-d-array formulas
 that cross-check the model's point evaluations on plain floats, the
 per-bundle rows and per-pair checks that cross-check its grid tables and
-``validate_assumptions``, and the menu checks no command runs (``ic_report``,
-``two_item_base_test``)."""
+``validate_assumptions``, the per-pair union-elasticity scan that
+cross-checks ``check_union_elasticity``, and the menu checks no command runs
+(``ic_report``, ``two_item_base_test``)."""
 
 from __future__ import annotations
 
+import bisect
 import warnings
 
 import numpy as np
@@ -18,7 +20,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from bundleopt import load_spec
-from bundleopt.demand import virtual_surplus
+from bundleopt.demand import elasticity_grid, virtual_surplus
+from bundleopt.dominance import ETA_TOL, MAX_RECORDED, UnionElasticityReport
 from bundleopt.menu import MechanismSolution, evaluate_menu
 from bundleopt.model import (
     STRICT_TOL,
@@ -442,6 +445,21 @@ def reference_quantile(dist, u):
     return _scalar_out(u, out)
 
 
+def reference_quantile_slope(dist, u):
+    """``TypeDistribution.quantile_slope`` one entry at a time: the slope of the
+    quantile-table segment [u_k, u_k+1) holding u, the last one at u >= 1."""
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if dist.kind == "uniform":
+        out = np.full(u_arr.shape, dist.hi - dist.lo)
+    else:
+        uk, tk, last = list(dist.u_knots), dist.t_knots, dist.u_knots.size - 2
+        out = np.empty(u_arr.shape)
+        for i, x in enumerate(u_arr):
+            k = min(max(bisect.bisect_right(uk, x) - 1, 0), last)
+            out[i] = (tk[k + 1] - tk[k]) / (uk[k + 1] - uk[k])
+    return float(out[0]) if np.asarray(u).ndim == 0 else out
+
+
 def reference_inv_hazard(dist, t):
     """``TypeDistribution.inv_hazard`` on a 1-d array, clamp included."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -449,9 +467,7 @@ def reference_inv_hazard(dist, t):
         out = dist.hi - np.clip(t_arr, dist.lo, dist.hi)
     else:
         u = np.atleast_1d(np.clip(reference_cdf(dist, t_arr), 0.0, 1.0))
-        up, dn = np.minimum(u + 1e-6, 1.0), np.maximum(u - 1e-6, 0.0)
-        slope = (reference_quantile(dist, up) - reference_quantile(dist, dn)) / (up - dn)
-        out = (1.0 - u) * slope
+        out = (1.0 - u) * reference_quantile_slope(dist, u)
     bad = ~np.isfinite(out)
     if np.any(bad):
         warnings.warn("clamping non-finite (1-F)/f values", HazardClampWarning)
@@ -478,10 +494,8 @@ def reference_rows(spec, b):
     0-d-array formulas above with no power, type or (1-F)/f shared across rows."""
     expr, cost, dist = spec.value_expr(b), spec.cost(b), spec.dist
     t, q = spec.t_grid, spec.q_grid
-    price = reference_value(expr, reference_quantile(dist, 1.0 - q))
-    h = np.maximum(1e-6, 1e-4 * q)
-    qp, qm = np.minimum(q + h, 1.0), np.maximum(q - h, 0.0)
-    up, down = (reference_value(expr, reference_quantile(dist, 1.0 - x)) for x in (qp, qm))
+    types = reference_quantile(dist, 1.0 - q)
+    price = reference_value(expr, types)
     hazard = reference_inv_hazard(dist, t)
     surplus = reference_value(expr, t) - cost - hazard * reference_slope(expr, t)
     return {
@@ -489,7 +503,7 @@ def reference_rows(spec, b):
         "price_rows": price,
         "profit_rows": (price - cost) * q,
         "surplus_rows": surplus,
-        "slope_rows": (up - down) / (qp - qm),
+        "slope_rows": -reference_slope(expr, types) * reference_quantile_slope(dist, 1.0 - q),
     }
 
 
@@ -533,6 +547,41 @@ def reference_validation(spec):
             report.warnings.append(
                 f"incremental profit {pair} has multiple peaks before both sales volumes"
             )
+    return report
+
+
+def reference_union_scan(spec, profiles):
+    """Reference for ``dominance.check_union_elasticity``: every pair compares the
+    three elasticity rows and their validity masks itself."""
+    cost_adjusted = not spec.zero_costs()
+    report = UnionElasticityReport(holds=True, cost_adjusted=cost_adjusted)
+    bundles = sorted(profiles)
+    q = spec.q_grid
+    etas = {b: elasticity_grid(spec, b, cost_adjusted=cost_adjusted) for b in bundles}
+    valid = {b: (q < 1.0) & np.isfinite(etas[b]) for b in bundles}
+    for i, b1 in enumerate(bundles):
+        for b2 in bundles[i + 1 :]:
+            union = b1 | b2
+            if union == b1 or union == b2:
+                continue
+            if union not in profiles:
+                report.skipped_pairs.append((b1, b2))
+                continue
+            flagged = (
+                valid[b1] & valid[b2] & valid[union]
+                & (etas[b1] < -1.0 - ETA_TOL)
+                & (etas[b2] < -1.0 - ETA_TOL)
+                & (etas[union] >= -1.0 + ETA_TOL)
+            )
+            idx = np.flatnonzero(flagged)
+            if idx.size:
+                report.holds = False
+                report.n_flagged += int(idx.size)
+                for k in idx[: max(0, MAX_RECORDED - len(report.failures))]:
+                    report.failures.append(
+                        (b1, b2, float(q[k]), float(etas[b1][k]), float(etas[b2][k]),
+                         float(etas[union][k]))
+                    )
     return report
 
 

@@ -707,22 +707,29 @@ def test_analyze_hasse_three_item_chain(tmp_path):
 
 
 def test_analyze_evaluates_price_slope_once_per_bundle(tmp_path, monkeypatch):
-    # Full-grid evaluations of v(b, .): the value and inverse-demand rows,
-    # then the two ends of dP/dq's finite difference once per bundle, which
-    # the plain and cost-adjusted views and the union-elasticity scan share.
+    # Full-grid evaluations of v(b, .) and v'(b, .): the value and
+    # inverse-demand rows, then v' at the marginal types once per bundle for
+    # dP/dq, which the plain and cost-adjusted views and the union-elasticity
+    # scan share.
     calls = {}
-    original = MonomialSum.__call__
 
-    def counting(self, t, powers=None):
-        if np.size(t) == 1025:
-            calls[id(self)] = calls.get(id(self), 0) + 1
-        return original(self, t, powers)
+    def counted(name):
+        original = getattr(MonomialSum, name)
 
-    monkeypatch.setattr(MonomialSum, "__call__", counting)
+        def counting(self, t, powers=None):
+            if np.size(t) == 1025:
+                calls[id(self), name] = calls.get((id(self), name), 0) + 1
+            return original(self, t, powers)
+
+        monkeypatch.setattr(MonomialSum, name, counting)
+
+    counted("__call__")
+    counted("slope")
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(two_item_doc(0.3, 0.5, grid_size=1025)))
     assert main(["analyze", "--spec", str(path), "--out", str(tmp_path / "o"), "--hasse"]) == 0
-    assert sorted(calls.values()) == [4, 4, 4]
+    counts = sorted((name, n) for (_, name), n in calls.items())
+    assert counts == [("__call__", 2)] * 3 + [("slope", 1)] * 3
 
 
 def test_outputs_byte_identical_across_runs(spec_file, tmp_path):

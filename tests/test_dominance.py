@@ -17,7 +17,13 @@ from bundleopt import (
 from bundleopt.dominance import CornerVolumeWarning, hasse_edges
 from bundleopt.model import is_subset
 
-from support import generate_clean_specs, single_item_doc, two_item_spec
+from support import (
+    generate_clean_specs,
+    random_instance_doc,
+    reference_union_scan,
+    single_item_doc,
+    two_item_spec,
+)
 
 
 def _pipeline(beta, gamma, grid_size=4097):
@@ -184,6 +190,36 @@ def test_union_implies_nested_on_random_zero_cost_instances():
             checked += 1
             assert rel.nested
     assert checked >= 3
+
+
+def _union_scan_specs():
+    rng = np.random.default_rng(22)
+    for k in range(12):
+        n = 2 + k % 3
+        doc = random_instance_doc(rng, n_items=n, allow_costs=False, grid_size=257)
+        if k % 2:  # costs, so that the cost-adjusted eta is -inf where price <= cost
+            doc["costs"] = {key: 0.05 * len(key.split(",")) for key in doc["values"]}
+        if n > 2 and k % 4 == 0:  # the union {1,2} has no value expression
+            del doc["values"]["[1, 2]"]
+            doc["costs"].pop("[1, 2]", None)
+        yield load_spec(doc)
+    for beta in (0.5, 1.4):  # gamma = 4.5: more flagged points than are recorded
+        yield two_item_spec(beta, 4.5, grid_size=1025)
+
+
+def test_union_scan_matches_per_pair_reference():
+    seen = {"skipped": 0, "failing": 0, "costs": 0}
+    for spec in _union_scan_specs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            profiles = compute_profiles(spec)
+        got, want = check_union_elasticity(spec, profiles), reference_union_scan(spec, profiles)
+        assert (got.holds, got.cost_adjusted, got.n_flagged, got.failures, got.skipped_pairs) == (
+            want.holds, want.cost_adjusted, want.n_flagged, want.failures, want.skipped_pairs)
+        seen["skipped"] += bool(got.skipped_pairs)
+        seen["failing"] += not got.holds
+        seen["costs"] += got.cost_adjusted
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,52 @@ def test_grid_tables_equal_direct_evaluation():
                 getattr(spec, name)[0]
 
 
+def _richardson_slope(price, q, room):
+    """dP/dq at q by a Richardson-extrapolated difference whose stencil spans no
+    quantile knot: central when ``room`` (the distance from q to the nearest
+    knot or end) is positive, else one-sided from below in q, the side the
+    analytic slope takes at a knot."""
+    if room > 0.0:
+        h = min(1e-2, room / 64)
+        d = [(price(q + x) - price(q - x)) / (2 * x) for x in (h, h / 2)]
+        return (4 * d[1] - d[0]) / 3
+    h = min(q, 0.25) * 1e-4
+    d = [(price(q) - price(q - x)) / x for x in (h, h / 2)]
+    return 2 * d[1] - d[0]
+
+
+def test_price_slope_matches_richardson_difference():
+    exprs = [
+        MonomialSum(terms=((1.0, 0.3), (0.5, 1.7)), const=0.1),
+        MonomialSum(terms=((1.0, 0.5), (-0.4, 0.5), (1.0, 2.0))),
+        MonomialSum(terms=((0.7, 1.0), (0.2, 2.5)), const=0.3),
+    ]
+    dists = [
+        TypeDistribution.uniform(0.0, 2.0),
+        TypeDistribution.uniform(0.5, 3.0),
+        # knots at u = 1/4 and 1/2, where 1 - (1 - u) == u in floating point
+        TypeDistribution.quantile_table([0.0, 0.25, 0.5, 1.0], [0.0, 1.5, 1.6, 3.0]),
+        TypeDistribution.quantile_table(np.linspace(0.0, 1.0, 9), 2.0 * np.sqrt(np.linspace(0.0, 1.0, 9))),
+    ]
+    for dist in dists:
+        knots = [] if dist.u_knots is None else [1.0 - u for u in dist.u_knots[1:-1]]
+        beside = [k + d for k in knots for d in (-1e-3, 1e-3)]
+        near_ends = [1e-3, 0.05, 0.9, 1.0 - 1e-3, 1.0 - 1e-5, 1.0 - 1e-7]
+        qs = sorted(knots + beside + near_ends + list(np.linspace(0.03, 0.97, 11)))
+        for expr in exprs:
+            spec = ProblemSpec(1, {1: expr}, {}, dist, 65)
+            price = lambda q: reference_value(expr, reference_quantile(dist, 1.0 - q))
+            for q in qs:
+                room = min([q, 1.0 - q] + [abs(q - k) for k in knots])
+                want = _richardson_slope(price, q, room)
+                got = spec.price_slope(1, q)
+                assert type(got) is float and got < 0.0
+                assert got == pytest.approx(want, rel=1e-6), (dist.kind, expr, q)
+            # a point on the grid is the slope table's entry there, bit for bit
+            row = spec.slope_rows[1]
+            assert [spec.price_slope(1, float(q)) for q in spec.q_grid] == list(row)
+
+
 def _validation_pool():
     """Unchecked 1-3 item specs with coefficients on a 0.1 grid, so that flat and
     decreasing incremental values and multi-peaked profit curves all occur."""
