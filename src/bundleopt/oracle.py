@@ -20,16 +20,22 @@ bundles:
   then IR, the same row against the outside option (no lottery, no
   payment), -u(k, k) <= 0; then lottery mass, sum_j a[k, j] <= 1.
 
-``solve_lp`` generates IC rows lazily (the constraint generation of
+``solve_lp`` generates IC and IR rows lazily (the constraint generation of
 automated mechanism design, Conitzer & Sandholm 2002).  It starts from the
-2(m-1) adjacent-type IC rows, which imply all others under single crossing
-(Mussa & Rosen 1978), and adds each type's worst omitted report while one
-is violated, so instances without single crossing are solved exactly too.
+2m rows that bind in one-dimensional screening (Mussa & Rosen 1978; Myerson
+1981): the m-1 downward-adjacent IC rows (k against k-1), the bottom type's
+IR row, which the mask of IC pairs marks at (0, 0), and lottery mass.  Under
+single crossing, chained downward-adjacent IC gives every downward IC and,
+with values nondecreasing in t, every IR: u(k, k) >= u(k, k-1) >= u(k-1, k-1);
+the upward rows hold where the optimum's allocation is monotone.  Each round
+adds each type's worst omitted report and every omitted IR row violated by
+more than ``ROW_TOL``, so instances outside these conditions (values that
+fall in t, no single crossing) are solved exactly too.
 The answer is then certified for the full LP with matrix products alone:
-its primal violation over all m^2 (type, report) pairs, the stationarity of
-the solver's duals padded with zeros for the omitted rows, and the duality
-gap must each be at most ``CERT_TOL``.  HiGHS's default (simplex) duals
-occasionally miss that bound (1 of the 50 acceptance instances, by 9e-7);
+its primal violation over all m^2 (type, report) pairs and every IR row, the
+stationarity of the solver's duals padded with zeros for the omitted rows,
+and the duality gap must each be at most ``CERT_TOL``.  HiGHS's default
+(simplex) duals can miss that bound, by about 1e-6 where seen;
 its interior-point method with crossover then solves the LP again.
 """
 
@@ -46,7 +52,7 @@ from .numerics import chain_dp
 STOCHASTIC_TOL = 1e-5
 M_MIN = 11
 MAX_LP_BYTES = 64 * 2**20  # data of the full LP, the row generation's worst case
-ROW_TOL = 1e-9  # an omitted IC row violated by more than this joins the LP
+ROW_TOL = 1e-9  # an omitted IC or IR row violated by more than this joins the LP
 CERT_TOL = 1e-7  # bound on each certificate residual of a solution
 
 
@@ -149,8 +155,9 @@ class LPSolution:
 def _lp(instance: DiscretizedInstance, pairs=None):
     """The oracle LP (c, A_ub, b_ub): min c @ x s.t. A_ub @ x <= b_ub; CSR, entries by column.
 
-    ``pairs``, an (m, m) boolean mask, keeps only the IC rows (k, r) it marks,
-    in the full LP's row order; None keeps every r != k.
+    ``pairs``, an (m, m) boolean mask, keeps only the IC rows (k, r) it marks
+    off the diagonal and the IR rows of the types k it marks at (k, k), in the
+    full LP's row order; None keeps every row.
     """
     from scipy import sparse
 
@@ -164,13 +171,16 @@ def _lp(instance: DiscretizedInstance, pairs=None):
 
     # IC row (k, r): +V[k] on a[r], -V[k] on a[k], +1 on p[k], -1 on p[r];
     # the lower of k and r comes first in column order, with sign s
-    k, r = np.nonzero(~np.eye(m, dtype=bool) if pairs is None else pairs)
+    k, r = np.nonzero(np.ones((m, m), dtype=bool) if pairs is None else pairs)
+    ir, ic = k[k == r], k != r
+    k, r = k[ic], r[ic]
     lo, hi = np.minimum(k, r), np.maximum(k, r)
     s = np.where(r < k, 1.0, -1.0)[:, None]
     blocks = (  # (columns, coefficients), one row of each per constraint
         (np.hstack((lottery[lo], lottery[hi], pay[lo], pay[hi])),
          np.hstack((s * V[k], -s * V[k], -s, s))),
-        (np.hstack((lottery, pay)), np.hstack((-V, np.ones((m, 1))))),  # IR: IC minus a[r], p[r]
+        (np.hstack((lottery[ir], pay[ir])),  # IR: IC minus a[r], p[r]
+         np.hstack((-V[ir], np.ones((ir.size, 1))))),
         (lottery, np.ones((m, K))),  # lottery mass
     )
     width = np.repeat([cols.shape[1] for cols, _ in blocks], [len(cols) for cols, _ in blocks])
@@ -180,19 +190,19 @@ def _lp(instance: DiscretizedInstance, pairs=None):
     A = sparse.csr_matrix((data, indices, indptr), shape=(width.size, n_a + m))
     w = instance.weights
     c = np.concatenate((np.repeat(w, K) * np.tile(instance.costs[opts], m), -w))
-    b_ub = np.concatenate((np.zeros(k.size + m), np.ones(m)))
+    b_ub = np.concatenate((np.zeros(k.size + ir.size), np.ones(m)))
     return c, A, b_ub
 
 
 def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     """Optimal stochastic mechanism on the discrete instance, via HiGHS.
 
-    Row generation from the adjacent IC rows (see the module docstring);
+    Row generation from the binding local rows (see the module docstring);
     each round solves, computes every type's utility from every report with
-    one matrix product, and adds each type's worst omitted report violated by
-    more than ``ROW_TOL``.  When the duals of HiGHS's default method fail
-    the certificate, the generation goes on with its interior-point method
-    (with crossover).  Raises RuntimeError when the solver fails or the
+    one matrix product, and adds each type's worst omitted report and each
+    omitted IR row violated by more than ``ROW_TOL``.  When the duals of
+    HiGHS's default method fail the certificate, the generation goes on with
+    its interior-point method (with crossover).  Raises RuntimeError when the solver fails or the
     certificate fails with both.  Deterministic for a fixed instance.
     """
     from scipy.optimize import linprog
@@ -200,9 +210,10 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     m = instance.m
     V = instance.values[list(instance.sellable)]  # (K, m)
     n_a = m * V.shape[0]
-    bounds = [(0.0, 1.0)] * n_a + [(None, None)] * m
+    bounds = np.repeat([[0.0, 1.0], [-np.inf, np.inf]], [n_a, m], axis=0)
     idx = np.arange(m)
-    pairs = np.abs(idx[:, None] - idx) == 1  # pairs[k, r]: IC row (k, r) in the LP
+    pairs = idx[:, None] - idx == 1  # pairs[k, r]: IC row (k, r) in the LP; (k, k): IR row
+    pairs[0, 0] = True
     rounds = 0
     for method in ("highs", "highs-ipm"):
         while True:
@@ -217,17 +228,20 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
                 raise RuntimeError(f"LP solver failed: {res.message}")
             alloc = res.x[:n_a].reshape(m, -1)
             utility = alloc @ V - res.x[n_a:, None]  # [r, k]: type k reporting r
-            gain = utility - np.diag(utility)
+            own = np.diag(utility)
+            gain = utility - own
             omitted = np.where(pairs.T | (idx[:, None] == idx), -np.inf, gain)
             worst = np.argmax(omitted, axis=0)
             add = omitted[worst, idx] > ROW_TOL
-            if not add.any():
+            below = idx[(own < -ROW_TOL) & ~pairs.diagonal()]  # omitted IR rows violated
+            if not (add.any() or below.size):
                 break
             pairs[idx[add], worst[add]] = True
+            pairs[below, below] = True
 
         y, lower, upper = res.ineqlin.marginals, res.lower.marginals, res.upper.marginals
         violation = max(
-            0.0, gain.max(), -np.diag(utility).min(), alloc.sum(axis=1).max() - 1.0,
+            0.0, gain.max(), -own.min(), alloc.sum(axis=1).max() - 1.0,
             -alloc.min(), alloc.max() - 1.0,
         )
         # omitted rows carry zero duals, so A's rows alone give the full A^T y

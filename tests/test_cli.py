@@ -754,7 +754,7 @@ def test_lp_records_byte_identical_across_runs(spec_file, tmp_path):
     for name in sorted(p.name for p in outs[0].iterdir()):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     payload = json.loads((outs[0] / "verify.json").read_text())
-    assert payload["lp_rounds"] == 1 and payload["lp_rows"] == 4 * 51 - 2
+    assert payload["lp_rounds"] == 1 and payload["lp_rows"] == 2 * 51
     rows = (outs[0] / "verdicts.csv").read_text().splitlines()
     assert rows[1] == (
         "gamma,beta,verdict,matched_gap,lp_rounds,lp_rows,"

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bundleopt import (
     best_nested_menu,
@@ -16,7 +17,7 @@ from bundleopt import (
     solve_nested_menu,
 )
 from bundleopt import oracle
-from bundleopt.model import ProblemSpec
+from bundleopt.model import ProblemSpec, SpecError
 from bundleopt.oracle import (
     CERT_TOL,
     DiscretizedInstance,
@@ -150,11 +151,14 @@ def test_lp_row_subset_keeps_full_row_order():
     inst = DiscretizedInstance.from_spec(load_spec(_instance_doc(1, 3, costs=True)), 11)
     m = inst.m
     pairs = np.random.default_rng(0).uniform(size=(m, m)) < 0.3
-    np.fill_diagonal(pairs, False)
     c, A, b_ub = _lp(inst, pairs)
     c_full, A_full, b_full = _lp(inst)
-    # the full LP's IC rows are the off-diagonal (k, r) pairs, k-major
-    keep = np.concatenate((pairs[~np.eye(m, dtype=bool)], np.ones(2 * m, dtype=bool)))
+    # the full LP's IC rows are the off-diagonal (k, r) pairs, k-major, then
+    # the IR rows, marked on the diagonal, then the m lottery-mass rows
+    assert 0 < pairs.diagonal().sum() < m
+    keep = np.concatenate(
+        (pairs[~np.eye(m, dtype=bool)], pairs.diagonal(), np.ones(m, dtype=bool))
+    )
     assert np.array_equal(c, c_full) and np.array_equal(b_ub, b_full[keep])
     assert (A != A_full[np.flatnonzero(keep)]).nnz == 0
 
@@ -200,15 +204,49 @@ def test_row_generation_without_single_crossing():
     assert 4 * m - 2 < lp.rows < m * (m - 1) + 2 * m
 
 
-def test_interior_point_fallback_certifies():
-    # criterion 3's 19th nested instance: the duals of HiGHS's default method
-    # leave a stationarity residual of 9.2e-7, so the last LP is solved again
-    # by interior point, whose duals pass
-    spec, _profiles, _rel = generate_clean_specs(
-        515151, 19, n_items_choices=(2, 3), require_nested=True
-    )[18]
-    lp = solve_lp(DiscretizedInstance.from_spec(spec, 201))
-    assert lp.rounds == 2 and lp.rows == 4 * 201 - 2
+def test_row_generation_adds_ir_rows_above_the_bottom_type():
+    # v(t) = -0.1 - t + 3t^2 is negative and falls below t = 1/6, so the
+    # bottom type's IR row and the downward IC rows leave higher types' IR
+    # rows violated
+    doc = single_item_doc(grid_size=1025)
+    doc["values"]["[1]"]["terms"] = [
+        {"coef": -0.1, "exp": 0.0}, {"coef": -1.0, "exp": 1.0}, {"coef": 3.0, "exp": 2.0}
+    ]
+    spec = load_spec(doc)
+    for m in (51, 201):
+        lp = _check_against_dense(DiscretizedInstance.from_spec(spec, m))
+        assert lp.rounds >= 2 and lp.rows > 2 * m
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**16), n_items=st.integers(2, 3), m=st.sampled_from([11, 21]))
+def test_lazy_lp_matches_dense_lp(seed, n_items, m):
+    try:
+        spec = load_spec(random_instance_doc(np.random.default_rng(seed), n_items, grid_size=257))
+    except SpecError:
+        assume(False)
+    _check_against_dense(DiscretizedInstance.from_spec(spec, m))
+
+
+def test_interior_point_fallback_certifies(monkeypatch):
+    # when the duals of HiGHS's default method miss the certificate (here one
+    # dual is moved by 1e-6, a stationarity residual of about 1e-6), the last
+    # LP is solved again by interior point, whose duals pass
+    from scipy import optimize
+
+    linprog, methods = optimize.linprog, []
+
+    def perturbed(*args, method, **kwargs):
+        res = linprog(*args, method=method, **kwargs)
+        methods.append(method)
+        if method == "highs":
+            res.ineqlin.marginals[0] -= 1e-6
+        return res
+
+    monkeypatch.setattr(optimize, "linprog", perturbed)
+    lp = solve_lp(DiscretizedInstance.from_spec(two_item_spec(0.6, 4.5, grid_size=1025), 51))
+    assert methods == ["highs", "highs-ipm"]
+    assert lp.rounds == 2 and lp.rows == 2 * 51
     assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
 
 
