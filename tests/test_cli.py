@@ -19,7 +19,7 @@ from bundleopt.dominance import TiedBestSellerWarning
 from bundleopt.model import MonomialSum
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
-from support import csv_text_reference, random_instance_doc, two_item_doc
+from support import csv_text_reference, random_instance_doc, single_item_doc, two_item_doc
 
 
 @pytest.fixture
@@ -573,10 +573,16 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 
 
 def test_only_lp_commands_import_scipy(tmp_path):
-    # analyze, solve, sweep, quality and screening need numpy only; verify loads scipy
-    # for its LP.  Run in a fresh interpreter: this one has scipy loaded.
+    # analyze, solve, sweep, quality and screening need numpy only, and so does a
+    # verify whose LP the closed form answers; verify loads scipy for an LP that
+    # needs HiGHS.  Run in a fresh interpreter: this one has scipy loaded.
+    ironed = single_item_doc(grid_size=1025)  # v = -0.1 - t + 3t^2 falls below t = 1/6
+    ironed["values"]["[1]"]["terms"] = [
+        {"coef": -0.1, "exp": 0.0}, {"coef": -1.0, "exp": 1.0}, {"coef": 3.0, "exp": 2.0}
+    ]
     docs = {
         "problem": two_item_doc(0.3, 0.5, grid_size=1025),
+        "ironed": ironed,
         "quality": {"qualities": [1.0, 2.0, 3.0], "costs": [0.2, 0.2, 0.9],
                     "values": {"kind": "multiplicative"}, "distribution": _UNIFORM,
                     "grid_size": 1025},
@@ -592,6 +598,7 @@ def test_only_lp_commands_import_scipy(tmp_path):
         ["quality", "--spec", str(tmp_path / "quality.json"), *out],
         ["screening", "--spec", str(tmp_path / "screening.json"), *out],
         ["verify", "--spec", str(tmp_path / "problem.json"), "--types", "21", *out],
+        ["verify", "--spec", str(tmp_path / "ironed.json"), "--types", "21", *out],
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -754,7 +761,7 @@ def test_lp_records_byte_identical_across_runs(spec_file, tmp_path):
     for name in sorted(p.name for p in outs[0].iterdir()):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     payload = json.loads((outs[0] / "verify.json").read_text())
-    assert payload["lp_rounds"] == 1 and payload["lp_rows"] == 2 * 51
+    assert payload["lp_rounds"] == 0 and payload["lp_rows"] == 2 * 51
     rows = (outs[0] / "verdicts.csv").read_text().splitlines()
     assert rows[1] == (
         "gamma,beta,verdict,matched_gap,lp_rounds,lp_rows,"

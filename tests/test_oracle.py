@@ -17,6 +17,7 @@ from bundleopt import (
     solve_nested_menu,
 )
 from bundleopt import oracle
+from bundleopt.applications import ScreeningProblem, embed_screening
 from bundleopt.model import ProblemSpec, SpecError
 from bundleopt.oracle import (
     CERT_TOL,
@@ -164,11 +165,14 @@ def test_lp_row_subset_keeps_full_row_order():
 
 
 def _check_against_dense(inst):
-    lp, ref = solve_lp(inst), dense_solution(inst)
-    assert abs(lp.objective - ref.objective) <= 1e-9
-    assert compare(inst, 0.0, lp).verdict == compare(inst, 0.0, ref).verdict
-    assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
-    return lp
+    """(solve_lp's answer, the row generation's), each checked against the dense solve."""
+    ref = dense_solution(inst)
+    answers = solve_lp(inst), oracle._row_generation(inst)
+    for lp in answers:
+        assert abs(lp.objective - ref.objective) <= 1e-9
+        assert compare(inst, 0.0, lp).verdict == compare(inst, 0.0, ref).verdict
+        assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
+    return answers
 
 
 @pytest.mark.parametrize("costs", [False, True])
@@ -176,8 +180,8 @@ def _check_against_dense(inst):
 def test_row_generation_matches_dense_solve(n_items, costs):
     spec = load_spec(_instance_doc(n_items, n_items, costs))
     for m in (11, 51, 101, 201):
-        lp = _check_against_dense(DiscretizedInstance.from_spec(spec, m))
-        assert lp.rows < m * (m - 1) + 2 * m
+        for lp in _check_against_dense(DiscretizedInstance.from_spec(spec, m)):
+            assert lp.rows < m * (m - 1) + 2 * m
 
 
 @pytest.mark.parametrize("beta", [0.4, 0.6, 1.0, 1.4])
@@ -199,9 +203,9 @@ def test_row_generation_without_single_crossing():
         sellable=(1, 2, 3),
     )
     inst.check_monotone()
-    lp = _check_against_dense(inst)
-    assert lp.rounds > 1
-    assert 4 * m - 2 < lp.rows < m * (m - 1) + 2 * m
+    for lp in _check_against_dense(inst):  # the closed form declines
+        assert lp.rounds > 1
+        assert 2 * m < lp.rows < m * (m - 1) + 2 * m
 
 
 def test_row_generation_adds_ir_rows_above_the_bottom_type():
@@ -214,8 +218,8 @@ def test_row_generation_adds_ir_rows_above_the_bottom_type():
     ]
     spec = load_spec(doc)
     for m in (51, 201):
-        lp = _check_against_dense(DiscretizedInstance.from_spec(spec, m))
-        assert lp.rounds >= 2 and lp.rows > 2 * m
+        for lp in _check_against_dense(DiscretizedInstance.from_spec(spec, m)):
+            assert lp.rounds >= 2 and lp.rows > 2 * m  # the closed form declines
 
 
 @settings(max_examples=20)
@@ -244,9 +248,81 @@ def test_interior_point_fallback_certifies(monkeypatch):
         return res
 
     monkeypatch.setattr(optimize, "linprog", perturbed)
-    lp = solve_lp(DiscretizedInstance.from_spec(two_item_spec(0.6, 4.5, grid_size=1025), 51))
+    inst = DiscretizedInstance.from_spec(two_item_spec(0.6, 4.5, grid_size=1025), 51)
+    lp = oracle._row_generation(inst)
     assert methods == ["highs", "highs-ipm"]
     assert lp.rounds == 2 and lp.rows == 2 * 51
+    assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**16), n_items=st.integers(2, 4), m=st.sampled_from([11, 21, 51]))
+def test_closed_form_matches_row_generation(seed, n_items, m):
+    try:
+        spec = load_spec(random_instance_doc(np.random.default_rng(seed), n_items, grid_size=257))
+    except SpecError:
+        assume(False)
+    inst = DiscretizedInstance.from_spec(spec, m)
+    lp = solve_lp(inst)
+    assume(lp.rounds == 0)
+    generated = oracle._row_generation(inst)
+    assert abs(lp.objective - generated.objective) <= 1e-9
+    assert compare(inst, 0.0, lp).verdict == compare(inst, 0.0, generated).verdict
+    assert lp.stochastic == generated.stochastic
+    assert lp.rows == 2 * m and max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
+
+
+@pytest.mark.parametrize("doc", [
+    single_item_doc(grid_size=1025),
+    two_item_doc(0.3, 0.5, grid_size=1025),
+    two_item_doc(0.6, 4.5, grid_size=1025),
+    _instance_doc(1, 3, costs=True),
+])
+def test_closed_form_duals_certify_full_lp(doc):
+    # the explicit duals in the full LP's row order, signed as linprog's
+    # marginals (<= 0 on these <= rows): IC row (k, k-1) -(m-k)/m, the bottom
+    # IR row -1, lottery mass -max(0, max_j phi_j(k))/m, every other row 0
+    m = 51
+    inst = DiscretizedInstance.from_spec(load_spec(doc), m)
+    lp = solve_lp(inst)
+    assert lp.rounds == 0 and lp.rows == 2 * m
+    opts = list(inst.sellable)
+    V = np.vstack((inst.values[opts].T, np.zeros(len(opts))))  # t_m row 0
+    k = np.arange(m)
+    phi = (m - k)[:, None] * V[:-1] - (m - k - 1)[:, None] * V[1:] - inst.costs[opts]
+    y_ic = np.zeros((m, m))
+    y_ic[k[1:], k[1:] - 1] = -(m - k[1:]) / m
+    y_ir = np.zeros(m)
+    y_ir[0] = -1.0
+    y = np.concatenate((y_ic[~np.eye(m, dtype=bool)], y_ir, -np.maximum(phi.max(axis=1), 0) / m))
+    c, A, b_ub = _lp(inst)
+    reduced = c - A.T @ y
+    assert reduced[: m * len(opts)].min() >= -1e-12
+    assert np.abs(reduced[m * len(opts):]).max() <= 1e-12
+    assert -(b_ub @ y) == pytest.approx(lp.objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [101, 201])
+def test_closed_form_declines_where_ironing_is_needed(monkeypatch, m):
+    # criterion 7's screening embedding at exponent 0.5: the pointwise argmax
+    # breaks IC by about 0.31, so HiGHS solves it and its answer certifies
+    problem = ScreeningProblem.from_document({
+        "qualities": [1.0], "production_costs": [0.0], "values": {"kind": "multiplicative"},
+        "actions": [{"terms": [{"coef": 0.3, "exp": 0.5}]}],
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    })
+    spec, _info = embed_screening(problem)
+    primal, violations = oracle._primal, []
+
+    def recorded(*args):
+        out = primal(*args)
+        violations.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "_primal", recorded)
+    lp = solve_lp(DiscretizedInstance.from_spec(spec, m))
+    assert violations[0] == pytest.approx(0.31, abs=0.005)
+    assert lp.rounds >= 1 and lp.rows > 2 * m
     assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
 
 
