@@ -19,7 +19,7 @@ import numpy as np
 
 from .demand import DemandProfile, compute_profile, compute_profiles
 from .dominance import EPS_Q, build_dominance, check_union_elasticity
-from .menu import _envelope_integral, solve_nested_menu
+from .menu import _envelope, solve_nested_menu
 from .model import (
     DEFAULT_GRID_SIZE,
     MonomialSum,
@@ -38,6 +38,7 @@ from .model import (
 from .numerics import count_descents_to_ascents, rising_root
 
 TIE_TOL = 1e-9
+CROSSCHECK_TOL = 1e-9  # envelope menu vs solver menu profit on the quality embedding
 TRANSITION_TOL = 1e-4  # bisection width of a refined menu change point
 
 
@@ -154,7 +155,8 @@ def _crosscheck_against_solver(problem, menu_idx) -> None:
     """The envelope menu must agree with the constructive solver on the embedding.
 
     It must contain the solver's menu, and the members the solver drops must
-    add no profit: the envelope menu earns the solver's profit within 1e-9.
+    add no profit: the envelope menu earns the solver's profit within
+    ``CROSSCHECK_TOL``.
     """
     spec, profiles = problem.embedded, problem.profiles
     solved = solve_nested_menu(spec, build_dominance(spec, profiles))
@@ -164,8 +166,8 @@ def _crosscheck_against_solver(problem, menu_idx) -> None:
         raise RuntimeError(
             f"solver menu {sorted(solver_idx)} not contained in envelope menu {sorted(menu_set)}"
         )
-    profit = _envelope_integral(spec, [(2 << k) - 1 for k in menu_set])
-    if abs(profit - solved.expected_profit) > 1e-9:
+    _pick, _points, profit = _envelope(spec, [(2 << k) - 1 for k in sorted(menu_set)])
+    if abs(profit - solved.expected_profit) > CROSSCHECK_TOL:
         raise RuntimeError(
             f"envelope menu {sorted(menu_set)} earns {profit:.12g}, solver menu "
             f"{sorted(solver_idx)} earns {solved.expected_profit:.12g}"

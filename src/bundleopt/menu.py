@@ -3,10 +3,14 @@
 The solver works in type space.  The virtual surplus of a bundle at type t
 equals the marginal profit of selling the bundle alone at the quantity whose
 marginal consumer is t, so profit-maximizing cutoffs are crossings of virtual
-surplus curves and every expectation reduces to quadrature on the type grid.
-Under nesting the minimal optimal menu is the grid argmax of the undominated
-chain's virtual surplus curves (``_envelope_chain``): both ``solve_nested_menu``
-and ``envelope_allocation`` read it.
+surplus curves.  No expectation needs quadrature: f * phi_b = -dPsi_b/dt for
+Psi_b(t) = (v(b, t) - C(b)) * (1 - F(t)), so integrating by parts, the
+virtual surplus of b over types [s, s'] earns Psi_b(s) - Psi_b(s') (Myerson
+1981; Mussa & Rosen 1978), and an envelope's expectation is that sum over the
+exact switch points of its grid argmax (``_envelope``).  Under nesting the
+minimal optimal menu is the grid argmax of the undominated chain's virtual
+surplus curves (``_envelope_chain``): both ``solve_nested_menu`` and
+``envelope_allocation`` read it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from .model import ProblemSpec, format_bundle, is_subset
 from .numerics import chain_dp, rising_root, switch_points
 
 PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
-REVENUE_EQ_TOL = 1e-5
+REVENUE_EQ_TOL = 1e-5  # simulated vs virtual-surplus profit of a posted menu
+BOUND_GAP_TOL = 1e-6  # menu profit vs relaxed bound for a VALID certificate
 
 
 class NestingError(RuntimeError):
@@ -72,18 +77,40 @@ def last_crossing(spec: ProblemSpec, b1: int, b2: int) -> CrossingRecord:
     return CrossingRecord(b_small=b1, b_big=b2, s=s, chi=float(virtual_surplus(spec, b1, s)))
 
 
-def _envelope_integral(spec: ProblemSpec, bundles: Sequence[int]) -> float:
-    """E[max(0, max over ``bundles`` of virtual surplus)], trapezoid on the type grid."""
-    env = np.zeros(spec.grid_size)
-    for b in bundles:
-        env = np.maximum(env, spec.surplus_rows[b])
-    f = spec.dist.pdf(spec.t_grid)
-    return float(np.trapezoid(env * f, spec.t_grid))
+def _potential(spec: ProblemSpec, b: int, t):
+    """Psi_b(t) = (v(b, t) - C(b)) * (1 - F(t)), with f * phi_b = -dPsi_b/dt."""
+    return (spec.value(b, t) - spec.cost(b)) * (1.0 - spec.dist.cdf(t))
+
+
+def _segment_virtual_profit(spec: ProblemSpec, segments) -> float:
+    """E[virtual surplus of the bundle each type takes]: Psi_b(lo) - Psi_b(hi)
+    summed over the segments (lo, hi, b, ...) that bundle b owns."""
+    return float(sum(_potential(spec, b, lo) - _potential(spec, b, hi)
+                     for lo, hi, b, *_ in segments if b))
+
+
+def _runs(t: np.ndarray, pick: np.ndarray, points) -> list:
+    """(lo, hi, row) for each run of a ``switch_points`` grid argmax, with exact ends."""
+    ends = [float(t[0]), *(cut for _k, cut in points), float(t[-1])]
+    rows = [pick[0], *(pick[k + 1] for k, _cut in points)]
+    return [(lo, hi, int(r)) for lo, hi, r in zip(ends[:-1], ends[1:], rows)]
+
+
+def _envelope(spec: ProblemSpec, members: Sequence[int]):
+    """The grid argmax of 0 and ``members``' virtual surplus curves (ties to the
+    earlier row), its ``switch_points`` and E[max(0, max over members of phi_b)]
+    summed in closed form over its runs.  Returns (pick, points, expectation);
+    pick indexes [0, *members]."""
+    rows, t = [0, *members], spec.t_grid
+    curves = np.stack([np.zeros(t.size)] + [spec.surplus_rows[b] for b in members])
+    pick, points = switch_points(curves, t, lambda a, b: _surplus_gap(spec, rows[b], rows[a]))
+    runs = [(lo, hi, rows[r]) for lo, hi, r in _runs(t, pick, points)]
+    return pick, points, _segment_virtual_profit(spec, runs)
 
 
 def relaxed_bound(spec: ProblemSpec) -> float:
     """E[max(0, max_b virtual surplus)]: an upper bound on any mechanism's profit."""
-    return _envelope_integral(spec, spec.nonzero_bundles())
+    return _envelope(spec, spec.nonzero_bundles())[2]
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +132,6 @@ class MechanismSolution:
     @property
     def bottom_utility(self) -> float:
         return float(self.utilities[0])
-
-
-def _segment_virtual_profit(spec: ProblemSpec, segments) -> float:
-    """Integrate the assigned virtual surplus segment by segment.
-
-    Segment endpoints are exact, so the integrand is smooth inside each
-    segment and the trapezoid error stays O(h^2) even when the allocation
-    jumps at the boundaries.  Interior grid points read ``spec.surplus_rows``;
-    only the two ends are evaluated.
-    """
-    t = spec.t_grid
-    total = 0.0
-    for lo, hi, b, _price in segments:
-        if b == 0 or hi - lo <= 0:
-            continue
-        row = spec.surplus_rows[b]
-        if lo <= t[0] and not np.isfinite(row[0]):
-            # integrable singularity at the bottom type: the quadrature would
-            # be garbage, so report the accounting as unavailable
-            return float("nan")
-        i0 = int(np.searchsorted(t, lo, side="right"))
-        i1 = int(np.searchsorted(t, hi, side="left"))
-        xs = np.concatenate(([lo], t[i0:i1], [hi]))
-        ends = virtual_surplus(spec, b, np.array([lo, hi]))
-        ys = np.concatenate((ends[:1], row[i0:i1], ends[1:])) * spec.dist.pdf(xs)
-        total += float(np.trapezoid(ys, xs))
-    return total
 
 
 def _chain_prices(spec: ProblemSpec, bundles: Sequence[int], cutoffs: Sequence[float]):
@@ -183,11 +183,7 @@ def simulate_menu(
     t = spec.t_grid
     util = np.stack([(spec.value_rows[b] if b else np.zeros(t.size)) - p for p, b in opts])
     pick, points = switch_points(util, t, gap)
-    segments, start = [], float(t[0])
-    for k, cut in [*points, (t.size - 1, float(t[-1]))]:
-        p, b = opts[pick[k]]
-        segments.append((start, cut, b, p))
-        start = cut
+    segments = [(lo, hi, opts[r][1], opts[r][0]) for lo, hi, r in _runs(t, pick, points)]
     alloc, pays = opt_bundles[pick], opt_prices[pick]
     utes = util[pick, np.arange(t.size)]
 
@@ -205,10 +201,7 @@ def simulate_menu(
         expected_profit=float(profit),
         virtual_profit=float(vprofit),
     )
-    # the 1e-5 agreement target is calibrated to the default 4097-point grid;
-    # quadrature error grows as h^2 on coarser grids
-    tol = REVENUE_EQ_TOL * max(1.0, (4096.0 / (t.size - 1)) ** 2)
-    if np.isfinite(vprofit) and sol.bottom_utility <= 1e-9 and abs(profit - vprofit) > tol:
+    if sol.bottom_utility <= 1e-9 and abs(profit - vprofit) > REVENUE_EQ_TOL:
         raise RuntimeError(
             f"revenue equivalence violated: simulated {profit:.9g} vs "
             f"virtual-surplus {vprofit:.9g}"
@@ -221,32 +214,24 @@ def simulate_menu(
 
 
 def _chain_potentials(spec: ProblemSpec, bundles: Sequence[int]):
-    """Continuum ``numerics.chain_dp`` potentials Psi_b on the type grid.
+    """Continuum ``numerics.chain_dp`` potentials on the type grid.
 
-    Psi_b is the top-down cumulative trapezoid of b's virtual surplus times the
-    density, -inf at cutoffs where the posted price v(b, t) would be
-    nonpositive and at a floored bottom point.
+    Psi_b[k] = (v(b, t_k) - C(b)) * (1 - F(t_k)) (``_potential``), b's virtual
+    surplus over the types above t_k; -inf at cutoffs where the posted price
+    v(b, t) would be nonpositive.
     """
-    t = spec.t_grid
-    f = spec.dist.pdf(t)
-    psi = {}
-    for b in bundles:
-        phi = spec.surplus_rows[b]
-        bad = ~np.isfinite(phi)
-        y = np.where(bad, phi[np.argmax(~bad)], phi) * f  # floored at the first finite value
-        cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-        psi[b] = row = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
-        row[spec.value_rows[b] <= 0.0] = -np.inf
-        if bad[0]:
-            row[0] = -np.inf
-    return psi
+    survive = 1.0 - spec.dist.cdf(spec.t_grid)
+    return {
+        b: np.where(spec.value_rows[b] > 0.0, (spec.value_rows[b] - spec.cost(b)) * survive, -np.inf)
+        for b in bundles
+    }
 
 
 def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
     """Profit-maximizing cutoff types for a nested chain, by exact separable DP.
 
-    Segment profits are top-down cumulative integrals of virtual surplus, so
-    the fixed-chain ``numerics.chain_dp`` finds the grid optimum under the
+    Segment profits are differences of the potentials Psi_b, so the
+    fixed-chain ``numerics.chain_dp`` finds the grid optimum under the
     ordering t_1 <= ... <= t_l; each cutoff is then polished to the exact
     crossing of adjacent surplus curves.  A member the grid optimum prices
     out (its cutoff index equals the next member's) sells to no type: the
@@ -343,22 +328,21 @@ class NestedMenu:
 
 
 def _envelope_chain(spec: ProblemSpec, relation: DominanceRelation):
-    """Bundles and cutoff types of the grid argmax of the chain's virtual surplus.
+    """Bundles, cutoff types and expectation of the chain's virtual-surplus envelope.
 
     Each type takes the undominated bundle with the largest virtual surplus,
     or nothing when every surplus is negative (ties to the smaller bundle);
     a bundle joins the menu where the argmax steps up to it, at the exact
     crossing from ``numerics.switch_points``.  The allocation must be
     monotone in set inclusion along the type axis.  Returns (bundles,
-    cutoffs); a bundle the bottom type already takes has cutoff t[0].
+    cutoffs, expectation) (``_envelope``); a bundle the bottom type already
+    takes has cutoff t[0].
     """
     if not relation.nested:
         raise NestingError("undominated bundles are not nested; run `verify` for the LP route")
     members = [0, *sorted(relation.undominated)]  # the empty bundle earns 0
+    pick, points, profit = _envelope(spec, members[1:])  # ties to the smaller bundle
     t = spec.t_grid
-    curves = np.stack([np.zeros(t.size)] + [spec.surplus_rows[b] for b in members[1:]])
-    gap = lambda a, b: _surplus_gap(spec, members[b], members[a])
-    pick, points = switch_points(curves, t, gap)  # ties to the smaller bundle
     if np.any(np.diff(pick) < 0):
         k = int(np.flatnonzero(np.diff(pick) < 0)[0]) + 1
         raise MonotonicityError(
@@ -369,7 +353,7 @@ def _envelope_chain(spec: ProblemSpec, relation: DominanceRelation):
     cutoffs = [cut for _k, cut in points]
     if pick[0] > 0:  # the bottom type already buys
         bundles, cutoffs = [members[pick[0]], *bundles], [float(t[0]), *cutoffs]
-    return bundles, cutoffs
+    return bundles, cutoffs, profit
 
 
 def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedMenu:
@@ -378,11 +362,14 @@ def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedM
     The undominated chain's argmax allocation (``_envelope_chain``) gives the
     tiers and their cutoff types; a tier's quantity is the mass of types at
     or above its cutoff, and prices follow from the cutoffs via upgrade
-    pricing.  The certificate is VALID when the spec's validation report has
-    no warnings and the menu's envelope integral attains the relaxed bound
-    within 1e-6.
+    pricing.  The expected profit is the envelope's expected virtual surplus,
+    and the relaxed bound the all-bundle envelope's, each summed in closed
+    form over exact switch points, so neither depends on the grid beyond
+    where it finds them.  The certificate is VALID when the spec's validation
+    report has no warnings and the profit attains the bound within
+    ``BOUND_GAP_TOL``.
     """
-    bundles, cutoffs = _envelope_chain(spec, relation)
+    bundles, cutoffs, profit = _envelope_chain(spec, relation)
     quantities = tuple(float(1.0 - spec.dist.cdf(s)) for s in cutoffs)
     prices = _chain_prices(spec, bundles, cutoffs)
     upgrades = tuple(float(u) for u in np.diff(prices, prepend=0.0))
@@ -390,9 +377,8 @@ def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedM
     invalid_reasons = []
     if spec.validation.warnings:
         invalid_reasons.append("validation warnings present")
-    profit = _envelope_integral(spec, bundles)
     bound = relaxed_bound(spec)
-    if abs(profit - bound) > 1e-6:
+    if abs(profit - bound) > BOUND_GAP_TOL:
         invalid_reasons.append(
             f"menu profit {profit:.9g} does not attain the relaxed bound {bound:.9g}"
         )
@@ -415,5 +401,5 @@ def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> Mecha
     The menu of ``_envelope_chain``, priced from its exact cutoff crossings
     and simulated for the final solution object.
     """
-    bundles, cutoffs = _envelope_chain(spec, relation)
+    bundles, cutoffs, _profit = _envelope_chain(spec, relation)
     return simulate_menu(spec, bundles, _chain_prices(spec, bundles, cutoffs))

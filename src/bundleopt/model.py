@@ -199,8 +199,8 @@ class TypeDistribution:
     """Type distribution on [lo, hi]: uniform or a monotone quantile table.
 
     Quantile tables map probability knots u (0 -> 1, strictly increasing) to
-    type knots t (strictly increasing) with linear interpolation.  The density
-    1/Q'(F(t)) and (1-F)/f = (1-u) * Q'(u) read the exact ``quantile_slope`` Q'.
+    type knots t (strictly increasing) with linear interpolation.  (1-F)/f =
+    (1-u) * Q'(u) reads the exact ``quantile_slope`` Q', the reciprocal density.
     """
 
     kind: str  # "uniform" | "quantile_table"
@@ -258,9 +258,6 @@ class TypeDistribution:
             k = np.clip(np.searchsorted(self.u_knots, u, side="right") - 1, 0, self.u_knots.size - 2)
             out = (np.diff(self.t_knots) / np.diff(self.u_knots))[k]
         return _number_or_array(out, u)
-
-    def pdf(self, t):
-        return 1.0 / self.quantile_slope(self.cdf(t))
 
     def inv_hazard(self, t):
         """(1 - F(t)) / f(t); non-finite values clamped to the nearest interior one."""

@@ -187,24 +187,20 @@ def reference_chain_dp(term, bundles, fixed=False):
 
 def reference_chain_terms(spec, bundles):
     """Continuum ``reference_chain_dp`` terms Psi_b - Psi_p on the type grid,
-    with the masks of ``menu._chain_potentials`` applied per step."""
+    Psi_b = (v_b - c_b) * (1 - F): the upgrade from p to b with cutoff t_k
+    earns the virtual surplus of b over p above t_k, integrated by parts.
+    -inf where v_b(t_k) <= 0.  v and F are evaluated here, not read from
+    the spec's tables."""
     t = spec.t_grid
-    f = spec.dist.pdf(t)
-    psi, blocked, sellable = {0: np.zeros(t.size)}, {0: False}, {}
+    survive = 1.0 - reference_cdf(spec.dist, t)
+    value, psi = {}, {0: np.zeros(t.size)}
     for b in bundles:
-        phi = spec.surplus_rows[b]
-        bad = ~np.isfinite(phi)
-        blocked[b] = bool(bad[0])
-        y = np.where(bad, phi[np.argmax(~bad)], phi) * f
-        cells = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-        psi[b] = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
-        sellable[b] = spec.value_rows[b] > 0.0
+        value[b] = reference_value(spec.value_expr(b), t)
+        psi[b] = (value[b] - spec.cost(b)) * survive
 
     def term(p, b):
         out = psi[b] - psi[p]
-        out[~sellable[b]] = -np.inf
-        if blocked[b] or blocked[p]:
-            out[0] = -np.inf
+        out[value[b] <= 0.0] = -np.inf
         return out
 
     return term
@@ -477,6 +473,23 @@ def reference_inv_hazard(dist, t):
         idx = np.clip(np.searchsorted(good, np.flatnonzero(bad)), 0, good.size - 1)
         out[bad] = out[good[idx]]
     return float(out[0]) if np.asarray(t).ndim == 0 else out
+
+
+def reference_envelope_trapezoid(spec, grid_size):
+    """E[max(0, max_b virtual surplus)] by the trapezoid rule on ``grid_size``
+    evenly spaced types: v, v', (1-F)/f and the density 1/Q'(F(t)) from the
+    formulas above.  An independent check on ``menu.relaxed_bound``."""
+    dist = spec.dist
+    t = np.linspace(dist.lo, dist.hi, grid_size)
+    hazard = reference_inv_hazard(dist, t)
+    env = np.zeros(t.size)
+    for b in spec.nonzero_bundles():
+        expr = spec.value_expr(b)
+        with np.errstate(invalid="ignore"):  # -inf virtual surplus at a singular bottom type
+            phi = reference_value(expr, t) - spec.cost(b) - hazard * reference_slope(expr, t)
+        env = np.maximum(env, phi)
+    density = 1.0 / reference_quantile_slope(dist, reference_cdf(dist, t))
+    return float(np.trapezoid(env * density, t))
 
 
 def reference_marginal_profit(spec, b, q):

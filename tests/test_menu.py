@@ -17,6 +17,7 @@ from bundleopt import (
 )
 from bundleopt.dominance import check_menu_optimality
 from bundleopt.menu import (
+    BOUND_GAP_TOL,
     MechanismSolution,
     MonotonicityError,
     NestingError,
@@ -33,6 +34,7 @@ from support import (
     ic_report,
     iter_chains,
     random_instance_doc,
+    reference_envelope_trapezoid,
     single_item_doc,
     two_item_base_test,
     two_item_spec,
@@ -145,6 +147,52 @@ def test_relaxed_bound_attained_under_nesting():
     spec, profiles, rel = _pipeline(1.0, 0.5)
     menu = solve_nested_menu(spec, rel)
     assert abs(menu.expected_profit - relaxed_bound(spec)) <= 1e-6
+
+
+FAMILY = [(0.3, 0.5), (1.4, 0.5), (0.4, 4.5), (1.9, 4.5)]
+
+
+@pytest.mark.parametrize("beta, gamma", FAMILY)
+def test_profit_and_bound_are_grid_independent(beta, gamma):
+    # both sum (v - c)(1 - F) at exact switch points, so the grid only
+    # brackets those points; the gamma = 4.5 members are not nested
+    bounds, profits = [], []
+    for n in (1025, 4097, 16385):
+        spec, _profiles, rel = _pipeline(beta, gamma, grid_size=n)
+        bounds.append(relaxed_bound(spec))
+        if rel.nested:
+            profits.append(solve_nested_menu(spec, rel).expected_profit)
+    assert np.ptp(bounds) <= 1e-12
+    assert len(profits) == (3 if gamma < 1 else 0)
+    assert np.ptp(profits or [0.0]) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, gamma", FAMILY)
+def test_relaxed_bound_matches_fine_trapezoid(beta, gamma):
+    # within the trapezoid's own error, estimated from the rule on the grid
+    # of half the points
+    spec = two_item_spec(beta, gamma)
+    bound = relaxed_bound(spec)
+    fine = reference_envelope_trapezoid(spec, 16385)
+    coarse = reference_envelope_trapezoid(spec, 8193)
+    assert abs(fine - bound) <= abs(coarse - fine)
+    assert abs(fine - bound) <= BOUND_GAP_TOL
+
+
+def test_virtual_profit_finite_with_singular_bottom_type():
+    # v = 0.5 + t^0.5 has v'(0) = inf, so the virtual surplus is -inf at the
+    # bottom type; priced at v(0) the item sells to every type, and the
+    # closed form (v - c)(1 - F) is finite there
+    doc = single_item_doc(exp=0.5)
+    doc["values"]["[1]"]["const"] = 0.5
+    spec = load_spec(doc)
+    assert np.isneginf(spec.surplus_rows[1][0])
+    sol = simulate_menu(spec, [1], [0.5])
+    assert sol.segments[-1][:3] == (0.0, 1.0, 1)
+    assert sol.bottom_utility == 0.0
+    assert np.isfinite(sol.virtual_profit)
+    assert sol.virtual_profit == pytest.approx(sol.expected_profit, abs=1e-15)
+    assert sol.expected_profit == pytest.approx(0.5, abs=1e-15)
 
 
 def test_relaxed_bound_strictly_above_nested_when_not_nested():
@@ -537,7 +585,7 @@ def test_quantile_table_full_pipeline():
     menu = solve_nested_menu(spec, rel)
     assert abs(menu.expected_profit - relaxed_bound(spec)) <= 1e-6
     sol = simulate_menu(spec, list(menu.bundles), list(menu.prices))
-    assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-4  # table hazard is O(h) near knots
+    assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-12
     from bundleopt.oracle import DiscretizedInstance, compare, solve_lp
 
     inst = DiscretizedInstance.from_spec(spec, 101)
@@ -573,24 +621,23 @@ def test_non_chain_menu_without_prices_refused():
         evaluate_menu(spec, [0b01, 0b10])
 
 
-def test_segment_virtual_profit_reads_surplus_rows(monkeypatch):
-    # the revenue-equivalence integral of a posted menu reads the virtual
-    # surplus rows inside each sold segment; v and v' are evaluated only at
-    # the two exact ends of each of the five segments
+def test_segment_virtual_profit_evaluates_no_arrays(monkeypatch):
+    # the revenue-equivalence sum of a posted menu is closed form: v is
+    # evaluated at the two exact ends of each sold segment, on scalars only,
+    # and v' not at all
     spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
     _sol, chain = best_nested_menu(spec)
     _cutoffs, prices = optimize_chain(spec, chain)
-    sizes = []
+    calls = []
     for name in ("__call__", "slope"):
         original = getattr(MonomialSum, name)
 
         def counting(self, t, powers=None, _name=name, _original=original):
-            if np.ndim(t) >= 1:
-                sizes.append((_name, np.size(t)))
+            calls.append((_name, np.ndim(t)))
             return _original(self, t, powers)
 
         monkeypatch.setattr(MonomialSum, name, counting)
     sol = simulate_menu(spec, chain, prices)
     assert chain == [0b100, 0b10100, 0b10101, 0b11101, 0b11111]
-    assert sorted(sizes) == [("__call__", 2)] * 5 + [("slope", 2)] * 5
-    assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-5
+    assert set(calls) == {("__call__", 0)}
+    assert abs(sol.expected_profit - sol.virtual_profit) <= 1e-12

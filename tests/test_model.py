@@ -298,7 +298,7 @@ def test_uniform_quantile_cdf_roundtrip():
     dist = TypeDistribution.uniform(0.0, 2.0)
     t = np.linspace(0.0, 2.0, 1001)
     assert np.max(np.abs(dist.quantile(dist.cdf(t)) - t)) <= 1e-9
-    assert dist.pdf(1.0) == pytest.approx(0.5)
+    assert dist.quantile_slope(0.5) == pytest.approx(2.0)
     assert dist.inv_hazard(0.5) == pytest.approx(1.5)
 
 
@@ -525,9 +525,10 @@ def test_check_spec_raises_on_hard_failures_and_defers_warnings():
 
 
 def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
-    # Full-grid evaluations of v(b, .) per bundle: one for each of the three
-    # tables (values and virtual surplus on t_grid, inverse demand on q_grid);
-    # simulate_menu reads the value rows of the best chain it prices.
+    # Full-grid evaluations of v(b, .) per bundle: one for each of the two
+    # tables the pipeline reads (values on t_grid, inverse demand on q_grid);
+    # the chain search and simulate_menu read the value rows, so no virtual
+    # surplus table is built.
     calls = {}
     original = MonomialSum.__call__
 
@@ -541,7 +542,7 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     compute_profiles(spec)
     best_nested_menu(spec)
     for b in spec.nonzero_bundles():
-        assert calls[id(spec.values[b])] == 3, format_bundle(b)
+        assert calls[id(spec.values[b])] == 2, format_bundle(b)
 
 
 def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):

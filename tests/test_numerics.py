@@ -177,7 +177,7 @@ def test_switch_points_lie_in_their_cells():
 
 def _chain_dp_pool():
     """Seeded 2-6 item specs at grid 1025: with and without costs, a quantile
-    table, a constant in every value (a blocked bottom type at a positive
+    table, a constant in every value (the bottom type can buy at a positive
     price), and one with only the single items and the grand bundle."""
     u = np.linspace(0.0, 1.0, 65)
     table = {"kind": "quantile_table", "u": u.tolist(), "t": (0.5 * (u + u**2)).tolist()}
@@ -204,17 +204,14 @@ def _same_chain(got, want):
 def test_chain_dp_matches_pairwise_reference():
     # the same path as the pairwise DP it replaced, and its value within 4 ulps,
     # on the continuum grid and on m = 51 and 201 discrete types
-    blocked = quantile = sparse = 0
+    quantile = sparse = 0
     for spec in _chain_dp_pool():
         bundles = spec.nonzero_bundles()
-        blocked += any(not np.isfinite(spec.surplus_rows[b][0]) for b in bundles)
         quantile += spec.dist.kind == "quantile_table"
         sparse += 1 << spec.n_items > 2 * len(bundles)
         psi = _chain_potentials(spec, bundles)
-        for b in bundles:  # -inf at a nonpositive price and at a blocked bottom type
-            masked = spec.value_rows[b] <= 0.0
-            masked[0] |= not np.isfinite(spec.surplus_rows[b][0])
-            assert np.array_equal(np.isneginf(psi[b]), masked)
+        for b in bundles:  # -inf exactly at a nonpositive price
+            assert np.array_equal(np.isneginf(psi[b]), spec.value_rows[b] <= 0.0)
         value, path = chain_dp(psi, bundles)
         assert all(k1 < k2 for (_b1, k1), (_b2, k2) in zip(path, path[1:]))
         want = reference_chain_dp(reference_chain_terms(spec, bundles), bundles)
@@ -231,7 +228,7 @@ def test_chain_dp_matches_pairwise_reference():
                 chain_dp(_discrete_potentials(inst, bundles), bundles),
                 reference_chain_dp(reference_discrete_terms(inst), bundles),
             )
-    assert blocked and quantile and sparse
+    assert quantile and sparse
 
 
 def test_chain_dp_ties_match_pairwise_reference():

@@ -403,7 +403,8 @@ def test_best_nested_discrete_matches_lp_under_nesting():
 @pytest.mark.parametrize("seed", range(4))
 def test_lattice_dp_matches_chain_enumeration(seed, n_items):
     # seeds 0-3 give instances with and without costs, nested and non-nested
-    # undominated sets, and fractional exponents (bottom type blocked)
+    # undominated sets, and fractional exponents (virtual surplus -inf at the
+    # bottom type)
     rng = np.random.default_rng(seed)
     spec = load_spec(random_instance_doc(rng, n_items=n_items, grid_size=1025))
     chains = iter_chains(spec.nonzero_bundles())
