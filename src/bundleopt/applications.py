@@ -38,6 +38,8 @@ from .model import (
 from .numerics import count_descents_to_ascents, rising_root
 
 TIE_TOL = 1e-9
+NET_TOL = 1e-12  # screening: a net value or step this close to 0 is rounding, not a sign
+NET_DROP_TOL = 1e-10  # screening: a net value may fall this much per grid step and still rise
 CROSSCHECK_TOL = 1e-9  # envelope menu vs solver menu profit on the quality embedding
 TRANSITION_TOL = 1e-4  # bisection width of a refined menu change point
 
@@ -166,7 +168,7 @@ def _crosscheck_against_solver(problem, menu_idx) -> None:
         raise RuntimeError(
             f"solver menu {sorted(solver_idx)} not contained in envelope menu {sorted(menu_set)}"
         )
-    _pick, _points, profit = _envelope(spec, [(2 << k) - 1 for k in sorted(menu_set)])
+    _owners, _points, profit = _envelope(spec, [(2 << k) - 1 for k in sorted(menu_set)])
     if abs(profit - solved.expected_profit) > CROSSCHECK_TOL:
         raise RuntimeError(
             f"envelope menu {sorted(menu_set)} earns {profit:.12g}, solver menu "
@@ -287,7 +289,7 @@ class ScreeningProblem:
             (i, j)
             for i, good in enumerate(self.goods)
             for j, opt_out in enumerate(self.opt_outs)
-            if np.max(good.value_rows[1] - opt_out.value_rows[1] - self.quality.costs[i]) > 1e-12
+            if np.max(good.value_rows[1] - opt_out.value_rows[1] - self.quality.costs[i]) > NET_TOL
         )
 
 
@@ -315,7 +317,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     cv = [o.value_rows[1] for o in problem.opt_outs]
 
     for j, c in enumerate(cv):
-        if np.any(np.diff(c) <= 0.0) or np.any(c < -1e-12):
+        if np.any(np.diff(c) <= 0.0) or np.any(c < -NET_TOL):
             raise SpecError(
                 f"disutility of action {j} must be nonnegative and strictly increasing "
                 "in type; nonincreasing disutilities never support costly screening "
@@ -327,6 +329,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     profiles_y = [compute_profile(o, 1) for o in problem.opt_outs]
     d_x = np.array([p.d_star for p in profiles_x])
     d_y = np.array([p.d_star for p in profiles_y])
+    psi_x, psi_y = ([p.potential_rows[1] for p in ps] for ps in (problem.goods, problem.opt_outs))
 
     x_star = int(np.flatnonzero(d_x >= d_x.max() - TIE_TOL)[-1])
     y_star = int(np.flatnonzero(d_y <= d_y.min() + TIE_TOL)[0])
@@ -354,8 +357,9 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     # a surplus-positive allocation whose net value falls in type screens trivially
     for i, j in problem.surplus_pairs:
         net = u[i] - cv[j]
-        pos = net[:-1] > 1e-12
-        if np.any(pos) and np.all(np.diff(net)[pos] < 1e-12) and np.any(np.diff(net)[pos] < -1e-12):
+        pos = net[:-1] > NET_TOL
+        steps = np.diff(net)[pos]
+        if np.any(pos) and np.all(steps < NET_TOL) and np.any(steps < -NET_TOL):
             report.status = "trivially_optimal"
             report.optimal = True
             report.messages.append(
@@ -365,23 +369,24 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
 
     checked = set(problem.surplus_pairs) | {(x_star, y_star)}
     failures = []
+    t = problem.goods[0].t_grid
     for i, j in sorted(checked):
         net = u[i] - cv[j]
-        pos = net[:-1] > 1e-12
-        if np.any(pos & (np.diff(net) < -1e-10)):
+        pos = net[:-1] > NET_TOL
+        if np.any(pos & (np.diff(net) < -NET_DROP_TOL)):
             failures.append(f"net value of quality {i} minus action {j} not increasing where positive")
-        k = int(min(d_x[i], d_y[j]) * (problem.quality.grid_size - 1))
-        net_profit = profiles_x[i].profit[: k + 1] - profiles_y[j].profit[: k + 1]
-        if k >= 2 and count_descents_to_ascents(net_profit) > 0:
+        k = int(np.searchsorted(t, max(profiles_x[i].t_star, profiles_y[j].t_star)))
+        net_profit = psi_x[i][k:] - psi_y[j][k:]  # the types above both peaks
+        if k <= t.size - 3 and count_descents_to_ascents(net_profit) > 0:
             failures.append(
                 f"net profit of quality {i} minus action {j} multi-peaked below both volumes"
             )
 
-    for i, p in enumerate(profiles_x):
-        if count_descents_to_ascents(p.profit) > 0:
+    for i, psi in enumerate(psi_x):
+        if count_descents_to_ascents(psi) > 0:
             failures.append(f"profit curve of quality {i} is multi-peaked")
-    for j, p in enumerate(profiles_y):
-        if count_descents_to_ascents(p.profit) > 0:
+    for j, psi in enumerate(psi_y):
+        if count_descents_to_ascents(psi) > 0:
             failures.append(f"opt-out profit curve of action {j} is multi-peaked")
 
     if failures:

@@ -122,12 +122,12 @@ def cmd_analyze(args) -> int:
     profiles = compute_profiles(spec)
     summary_rows = []
     for b in sorted(profiles):
-        p = profiles[b]
+        p, price = profiles[b], spec.price_rows[b]
         eta = elasticity_grid(spec, b, cost_adjusted=False)
         eta_t = elasticity_grid(spec, b, cost_adjusted=True)
         text = _csv_text(
             prov, ["q", "price", "profit", "eta", "eta_cost_adjusted"],
-            [p.q_grid, p.price, p.profit, eta, eta_t],
+            [spec.q_grid, price, (price - spec.cost(b)) * spec.q_grid, eta, eta_t],
         )
         summary = (f"# summary d_star={_fmt(p.d_star)} t_star={_fmt(p.t_star)} "
                    f"peak_profit={_fmt(p.peak_profit)}\n")

@@ -1,7 +1,8 @@
 """Per-bundle demand curves, profit curves, sales volumes, price elasticities.
 
-Everything here is a pure function of an immutable ProblemSpec, evaluated on
-the shared quantity grid so curves are directly comparable across bundles.
+Everything here is a pure function of an immutable ProblemSpec.  Sales
+volumes are read off each bundle's potential on the type grid
+(``ProblemSpec.potential_rows``); only elasticities read the quantity grid.
 """
 
 from __future__ import annotations
@@ -45,23 +46,18 @@ def marginal_profit(spec: ProblemSpec, b: int, q):
 
 
 def sales_volume(spec: ProblemSpec, b: int) -> float:
-    """Profit-maximizing quantity D*(b) of bundle b sold alone, on [0, 1].
+    """Profit-maximizing quantity D*(b) = 1 - F(t*) of bundle b sold alone, on [0, 1].
 
-    The maximum of b's profit row (``ProblemSpec.profit_rows``) on the spec's
-    quantity grid brackets the peak, and the root of the analytic marginal
-    profit there is the stationary point (numerics.scanned_max).  Warns
-    (numerics.MultiplePeaksWarning) when near-tied maxima suggest the
-    uniqueness assumption is violated, returning the smallest; raises
-    ValueError for a bundle without a value expression.  ``compute_profile``
-    calls this, for the screening criterion's one-item specs too.
+    t* maximizes b's potential Psi_b: its row's maximum on ``t_grid``, scanned
+    from the top type down, brackets the peak and the root of -phi_b, Psi_b's
+    slope up to the density f, polishes it (numerics.scanned_max).  Near-tied
+    maxima warn (numerics.MultiplePeaksWarning) and keep the largest t*, the
+    smallest D*.  Raises ValueError for a bundle without a value expression.
     """
-    return scanned_max(
-        lambda q: profit_curve(spec, b, q),
-        spec.q_grid,
-        spec.profit_rows[b],
-        lambda q: marginal_profit(spec, b, q),
-        warn_label=f"profit of {format_bundle(b)}",
-    )
+    t_star = scanned_max(lambda t: spec.potential(b, t), spec.t_grid[::-1],
+                         spec.potential_rows[b][::-1], lambda t: -virtual_surplus(spec, b, t),
+                         f"profit of {format_bundle(b)}")
+    return 1.0 - spec.dist.cdf(t_star)
 
 
 def elasticity(spec: ProblemSpec, b: int, q: float, cost_adjusted: bool = False) -> float:
@@ -108,12 +104,9 @@ def _elasticity(spec: ProblemSpec, b: int, q, p, dp, cost_adjusted: bool):
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Demand-side summary of one bundle on the shared quantity grid."""
+    """Sales volume of one bundle sold alone, its marginal type and peak profit."""
 
     bundle: int
-    q_grid: np.ndarray
-    price: np.ndarray
-    profit: np.ndarray
     d_star: float
     t_star: float
     peak_profit: float
@@ -124,16 +117,11 @@ class DemandProfile:
 
 
 def compute_profile(spec: ProblemSpec, b: int) -> DemandProfile:
+    """``sales_volume`` of b, the type t* = Q(1 - D*) of its marginal buyer and
+    the potential Psi_b(t*) it earns there."""
     d_star = sales_volume(spec, b)
-    return DemandProfile(
-        bundle=b,
-        q_grid=spec.q_grid,
-        price=spec.price_rows[b],
-        profit=spec.profit_rows[b],
-        d_star=d_star,
-        t_star=float(spec.dist.quantile(1.0 - d_star)),
-        peak_profit=float(profit_curve(spec, b, d_star)),
-    )
+    t_star = float(spec.dist.quantile(1.0 - d_star))
+    return DemandProfile(b, d_star, t_star, float(spec.potential(b, t_star)))
 
 
 def compute_profiles(spec: ProblemSpec) -> dict[int, DemandProfile]:

@@ -4,13 +4,14 @@ The solver works in type space.  The virtual surplus of a bundle at type t
 equals the marginal profit of selling the bundle alone at the quantity whose
 marginal consumer is t, so profit-maximizing cutoffs are crossings of virtual
 surplus curves.  No expectation needs quadrature: f * phi_b = -dPsi_b/dt for
-Psi_b(t) = (v(b, t) - C(b)) * (1 - F(t)), so integrating by parts, the
-virtual surplus of b over types [s, s'] earns Psi_b(s) - Psi_b(s') (Myerson
-1981; Mussa & Rosen 1978), and an envelope's expectation is that sum over the
-exact switch points of its grid argmax (``_envelope``).  Under nesting the
-minimal optimal menu is the grid argmax of the undominated chain's virtual
-surplus curves (``_envelope_chain``): both ``solve_nested_menu`` and
-``envelope_allocation`` read it.
+the potential Psi_b(t) = (v(b, t) - C(b)) * (1 - F(t)) (``ProblemSpec.potential``,
+whose grid rows the chain DP reads), so the virtual surplus of b over types
+[s, s'] earns Psi_b(s) - Psi_b(s') (Myerson 1981; Mussa & Rosen 1978), and an
+envelope's expectation is that sum over the exact switch points of its grid
+argmax (``_envelope``).  Under nesting the minimal optimal menu is the grid
+argmax of the undominated chain's virtual surplus curves (``_envelope_chain``,
+the all-bundle envelope when the chain owns its runs): both
+``solve_nested_menu`` and ``envelope_allocation`` read it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .numerics import chain_dp, rising_root, switch_points
 
 PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
 REVENUE_EQ_TOL = 1e-5  # simulated vs virtual-surplus profit of a posted menu
+BOTTOM_UTILITY_TOL = 1e-9  # bottom-type utility that is rounding: revenue equivalence holds
 BOUND_GAP_TOL = 1e-6  # menu profit vs relaxed bound for a VALID certificate
 
 
@@ -77,15 +79,10 @@ def last_crossing(spec: ProblemSpec, b1: int, b2: int) -> CrossingRecord:
     return CrossingRecord(b_small=b1, b_big=b2, s=s, chi=float(virtual_surplus(spec, b1, s)))
 
 
-def _potential(spec: ProblemSpec, b: int, t):
-    """Psi_b(t) = (v(b, t) - C(b)) * (1 - F(t)), with f * phi_b = -dPsi_b/dt."""
-    return (spec.value(b, t) - spec.cost(b)) * (1.0 - spec.dist.cdf(t))
-
-
 def _segment_virtual_profit(spec: ProblemSpec, segments) -> float:
     """E[virtual surplus of the bundle each type takes]: Psi_b(lo) - Psi_b(hi)
     summed over the segments (lo, hi, b, ...) that bundle b owns."""
-    return float(sum(_potential(spec, b, lo) - _potential(spec, b, hi)
+    return float(sum(spec.potential(b, lo) - spec.potential(b, hi)
                      for lo, hi, b, *_ in segments if b))
 
 
@@ -99,13 +96,13 @@ def _runs(t: np.ndarray, pick: np.ndarray, points) -> list:
 def _envelope(spec: ProblemSpec, members: Sequence[int]):
     """The grid argmax of 0 and ``members``' virtual surplus curves (ties to the
     earlier row), its ``switch_points`` and E[max(0, max over members of phi_b)]
-    summed in closed form over its runs.  Returns (pick, points, expectation);
-    pick indexes [0, *members]."""
+    summed in closed form over its runs.  Returns (owners, points,
+    expectation); owners is the mask picked at each grid point."""
     rows, t = [0, *members], spec.t_grid
     curves = np.stack([np.zeros(t.size)] + [spec.surplus_rows[b] for b in members])
     pick, points = switch_points(curves, t, lambda a, b: _surplus_gap(spec, rows[b], rows[a]))
-    runs = [(lo, hi, rows[r]) for lo, hi, r in _runs(t, pick, points)]
-    return pick, points, _segment_virtual_profit(spec, runs)
+    owners = np.asarray(rows)[pick]
+    return owners, points, _segment_virtual_profit(spec, _runs(t, owners, points))
 
 
 def relaxed_bound(spec: ProblemSpec) -> float:
@@ -201,7 +198,7 @@ def simulate_menu(
         expected_profit=float(profit),
         virtual_profit=float(vprofit),
     )
-    if sol.bottom_utility <= 1e-9 and abs(profit - vprofit) > REVENUE_EQ_TOL:
+    if sol.bottom_utility <= BOTTOM_UTILITY_TOL and abs(profit - vprofit) > REVENUE_EQ_TOL:
         raise RuntimeError(
             f"revenue equivalence violated: simulated {profit:.9g} vs "
             f"virtual-surplus {vprofit:.9g}"
@@ -213,18 +210,10 @@ def simulate_menu(
 # optimal cutoffs for a fixed chain
 
 
-def _chain_potentials(spec: ProblemSpec, bundles: Sequence[int]):
-    """Continuum ``numerics.chain_dp`` potentials on the type grid.
-
-    Psi_b[k] = (v(b, t_k) - C(b)) * (1 - F(t_k)) (``_potential``), b's virtual
-    surplus over the types above t_k; -inf at cutoffs where the posted price
-    v(b, t) would be nonpositive.
-    """
-    survive = 1.0 - spec.dist.cdf(spec.t_grid)
-    return {
-        b: np.where(spec.value_rows[b] > 0.0, (spec.value_rows[b] - spec.cost(b)) * survive, -np.inf)
-        for b in bundles
-    }
+def _priced_potentials(spec: ProblemSpec, bundles: Sequence[int]):
+    """``numerics.chain_dp`` potentials on the type grid: ``potential_rows``,
+    -inf at cutoffs where the posted price v(b, t) would be nonpositive."""
+    return {b: np.where(spec.value_rows[b] > 0.0, spec.potential_rows[b], -np.inf) for b in bundles}
 
 
 def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
@@ -239,7 +228,7 @@ def optimize_chain(spec: ProblemSpec, bundles: Sequence[int]):
     and the priced-out member takes its cutoff.  Returns (cutoffs, prices).
     """
     chain = sorted(bundles)
-    value, path = chain_dp(_chain_potentials(spec, chain), chain, fixed=True)
+    value, path = chain_dp(_priced_potentials(spec, chain), chain, fixed=True)
     if not np.isfinite(value):
         raise ValueError("no feasible positive-price cutoffs for this chain")
 
@@ -290,7 +279,7 @@ def best_nested_menu(spec: ProblemSpec):
     O(n * 2^n * grid); only that chain is priced and simulated.  Returns (solution, chain).
     """
     bundles = spec.nonzero_bundles()
-    _value, path = chain_dp(_chain_potentials(spec, bundles), bundles)
+    _value, path = chain_dp(_priced_potentials(spec, bundles), bundles)
     chain = [b for b, _k in path]
     return evaluate_menu(spec, chain), chain
 
@@ -333,27 +322,31 @@ def _envelope_chain(spec: ProblemSpec, relation: DominanceRelation):
     Each type takes the undominated bundle with the largest virtual surplus,
     or nothing when every surplus is negative (ties to the smaller bundle);
     a bundle joins the menu where the argmax steps up to it, at the exact
-    crossing from ``numerics.switch_points``.  The allocation must be
-    monotone in set inclusion along the type axis.  Returns (bundles,
-    cutoffs, expectation) (``_envelope``); a bundle the bottom type already
-    takes has cutoff t[0].
+    crossing from ``numerics.switch_points``.  The all-bundle envelope gives
+    the bound; where 0 and undominated bundles own all its runs it is the
+    chain's too (same picks, ties and roots), else the chain's is computed.
+    The allocation must be monotone in set inclusion along the type axis.
+    Returns (bundles, cutoffs, expectation, bound); a bundle the bottom type
+    already takes has cutoff t[0].
     """
     if not relation.nested:
         raise NestingError("undominated bundles are not nested; run `verify` for the LP route")
-    members = [0, *sorted(relation.undominated)]  # the empty bundle earns 0
-    pick, points, profit = _envelope(spec, members[1:])  # ties to the smaller bundle
+    owners, points, bound = _envelope(spec, spec.nonzero_bundles())
+    profit = bound
+    if not np.isin(owners, [0, *relation.undominated]).all():
+        owners, points, profit = _envelope(spec, sorted(relation.undominated))
     t = spec.t_grid
-    if np.any(np.diff(pick) < 0):
-        k = int(np.flatnonzero(np.diff(pick) < 0)[0]) + 1
+    if np.any(np.diff(owners) < 0):  # masks of a chain ascend with inclusion
+        k = int(np.flatnonzero(np.diff(owners) < 0)[0]) + 1
         raise MonotonicityError(
             f"envelope allocation not monotone at t={t[k]:.9g}; "
             "local quasi-concavity likely fails"
         )
-    bundles = [members[pick[k + 1]] for k, _cut in points]
+    bundles = [int(owners[k + 1]) for k, _cut in points]
     cutoffs = [cut for _k, cut in points]
-    if pick[0] > 0:  # the bottom type already buys
-        bundles, cutoffs = [members[pick[0]], *bundles], [float(t[0]), *cutoffs]
-    return bundles, cutoffs, profit
+    if owners[0] > 0:  # the bottom type already buys
+        bundles, cutoffs = [int(owners[0]), *bundles], [float(t[0]), *cutoffs]
+    return bundles, cutoffs, profit, bound
 
 
 def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedMenu:
@@ -369,7 +362,7 @@ def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedM
     report has no warnings and the profit attains the bound within
     ``BOUND_GAP_TOL``.
     """
-    bundles, cutoffs, profit = _envelope_chain(spec, relation)
+    bundles, cutoffs, profit, bound = _envelope_chain(spec, relation)
     quantities = tuple(float(1.0 - spec.dist.cdf(s)) for s in cutoffs)
     prices = _chain_prices(spec, bundles, cutoffs)
     upgrades = tuple(float(u) for u in np.diff(prices, prepend=0.0))
@@ -377,7 +370,6 @@ def solve_nested_menu(spec: ProblemSpec, relation: DominanceRelation) -> NestedM
     invalid_reasons = []
     if spec.validation.warnings:
         invalid_reasons.append("validation warnings present")
-    bound = relaxed_bound(spec)
     if abs(profit - bound) > BOUND_GAP_TOL:
         invalid_reasons.append(
             f"menu profit {profit:.9g} does not attain the relaxed bound {bound:.9g}"
@@ -401,5 +393,5 @@ def envelope_allocation(spec: ProblemSpec, relation: DominanceRelation) -> Mecha
     The menu of ``_envelope_chain``, priced from its exact cutoff crossings
     and simulated for the final solution object.
     """
-    bundles, cutoffs, _profit = _envelope_chain(spec, relation)
+    bundles, cutoffs, _profit, _bound = _envelope_chain(spec, relation)
     return simulate_menu(spec, bundles, _chain_prices(spec, bundles, cutoffs))

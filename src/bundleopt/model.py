@@ -351,6 +351,11 @@ class ProblemSpec:
             inv_hazard = self.dist.inv_hazard(t)
         return expr(t, powers) - self.cost(b) - inv_hazard * expr.slope(t, powers)
 
+    def potential(self, b: int, t):
+        """Psi_b(t) = (v(b, t) - C(b)) * (1 - F(t)), the profit of selling b alone to
+        the types above t; -dPsi_b/dt = f * virtual surplus (Myerson 1981)."""
+        return (self.value(b, t) - self.cost(b)) * (1.0 - self.dist.cdf(t))
+
     def nonzero_bundles(self) -> tuple[int, ...]:
         """Bundles with a non-trivial value expression, ascending by mask."""
         return tuple(sorted(b for b, v in self.values.items() if b != 0 and not v.is_zero()))
@@ -370,14 +375,15 @@ class ProblemSpec:
 
     @cached_property
     def price_rows(self) -> "GridRows":
-        """Inverse demand v(b, Q(1-q)) on ``q_grid``."""
+        """Inverse demand v(b, Q(1-q)) on ``q_grid``, read by elasticities and ``analyze``."""
         powers = Powers(self.price_types)
         return self._table(lambda b: self.value(b, powers.grid, powers))
 
     @cached_property
-    def profit_rows(self) -> "GridRows":
-        """Profit (P(b, q) - C(b)) * q of bundle b sold alone, on ``q_grid``."""
-        return self._table(lambda b: (self.price_rows[b] - self.cost(b)) * self.q_grid)
+    def potential_rows(self) -> "GridRows":
+        """``potential`` on ``t_grid``, from the value rows and one row of 1 - F."""
+        survive = 1.0 - self.dist.cdf(self.t_grid)
+        return self._table(lambda b: (self.value_rows[b] - self.cost(b)) * survive)
 
     @cached_property
     def surplus_rows(self) -> "GridRows":
@@ -688,12 +694,13 @@ class ValidationReport:
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     """Grid checks: monotone incremental values (hard), single-peaked profit
     and incremental profit curves (warnings only, so near-degenerate cases
-    remain explorable)."""
+    remain explorable), on the potential rows; a pair's incremental profit is
+    read above both grid peaks, each the largest type among tied maxima."""
     report = ValidationReport()
     bundles = spec.nonzero_bundles()
 
-    profits = spec.profit_rows
-    d_star_idx = {b: int(profits[b].argmax()) for b in bundles}
+    profits = spec.potential_rows
+    from_top = {b: int(profits[b][::-1].argmax()) for b in bundles}  # grid steps down to the peak
     for b in bundles:
         if count_descents_to_ascents(profits[b]) > 0:
             report.warnings.append(
@@ -710,9 +717,9 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
                 f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
                 "is locally flat where positive"
             )
-        k = min(d_star_idx[b1], d_star_idx[b2])
+        k = min(from_top[b1], from_top[b2])
         if k >= 2:
-            inc_profit = profits[b2][: k + 1] - profits[b1][: k + 1]
+            inc_profit = profits[b2][-k - 1:] - profits[b1][-k - 1:]
             if count_descents_to_ascents(inc_profit) > 0:
                 report.warnings.append(
                     f"incremental profit {format_bundle(b1)} -> {format_bundle(b2)} "

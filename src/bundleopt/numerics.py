@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 TIE_TOL = 1e-12  # grid values this close to the maximum count as tied
+PEAK_LOSS_TOL = 1e-12  # a polished peak this far below the grid maximum is rounding
 ROOT_XTOL, ROOT_RTOL = 1e-14, 4 * math.ulp(1.0)  # Brent's tolerances: absolute, relative
 ROOT_MAXITER = 100
 
@@ -94,15 +95,17 @@ def scanned_max(
     slope: Callable[[float], float],
     warn_label: str = "",
 ) -> float:
-    """Argmax of f on [xs[0], xs[-1]] given its values ``ys`` on the sorted grid ``xs``.
+    """Argmax of f between the ends of the grid ``xs`` (ascending or descending),
+    given its values ``ys`` there.
 
     The grid maximum xs[k] brackets the peak between its two neighbours,
-    where the stationary point is the root of the analytic ``slope``, solved
-    to near machine precision.  The root is returned when it lies strictly
-    inside the bracket and f there is within 1e-12 of ys[k]; otherwise the
-    grid point is, so a peak at an end of the grid is returned exactly.
+    where the stationary point is the root of the analytic ``slope`` (df/dx),
+    solved to near machine precision.  The root is returned when it lies
+    strictly inside the bracket and f there is within ``PEAK_LOSS_TOL`` of
+    ys[k]; otherwise the grid point is, so a peak at an end of the grid is
+    returned exactly.
     Non-adjacent grid maxima within ``TIE_TOL`` of the best trigger
-    MultiplePeaksWarning and the smallest argmax is kept.
+    MultiplePeaksWarning and the first along the grid is kept.
     """
     ys = np.asarray(ys, dtype=float)
     near = np.flatnonzero(ys >= ys.max() - TIE_TOL)
@@ -111,15 +114,14 @@ def scanned_max(
     if near.size >= 3 or (near.size == 2 and near[1] - near[0] > 1):
         warnings.warn(
             f"multiple near-tied maxima{' for ' + warn_label if warn_label else ''}; "
-            "keeping the smallest argument",
+            "keeping the first along the grid",
             MultiplePeaksWarning,
             stacklevel=2,
         )
     k = int(near[0])
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, xs.size - 1)]
+    a, b = sorted((float(xs[max(k - 1, 0)]), float(xs[min(k + 1, xs.size - 1)])))
     r = rising_root(lambda z: -slope(z), a, b)
-    if r is not None and a < r < b and f(r) >= ys[k] - 1e-12:
+    if r is not None and a < r < b and f(r) >= ys[k] - PEAK_LOSS_TOL:
         return r
     return float(xs[k])
 

@@ -27,22 +27,21 @@ lottery mass.  Telescoping the payments along the adjacent rows, with
 W_k = sum_{i >= k} w_i the mass of types k and up, leaves profit
 sum_k sum_j a[k, j] phi_j(k) with
 
-    phi_j(k) = W_k v_j(t_k) - W_{k+1} v_j(t_{k+1}) - w_k c_j   (t_m term 0),
+    phi_j(k) = Psi_j(k) - Psi_j(k+1),   Psi_j(k) = (v_j(t_k) - c_j) W_k   (Psi_j(m) = 0),
 
-on equal weights ((m-k) v_j(t_k) - (m-k-1) v_j(t_{k+1}) - c_j) / m, the
-discrete virtual surplus.  The relaxation's optimum is pointwise: type k
-gets the bundle of largest phi_j(k), or nothing where that maximum is <= 0,
-and pays by the binding rows, p_0 = v_{a_0}(t_0) and p_k = p_{k-1} +
-v_{a_k}(t_k) - v_{a_{k-1}}(t_k).  Explicit duals prove it optimal: W_k on
-IC row (k, k-1), W_0 = 1 on the bottom IR row, y_k = max(0, max_j
+the discrete virtual surplus, from the potentials that the nested-chain DP
+also reads (``DiscretizedInstance.potentials``).  The relaxation's optimum is
+pointwise: type k gets the bundle of largest phi_j(k), or nothing where that
+maximum is <= 0, and pays by the binding rows, p_0 = v_{a_0}(t_0) and p_k =
+p_{k-1} + v_{a_k}(t_k) - v_{a_{k-1}}(t_k).  Explicit duals prove it optimal:
+W_k on IC row (k, k-1), W_0 = 1 on the bottom IR row, y_k = max(0, max_j
 phi_j(k)) on lottery mass and 0 on every other row, so every lottery
 column's reduced cost is y_k - phi_j(k) >= 0, every payment column's is
 W_k - W_{k+1} - w_k = 0, and the dual objective is R = sum_k y_k, the
 pointwise mechanism's profit.  These duals are feasible on every instance,
 so the mechanism is the LP's optimum exactly when it satisfies all of the
 LP's rows; it fails some where the optimum needs ironing (a pointwise
-argmax that falls in t), where values fall in t, or without single
-crossing.
+argmax that falls in t), where values fall in t, or without single crossing.
 
 Those instances go to HiGHS, which generates IC and IR rows lazily (the
 constraint generation of automated mechanism design, Conitzer & Sandholm
@@ -66,11 +65,12 @@ LP again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .model import ProblemSpec, SpecError, format_bundle, subset_pairs
+from .model import GridRows, ProblemSpec, SpecError, format_bundle, subset_pairs
 from .numerics import chain_dp
 
 STOCHASTIC_TOL = 1e-5
@@ -131,6 +131,18 @@ class DiscretizedInstance:
         )
         inst.check_monotone()
         return inst
+
+    @cached_property
+    def tail_mass(self) -> np.ndarray:
+        """W_k = sum_{i >= k} w_i, the mass of types k and up, for k = 0..m (W_m = 0)."""
+        return np.append(self.weights[::-1].cumsum()[::-1], 0.0)
+
+    @cached_property
+    def potentials(self) -> np.ndarray:
+        """(K, m + 1) Psi_j(k) = (v_j(t_k) - c_j) W_k of the ``sellable`` bundles j:
+        the profit of selling j alone to types k and up; none sells at k = m."""
+        opts = list(self.sellable)
+        return np.pad(self.values[opts] - self.costs[opts, None], ((0, 0), (0, 1))) * self.tail_mass
 
     def check_monotone(self) -> None:
         """Value rows must respect set inclusion among sellable bundles (SpecError)."""
@@ -233,10 +245,8 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     K, m, w = len(opts), instance.m, instance.weights
     V = np.vstack((instance.values[opts], np.zeros(m)))  # (K + 1, m), row K: nothing
     costs = np.append(instance.costs[opts], 0.0)
-    tail = w[::-1].cumsum()[::-1]  # W_k, the dual of IC row (k, k-1) and, at 0, of IR
-    tail_up = np.append(tail[1:], 0.0)  # W_{k+1}
-    V_up = np.append(V[:K, 1:], np.zeros((K, 1)), axis=1)  # v_j(t_{k+1})
-    phi = (tail * V[:K] - tail_up * V_up).T - np.outer(w, costs[:K])  # (m, K)
+    psi, tail = instance.potentials, instance.tail_mass  # W_k: dual of IC row (k, k-1), at 0 of IR
+    phi = (psi[:, :-1] - psi[:, 1:]).T  # (m, K)
     mass_dual = np.maximum(phi.max(axis=1), 0.0)
     choice = np.where(mass_dual > 0.0, phi.argmax(axis=1), K)  # a_k, or K: nothing
     k = np.arange(m)
@@ -247,7 +257,7 @@ def solve_lp(instance: DiscretizedInstance) -> LPSolution:
     # at K = 31, m = 201 on a 2-vCPU host, against 0.3 ms for this whole solve
     *_, violation = _primal(alloc, V[choice] - payments[:, None])
     # c - A^T y: lottery columns y_k - phi_j(k), payment columns -w_k + W_k - W_{k+1}
-    stationarity = max(-(mass_dual[:, None] - phi).min(), np.abs(tail - tail_up - w).max())
+    stationarity = max(-(mass_dual[:, None] - phi).min(), np.abs(tail[:-1] - tail[1:] - w).max())
     gap = abs(mass_dual.sum() - objective)
     if max(violation, stationarity, gap) > CERT_TOL:
         return _row_generation(instance)
@@ -348,37 +358,27 @@ def _row_generation(instance: DiscretizedInstance) -> LPSolution:
     )
 
 
-def _chain_potentials(instance: DiscretizedInstance, bundles):
-    """Discrete ``numerics.chain_dp`` potentials, pricing each upgrade at its marginal buyer.
-
-    Psi_b[k] = (v_b(t_k) - c_b) * (m - k)/m for marginal-type index k; index m
-    sells to nobody.
-    """
-    rows = list(bundles)
-    psi = np.zeros((len(rows), instance.m + 1))
-    psi[:, :-1] = instance.values[rows] - instance.costs[rows, None]
-    return dict(zip(rows, psi * (np.arange(instance.m, -1, -1) / instance.m)))
-
-
 def discrete_chain_profit(instance: DiscretizedInstance, chain) -> float:
     """Optimal profit from selling a nested chain on the discrete instance.
 
     The profit is separable in the marginal-type indices: ``numerics.chain_dp``
-    over the chain's own masks solves it exactly, a priced-out member dropping
-    out of the path.
+    over the chain's own rows of ``DiscretizedInstance.potentials`` solves it
+    exactly, a priced-out member dropping out of the path.
     """
     chain = sorted(set(int(b) for b in chain))
     if any(lo & ~hi for lo, hi in zip(chain[:-1], chain[1:])):
         raise ValueError(f"masks {chain} are not a nested chain")
-    return chain_dp(_chain_potentials(instance, chain), chain)[0]
+    return chain_dp(GridRows(zip(instance.sellable, instance.potentials)), chain)[0]
 
 
 def best_nested_discrete(instance: DiscretizedInstance) -> tuple[float, tuple]:
     """Best discrete-instance (profit, chain) over every chain of sellable bundles.
 
-    One ``numerics.chain_dp`` over their inclusion lattice, in O(n * 2^n * m).
+    One ``numerics.chain_dp`` of ``DiscretizedInstance.potentials`` over their
+    inclusion lattice, in O(n * 2^n * m).
     """
-    profit, path = chain_dp(_chain_potentials(instance, instance.sellable), instance.sellable)
+    potentials = GridRows(zip(instance.sellable, instance.potentials))
+    profit, path = chain_dp(potentials, instance.sellable)
     return profit, tuple(b for b, _k in path)
 
 

@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from bundleopt import load_spec
-from bundleopt.demand import elasticity_grid, virtual_surplus
+from bundleopt.demand import elasticity_grid, marginal_profit, profit_curve, virtual_surplus
 from bundleopt.dominance import ETA_TOL, MAX_RECORDED, UnionElasticityReport
 from bundleopt.menu import MechanismSolution, evaluate_menu
 from bundleopt.model import (
@@ -35,7 +35,7 @@ from bundleopt.model import (
     items_from_mask,
     subset_pairs,
 )
-from bundleopt.numerics import rising_root
+from bundleopt.numerics import rising_root, scanned_max
 from bundleopt.oracle import LPSolution
 
 
@@ -208,9 +208,10 @@ def reference_chain_terms(spec, bundles):
 
 def reference_discrete_terms(instance):
     """Discrete ``reference_chain_dp`` terms: the upgrade from p to b priced at
-    marginal-type index k earns ((v_b - v_p)(t_k) - (c_b - c_p)) * (m - k)/m."""
+    marginal-type index k earns ((v_b - v_p)(t_k) - (c_b - c_p)) * W_k, with
+    W_k the mass of types k and up, summed from the top type's weight down."""
     m = instance.m
-    mass = np.concatenate((np.arange(m, 0, -1), [0])) / m
+    mass = np.concatenate((np.cumsum(instance.weights[::-1])[::-1], [0.0]))
     sold = np.concatenate((np.ones(m), [0.0]))
 
     def term(p, b):
@@ -502,6 +503,19 @@ def reference_marginal_profit(spec, b, q):
     )
 
 
+def reference_sales_volume(spec, b):
+    """The quantity-grid scan ``demand.sales_volume`` replaced: the maximum of
+    the profit (P - C) q on ``q_grid`` brackets the peak, ties keeping the
+    smallest quantity, and the root of the marginal profit polishes it."""
+    q = spec.q_grid
+    return scanned_max(
+        lambda x: profit_curve(spec, b, x),
+        q,
+        (spec.price_rows[b] - spec.cost(b)) * q,
+        lambda x: marginal_profit(spec, b, x),
+    )
+
+
 def reference_rows(spec, b):
     """Reference for the spec's five grid tables: bundle b's rows, each from the
     0-d-array formulas above with no power, type or (1-F)/f shared across rows."""
@@ -514,7 +528,7 @@ def reference_rows(spec, b):
     return {
         "value_rows": reference_value(expr, t),
         "price_rows": price,
-        "profit_rows": (price - cost) * q,
+        "potential_rows": (reference_value(expr, t) - cost) * (1.0 - reference_cdf(dist, t)),
         "surplus_rows": surplus,
         "slope_rows": -reference_slope(expr, types) * reference_quantile_slope(dist, 1.0 - q),
     }
@@ -529,12 +543,12 @@ def turns_by_loop(y, noise=None):
 
 
 def reference_validation(spec):
-    """Reference for ``validate_assumptions``: each profit row and each subset
+    """Reference for ``validate_assumptions``: each potential row and each subset
     pair checked on its own rows, turns counted by ``turns_by_loop``."""
     report = ValidationReport()
     bundles = spec.nonzero_bundles()
     rows = {b: reference_rows(spec, b) for b in bundles}
-    profits = {b: r["profit_rows"] for b, r in rows.items()}
+    profits = {b: r["potential_rows"] for b, r in rows.items()}
     values = {b: r["value_rows"] for b, r in rows.items()}
     for b in bundles:
         if turns_by_loop(profits[b]) > 0:
@@ -555,8 +569,9 @@ def reference_validation(spec):
             )
         elif np.any(pos & (np.abs(d_inc) <= STRICT_TOL)):
             report.warnings.append(f"incremental value {pair} is locally flat where positive")
-        k = min(int(np.argmax(profits[b1])), int(np.argmax(profits[b2])))
-        if k >= 2 and turns_by_loop(profits[b2][: k + 1] - profits[b1][: k + 1]) > 0:
+        # the types above both peaks, each the largest of its tied grid maxima
+        k = max(int(np.flatnonzero(profits[b] == profits[b].max())[-1]) for b in (b1, b2))
+        if k <= spec.grid_size - 3 and turns_by_loop(profits[b2][k:] - profits[b1][k:]) > 0:
             report.warnings.append(
                 f"incremental profit {pair} has multiple peaks before both sales volumes"
             )

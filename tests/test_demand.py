@@ -15,9 +15,18 @@ from bundleopt import (
     profit_curve,
     sales_volume,
 )
-from bundleopt.demand import UnsellableError, elasticity_grid
+from bundleopt.demand import UnsellableError, elasticity_grid, virtual_surplus
+from bundleopt.model import ProblemSpec
+from bundleopt.numerics import MultiplePeaksWarning
 
-from support import generate_clean_specs, single_item_doc, two_item_doc, two_item_spec
+from support import (
+    generate_clean_specs,
+    random_instance_doc,
+    reference_sales_volume,
+    single_item_doc,
+    two_item_doc,
+    two_item_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -93,22 +102,57 @@ def test_sales_volume_matches_dense_argmax_on_random_instances():
 
 
 def test_array_scan_matches_pointwise_evaluation():
-    # sales_volume scans the profit row on the quantity grid and refines with
+    # sales_volume scans the potential row on the type grid and refines with
     # scalar calls, so rows, array calls and point calls must agree to the
     # last bit
+    potential = ProblemSpec.potential
     for spec, profiles, _rel in generate_clean_specs(5, 3, grid_size=1025):
-        q = spec.q_grid
+        t = spec.t_grid
         for b in profiles:
-            scans = [(profit_curve, spec.profit_rows[b])] + [
-                (curve, curve(spec, b, q)) for curve in (profit_curve, marginal_profit)
+            scans = [(potential, spec.potential_rows[b])] + [
+                (curve, curve(spec, b, t)) for curve in (potential, virtual_surplus)
             ]
             for curve, scan in scans:
-                points = np.array([curve(spec, b, x) for x in q], dtype=float)
+                points = np.array([curve(spec, b, x) for x in t], dtype=float)
                 assert np.array_equal(np.asarray(scan, dtype=float), points, equal_nan=True)
 
 
+def test_sales_volume_keeps_the_smaller_of_tied_peaks():
+    # (1 + 4t^2)(1 - t) on U[0, 1] earns exactly 1 at t = 0 (D* = 1) and at
+    # its interior peak t = 1/2 (D* = 1/2), both grid points: the smaller
+    # sales volume is kept, with a warning
+    spec = load_spec(
+        {"n_items": 1, "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+         "values": {"[1]": {"terms": [{"coef": 4.0, "exp": 2.0}], "const": 1.0}}}
+    )
+    with pytest.warns(MultiplePeaksWarning):
+        d = sales_volume(spec, 1)
+    assert d == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sales_volume_matches_quantity_grid_scan():
+    # the potential scan on the type grid against the scan it replaced, of
+    # the profit (P - C) q on the quantity grid
+    dists = [{"kind": "uniform", "lo": 0.0, "hi": 1.0}] + [
+        {"kind": "quantile_table", "u": u, "t": t}
+        for u, t in (([0.0, 0.3, 0.7, 1.0], [0.0, 0.4, 0.8, 1.2]),
+                     ([0.0, 0.5, 0.9, 1.0], [0.0, 0.2, 1.0, 3.0]))
+    ]
+    worst, count = 0.0, 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        doc = random_instance_doc(rng, int(rng.integers(2, 6)))
+        for dist in dists:
+            spec = load_spec(dict(doc, distribution=dist))
+            for b in spec.nonzero_bundles():
+                worst = max(worst, abs(sales_volume(spec, b) - reference_sales_volume(spec, b)))
+                count += 1
+    assert count > 1000
+    assert worst <= 1e-12
+
+
 def test_sales_volume_needs_a_value_expression():
-    # a bundle without a value expression has no profit row to scan
+    # a bundle without a value expression has no potential row to scan
     doc = two_item_doc(0.5, 0.5)
     del doc["values"]["[1]"]
     spec = load_spec(doc)
@@ -195,8 +239,8 @@ def test_elasticity_grid_matches_pointwise():
 def test_profile_invariants_benchmark():
     spec = two_item_spec(0.3, 0.5)
     for b, prof in compute_profiles(spec).items():
-        assert np.all(np.diff(prof.price) <= 1e-12)  # demand slopes down
-        assert prof.peak_profit >= np.max(prof.profit) - 1e-9
+        assert np.all(np.diff(spec.price_rows[b]) <= 1e-12)  # demand slopes down
+        assert prof.peak_profit >= np.max(spec.potential_rows[b]) - 1e-9
         assert spec.dist.quantile(1 - prof.d_star) == pytest.approx(prof.t_star, abs=1e-9)
         assert not prof.corner
 

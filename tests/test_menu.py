@@ -15,6 +15,7 @@ from bundleopt import (
     solve_nested_menu,
     virtual_surplus,
 )
+from bundleopt import menu as menu_module
 from bundleopt.dominance import check_menu_optimality
 from bundleopt.menu import (
     BOUND_GAP_TOL,
@@ -22,7 +23,7 @@ from bundleopt.menu import (
     MonotonicityError,
     NestingError,
     _chain_prices,
-    _chain_potentials,
+    _priced_potentials,
     optimize_chain,
     simulate_menu,
 )
@@ -147,6 +148,24 @@ def test_relaxed_bound_attained_under_nesting():
     spec, profiles, rel = _pipeline(1.0, 0.5)
     menu = solve_nested_menu(spec, rel)
     assert abs(menu.expected_profit - relaxed_bound(spec)) <= 1e-6
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.7, 1.2, 1.8])
+def test_valid_solve_runs_one_envelope_pass(beta, monkeypatch):
+    # the all-bundle envelope's runs are owned by 0 and the undominated
+    # chain, so it is the chain's envelope too: one switch-point pass gives
+    # both the menu and the bound, and they are the same float
+    spec, _profiles, rel = _pipeline(beta, 0.5)
+    want = relaxed_bound(spec)
+    passes = []
+    original = menu_module.switch_points
+    monkeypatch.setattr(
+        menu_module, "switch_points", lambda *args: passes.append(1) or original(*args)
+    )
+    menu = solve_nested_menu(spec, rel)
+    assert menu.certificate == "VALID"
+    assert menu.expected_profit == menu.bound == want
+    assert len(passes) == 1
 
 
 FAMILY = [(0.3, 0.5), (1.4, 0.5), (0.4, 4.5), (1.9, 4.5)]
@@ -475,7 +494,7 @@ def test_polished_chain_within_bound_of_grid_cutoffs(seed, n_items, chain):
     # priced-out groups: polishing the DP's grid cutoffs may lose a sub-cell
     # sliver of simulated profit, never more than 2.5e-7 on these chains
     spec = load_spec(random_instance_doc(np.random.default_rng(seed), n_items, grid_size=1025))
-    _value, path = chain_dp(_chain_potentials(spec, chain), chain, fixed=True)
+    _value, path = chain_dp(_priced_potentials(spec, chain), chain, fixed=True)
     grid_cutoffs = [float(spec.t_grid[k]) for _b, k in path]
     grid = simulate_menu(spec, chain, _chain_prices(spec, chain, grid_cutoffs))
     polished = evaluate_menu(spec, chain)

@@ -392,7 +392,7 @@ def _table_specs():
     yield check_spec(ProblemSpec(1, {1: two_t}, {}, TypeDistribution.uniform(0.0, 1.0), 33))
 
 
-TABLES = ("value_rows", "price_rows", "profit_rows", "surplus_rows", "slope_rows")
+TABLES = ("value_rows", "price_rows", "potential_rows", "surplus_rows", "slope_rows")
 
 
 def test_grid_tables_equal_direct_evaluation():
@@ -525,10 +525,10 @@ def test_check_spec_raises_on_hard_failures_and_defers_warnings():
 
 
 def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
-    # Full-grid evaluations of v(b, .) per bundle: one for each of the two
-    # tables the pipeline reads (values on t_grid, inverse demand on q_grid);
-    # the chain search and simulate_menu read the value rows, so no virtual
-    # surplus table is built.
+    # Full-grid evaluations of v(b, .) per bundle: one, for the value rows on
+    # t_grid.  Sales volumes and the chain search read the potential rows
+    # built from them and simulate_menu the value rows, so no inverse-demand
+    # or virtual surplus table is built.
     calls = {}
     original = MonomialSum.__call__
 
@@ -542,15 +542,15 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     compute_profiles(spec)
     best_nested_menu(spec)
     for b in spec.nonzero_bundles():
-        assert calls[id(spec.values[b])] == 2, format_bundle(b)
+        assert calls[id(spec.values[b])] == 1, format_bundle(b)
 
 
 def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
     # Array evaluations of v(b, .) of any size.  Loading and profiling make
-    # exactly the value and inverse-demand rows; sales volumes scan the rows
-    # and the envelope construction reads the surplus rows, both polishing
-    # with scalar calls, so the menu solver evaluates v on no grid but the
-    # spec's own.
+    # exactly the value rows; sales volumes scan the potential rows and the
+    # envelope construction reads the surplus rows, both polishing with
+    # scalar calls, so the menu solver evaluates v on no grid but the spec's
+    # own.
     sizes = {}
     original = MonomialSum.__call__
 
@@ -564,7 +564,8 @@ def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
     compute_profiles(spec)
     assert len(spec.nonzero_bundles()) == 31
     for b in spec.nonzero_bundles():
-        assert sizes[id(spec.values[b])] == [4097, 4097], format_bundle(b)
+        assert sizes[id(spec.values[b])] == [4097], format_bundle(b)
+    assert not {"q_grid", "price_types", "price_rows"} & set(vars(spec))
 
     spec = two_item_spec(0.7, 0.5)
     profiles = compute_profiles(spec)

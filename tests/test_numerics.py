@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from bundleopt import load_spec
-from bundleopt.menu import _chain_potentials
+from bundleopt.menu import _priced_potentials
 from bundleopt.model import SpecError
 from bundleopt.numerics import (
     MultiplePeaksWarning,
@@ -21,7 +21,6 @@ from bundleopt.numerics import (
 )
 from bundleopt.oracle import (
     DiscretizedInstance,
-    _chain_potentials as _discrete_potentials,
     best_nested_discrete,
     discrete_chain_profit,
 )
@@ -209,7 +208,7 @@ def test_chain_dp_matches_pairwise_reference():
         bundles = spec.nonzero_bundles()
         quantile += spec.dist.kind == "quantile_table"
         sparse += 1 << spec.n_items > 2 * len(bundles)
-        psi = _chain_potentials(spec, bundles)
+        psi = _priced_potentials(spec, bundles)
         for b in bundles:  # -inf exactly at a nonpositive price
             assert np.array_equal(np.isneginf(psi[b]), spec.value_rows[b] <= 0.0)
         value, path = chain_dp(psi, bundles)
@@ -219,13 +218,13 @@ def test_chain_dp_matches_pairwise_reference():
         if spec.n_items <= 3:
             for chain in map(list, iter_chains(bundles)):
                 _same_chain(
-                    chain_dp(_chain_potentials(spec, chain), chain, fixed=True),
+                    chain_dp(_priced_potentials(spec, chain), chain, fixed=True),
                     reference_chain_dp(reference_chain_terms(spec, chain), chain, fixed=True),
                 )
         for m in (51, 201):
             inst = DiscretizedInstance.from_spec(spec, m)
             _same_chain(
-                chain_dp(_discrete_potentials(inst, bundles), bundles),
+                chain_dp(dict(zip(inst.sellable, inst.potentials)), bundles),
                 reference_chain_dp(reference_discrete_terms(inst), bundles),
             )
     assert quantile and sparse
@@ -272,7 +271,7 @@ def test_lattice_dp_optimum_is_best_enumerated_chain(seed, n_items, grid_size, m
         assume(False)
     bundles = spec.nonzero_bundles()
     chains = [list(c) for c in iter_chains(bundles)]
-    psi = _chain_potentials(spec, bundles)
+    psi = _priced_potentials(spec, bundles)
     value, path = chain_dp(psi, bundles)
     best = max(chain_dp(psi, chain, fixed=True)[0] for chain in chains)
     assert value == pytest.approx(best, rel=1e-13, abs=1e-13)
