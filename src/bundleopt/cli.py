@@ -229,7 +229,9 @@ def cmd_verify(args) -> int:
     out = args.out
     prov = _provenance(spec)
 
-    instance = DiscretizedInstance.from_spec(spec, args.types)  # refuses a too-large LP first
+    instance = DiscretizedInstance.from_spec(spec, args.types)  # refuses a too-large m first
+    if args.dump_lp:  # the full LP, refused by its size before any menu work
+        (out / "instance.lp").write_text(dump_lp_text(instance), encoding="utf-8")
     _profiles, relation, (menu_profit, bundles, _prices), lp, verdict = _verdict(spec, instance)
     menu_desc = [format_bundle(b) for b in bundles]
 
@@ -258,8 +260,6 @@ def cmd_verify(args) -> int:
             **_lp_record(lp),
         },
     )
-    if args.dump_lp:
-        (out / "instance.lp").write_text(dump_lp_text(instance), encoding="utf-8")
     return EXIT_OK
 
 

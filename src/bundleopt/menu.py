@@ -26,7 +26,6 @@ from .dominance import DominanceRelation
 from .model import ProblemSpec, format_bundle, is_subset
 from .numerics import chain_dp, rising_root, switch_points
 
-PRICE_RECONCILE_TOL = 1e-8  # telescoped vs upgrade-price construction
 REVENUE_EQ_TOL = 1e-5  # simulated vs virtual-surplus profit of a posted menu
 BOTTOM_UTILITY_TOL = 1e-9  # bottom-type utility that is rounding: revenue equivalence holds
 BOUND_GAP_TOL = 1e-6  # menu profit vs relaxed bound for a VALID certificate
@@ -132,31 +131,13 @@ class MechanismSolution:
 
 
 def _chain_prices(spec: ProblemSpec, bundles: Sequence[int], cutoffs: Sequence[float]):
-    """Prices for a nested chain from its cutoff types.
-
-    Built twice: telescoped from the cutoff values and via upgrade prices.
-    The two must agree; a mismatch indicates a broken cutoff sequence.
-    """
-    prices_up = []
-    for j, (b, s) in enumerate(zip(bundles, cutoffs)):
-        if j == 0:
-            prices_up.append(float(spec.value(b, s)))
-        else:
-            upgrade = float(spec.value(b, s) - spec.value(bundles[j - 1], s))
-            prices_up.append(prices_up[-1] + upgrade)
-    prices_tel = []
-    for j, (b, s) in enumerate(zip(bundles, cutoffs)):
-        correction = sum(
-            float(spec.value(bundles[i], cutoffs[i + 1]) - spec.value(bundles[i], cutoffs[i]))
-            for i in range(j)
-        )
-        prices_tel.append(float(spec.value(b, s)) - correction)
-    for pu, pt in zip(prices_up, prices_tel):
-        if abs(pu - pt) > PRICE_RECONCILE_TOL:
-            raise RuntimeError(
-                f"price constructions disagree: telescoped {pt:.12g} vs upgrade {pu:.12g}"
-            )
-    return prices_up
+    """Upgrade prices for a nested chain from its cutoff types: p_0 = v_0(s_0),
+    p_j = p_{j-1} + v_j(s_j) - v_{j-1}(s_j).  ``simulate_menu``'s revenue
+    equivalence check cross-checks them."""
+    prices = [float(spec.value(bundles[0], cutoffs[0]))] if bundles else []
+    for below, b, s in zip(bundles, bundles[1:], cutoffs[1:]):
+        prices.append(prices[-1] + float(spec.value(b, s) - spec.value(below, s)))
+    return prices
 
 
 def simulate_menu(

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .numerics import any_true, count_descents_to_ascents
+from .numerics import any_true, count_descents_to_ascents, rising_root
 
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 33  # fewest grid points the validation checks are reliable on
@@ -160,6 +160,11 @@ class MonomialSum:
             if total != 0.0:
                 return math.copysign(math.inf, total)
         return float(sum(c for c, e in self.terms if e == 1.0))
+
+    def __sub__(self, other: "MonomialSum") -> "MonomialSum":
+        """This expression minus ``other``, term for term."""
+        negated = tuple((-c, e) for c, e in other.terms)
+        return MonomialSum(self.terms + negated, self.const - other.const)
 
     def is_zero(self) -> bool:
         return self.const == 0.0 and all(c == 0.0 for c, _ in self.terms)
@@ -610,9 +615,10 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
     """``spec`` once its load-time assumptions hold, else a SpecError: n_items
     in 1..16, nonnegative costs, ``MIN_GRID_SIZE`` grid points, fractional
     exponents on a nonnegative support only, values finite, nondecreasing in t
-    where positive and monotone in set inclusion, an efficient grand bundle at
-    the top type, and no hard failure of ``validate_assumptions`` (its
-    warnings wait for the first read of ``spec.validation``)."""
+    where positive and monotone in set inclusion on the whole support (``_dip``
+    between grid points), an efficient grand bundle at the top type, and no
+    hard failure of ``validate_assumptions`` (its warnings wait for the first
+    read of ``spec.validation``), refused in that order."""
     _check_n_items(spec.n_items)
     for b, c in spec.costs.items():
         if c < 0:
@@ -621,17 +627,15 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
     if spec.dist.lo < 0 and any(v.has_fractional_exponent() for v in spec.values.values()):
         raise SpecError("fractional exponents require a nonnegative type support")
 
-    # values may dip negative (e.g. net values of damaged goods); such types
-    # simply never buy, so only monotonicity-where-positive is enforced.  The
-    # first table read refuses an oversized spec before any grid is built.
+    # values may dip negative (damaged goods): such types never buy, so only
+    # monotonicity where positive; the first table read bounds the spec's size
     bundles = spec.nonzero_bundles()
     for b in bundles:
         v = spec.value_rows[b]
         if not np.isfinite(v).all():
             raise SpecError(f"value of {format_bundle(b)} is non-finite on the grid")
-        drop = v[1:] - v[:-1] < -STRICT_TOL
-        drop &= v[:-1] > STRICT_TOL
-        if drop.any():
+        dv = v[1:] - v[:-1]
+        if dv.min() < -STRICT_TOL and (drop := (dv < -STRICT_TOL) & (v[:-1] > STRICT_TOL)).any():
             raise SpecError(
                 f"value of {format_bundle(b)} decreases in t at "
                 f"t={spec.t_grid[drop.argmax()]:.6g} where it is positive"
@@ -639,16 +643,19 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
 
     # monotone in set inclusion; pairs with an omitted (zero) superset are the
     # ignore convention and are skipped
-    for b1, b2 in subset_pairs(bundles):
-        bad = spec.value_rows[b1] > spec.value_rows[b2] + STRICT_TOL
-        if bad.any():
+    pairs, failures = subset_pairs(bundles), []
+    for (b1, b2), exact in zip(pairs, _one_signed(spec, bundles, pairs)):
+        inc = spec.value_rows[b2] - spec.value_rows[b1]
+        at = spec.t_grid[np.argmax(inc < -STRICT_TOL)] if inc.min() < -STRICT_TOL else (
+            None if exact else _dip(spec, b1, b2))
+        if at is not None:
             raise SpecError(
                 f"monotonicity violation: value of {format_bundle(b1)} exceeds "
-                f"value of {format_bundle(b2)} at t={spec.t_grid[bad.argmax()]:.6g}"
+                f"value of {format_bundle(b2)} at t={at:.6g}"
             )
+        failures.append(_increment(spec, b1, b2, inc))
 
-    t_top = spec.dist.hi
-    grand = spec.grand_bundle
+    t_top, grand = spec.dist.hi, spec.grand_bundle
     top_surplus = spec.value(grand, t_top) - spec.cost(grand)
     if grand not in spec.values or spec.value_expr(grand).is_zero():
         raise SpecError("the grand bundle must carry a nonzero value expression")
@@ -664,10 +671,41 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
                 f"efficiency-at-top failure: bundle {format_bundle(b)} has surplus "
                 f"{surplus:.6g} > {top_surplus:.6g} of the grand bundle at the top type"
             )
-    failures = [_increment(spec, b1, b2)[0] for b1, b2 in subset_pairs(bundles)]
     if any(failures):
         raise SpecError("; ".join(filter(None, failures)))
     return spec
+
+
+def _one_signed(spec: ProblemSpec, bundles, pairs) -> np.ndarray:
+    """Whether each pair's increment v_b2 - v_b1 is monotone on the support, by
+    a coefficient-by-exponent table: so it is on t >= 0 when its nonzero
+    non-constant coefficients share one sign, and its minimum is a grid end."""
+    exprs = [spec.value_expr(b).terms for b in bundles]
+    cols = {e: j for j, e in enumerate({e for terms in exprs for _c, e in terms} - {0.0})}
+    table = [[0.0] * len(cols) for _ in bundles]
+    for row, terms in zip(table, exprs):
+        for c, e in terms:
+            if e != 0.0:
+                row[cols[e]] += c
+    lo, hi = np.searchsorted(bundles, np.array(pairs, dtype=np.int64).reshape(-1, 2)).T  # sorted
+    inc = np.array(table).reshape(len(bundles), len(cols))
+    inc = inc[hi] - inc[lo]
+    return (spec.dist.lo >= 0.0) & ((inc >= 0.0).all(axis=1) | (inc <= 0.0).all(axis=1))
+
+
+def _dip(spec: ProblemSpec, b1: int, b2: int) -> Optional[float]:
+    """Where v_b2 - v_b1 first falls below -STRICT_TOL between grid points, or
+    None.  Each cell where the slope of the difference expression (its
+    ``_slope_at_zero`` resolves inf - inf at t = 0) rises from < 0 to >= 0 holds
+    a minimum, polished by ``rising_root``.  Two slope sign changes inside one
+    cell can still hide a dip, the limit ``switch_points`` has with slivers."""
+    inc = spec.value_expr(b2) - spec.value_expr(b1)
+    t, slope = spec.t_grid, inc.slope(spec.t_grid)
+    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
+        root = rising_root(inc.slope, float(t[k]), float(t[k + 1]))
+        if root is not None and inc(root) < -STRICT_TOL:
+            return root
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +747,11 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
 
     for b1, b2 in subset_pairs(bundles):
         report.checked_pairs += 1
-        failure, pos, d_inc = _increment(spec, b1, b2)
+        inc = spec.value_rows[b2] - spec.value_rows[b1]
+        failure = _increment(spec, b1, b2, inc)
         if failure:
             report.hard_failures.append(failure)
-        elif (pos & (np.abs(d_inc) <= STRICT_TOL)).any():
+        elif ((inc[:-1] > STRICT_TOL) & (np.abs(inc[1:] - inc[:-1]) <= STRICT_TOL)).any():
             report.warnings.append(
                 f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
                 "is locally flat where positive"
@@ -728,16 +767,11 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     return report
 
 
-def _increment(spec: ProblemSpec, b1: int, b2: int):
-    """The incremental value b1 -> b2 on the grid: its hard failure (a decrease
-    where positive) or None, where it is positive, and its steps."""
-    inc = spec.value_rows[b2] - spec.value_rows[b1]
-    pos, d_inc = inc[:-1] > STRICT_TOL, inc[1:] - inc[:-1]
-    bad = pos & (d_inc < -STRICT_TOL)
-    failure = None
-    if bad.any():
-        failure = (
-            f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
-            f"decreases at t={spec.t_grid[bad.argmax()]:.6g} where it is positive"
-        )
-    return failure, pos, d_inc
+def _increment(spec: ProblemSpec, b1: int, b2: int, inc: np.ndarray) -> Optional[str]:
+    """The hard failure of b1 -> b2's grid increment ``inc``, a decrease where
+    positive, or None."""
+    step = inc[1:] - inc[:-1]
+    if step.min() < -STRICT_TOL and (fall := (step < -STRICT_TOL) & (inc[:-1] > STRICT_TOL)).any():
+        return (f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
+                f"decreases at t={spec.t_grid[fall.argmax()]:.6g} where it is positive")
+    return None

@@ -6,12 +6,10 @@ assignments subject to the full set of pairwise IC constraints and IR.  The
 solution bounds every menu's profit on the same instance from above, which
 is what makes it a useful certificate against the nested-menu solver.
 
-The LP is built by ``_lp`` alone: ``dump_lp_text`` writes the full LP and
-the row generation solves row subsets of it.  scipy is imported only when an
-LP is built (``_lp``, for its sparse matrix) or solved by HiGHS through
-``linprog`` (``_row_generation``); the closed form, the discretized
-instance, the nested-chain benchmark and the rest of the package need numpy
-only.  With m types and K sellable bundles:
+The LP is built by ``_lp`` alone, for ``dump_lp_text``'s full LP and each
+HiGHS round's row subset, and bounded there by ``MAX_LP_BYTES``, so only an
+LP that is built can be refused for its size.  Only ``_lp`` and HiGHS
+(``_row_generation``) import scipy.  With m types and K sellable bundles:
 
 - columns: the lottery weights a[k, j] in [0, 1], type-major (column
   k*K + j), then the free payments p[k] (column m*K + k);
@@ -70,26 +68,19 @@ from typing import Union
 
 import numpy as np
 
-from .model import GridRows, ProblemSpec, SpecError, format_bundle, subset_pairs
+from .model import GridRows, ProblemSpec, SpecError, format_bundle
 from .numerics import chain_dp
 
 STOCHASTIC_TOL = 1e-5
 M_MIN = 11
-MAX_LP_BYTES = 64 * 2**20  # data of the full LP, the row generation's worst case
+MAX_LP_BYTES = 64 * 2**20  # the arrays an oracle answer allocates, and each LP built
 ROW_TOL = 1e-9  # an omitted IC or IR row violated by more than this joins the LP
 CERT_TOL = 1e-7  # bound on each certificate residual of a solution
 
 
-def full_lp_bytes(m: int, K: int) -> int:
-    """Bytes of the oracle LP's data with every IC row present.
-
-    12 per matrix nonzero (float64 coefficient, int32 column index), 28 per
-    row (int32 row pointer; float64 bound, dual and slack) and 8 per entry of
-    the m x m utility matrix that the row generation scans.
-    """
-    rows = m * (m - 1) + 2 * m
-    nnz = m * (m - 1) * (2 * K + 2) + m * (2 * K + 1)
-    return 12 * nnz + 28 * rows + 8 * m * m
+def _check_budget(need: int, what: str) -> None:
+    if need > MAX_LP_BYTES:
+        raise SpecError(f"{what} needs {need / 1e6:.1f} MB (limit {MAX_LP_BYTES / 1e6:.1f} MB)")
 
 
 @dataclass(frozen=True)
@@ -108,29 +99,25 @@ class DiscretizedInstance:
 
     @staticmethod
     def from_spec(spec: ProblemSpec, m: int = 201) -> "DiscretizedInstance":
+        """The spec's m quantile-midpoint types and its values there.  A SpecError
+        refuses m < ``M_MIN``, and, before they are allocated, the (2^n, m) value
+        table and every answer's m x m utility and gain arrays beyond ``MAX_LP_BYTES``."""
         if m < M_MIN:
             raise SpecError(f"m={m} outside supported range (m >= {M_MIN})")
+        what = f"the oracle at m={m} with {spec.n_items} items (value table, m x m arrays)"
+        _check_budget(8 * ((1 << spec.n_items) * m + 2 * m * m), what)
         sellable = spec.nonzero_bundles()
-        need = full_lp_bytes(m, len(sellable))
-        if need > MAX_LP_BYTES:
-            raise SpecError(
-                f"the oracle LP at m={m} with {len(sellable)} sellable bundles needs "
-                f"{need / 1e6:.1f} MB (limit {MAX_LP_BYTES / 1e6:.1f} MB); "
-                "reduce m or the number of sellable bundles"
-            )
         types = np.asarray(spec.dist.quantile((np.arange(m) + 0.5) / m), dtype=float)
         values, costs = np.zeros((1 << spec.n_items, m)), np.zeros(1 << spec.n_items)
         for b in sellable:
             values[b], costs[b] = spec.value(b, types), spec.cost(b)
-        inst = DiscretizedInstance(
+        return DiscretizedInstance(
             types=types,
             weights=np.full(m, 1.0 / m),
             values=values,
             costs=costs,
             sellable=sellable,
         )
-        inst.check_monotone()
-        return inst
 
     @cached_property
     def tail_mass(self) -> np.ndarray:
@@ -143,16 +130,6 @@ class DiscretizedInstance:
         the profit of selling j alone to types k and up; none sells at k = m."""
         opts = list(self.sellable)
         return np.pad(self.values[opts] - self.costs[opts, None], ((0, 0), (0, 1))) * self.tail_mass
-
-    def check_monotone(self) -> None:
-        """Value rows must respect set inclusion among sellable bundles (SpecError)."""
-        for b1, b2 in subset_pairs(self.sellable):
-            above = np.flatnonzero(self.values[b1] > self.values[b2] + 1e-9)
-            if above.size:
-                raise SpecError(
-                    f"monotonicity violation: value of {format_bundle(b1)} exceeds value "
-                    f"of {format_bundle(b2)} at the LP type t={self.types[above[0]]:.6g}"
-                )
 
 
 @dataclass(frozen=True)
@@ -193,13 +170,21 @@ def _lp(instance: DiscretizedInstance, pairs=None):
 
     ``pairs``, an (m, m) boolean mask, keeps only the IC rows (k, r) it marks
     off the diagonal and the IR rows of the types k it marks at (k, k), in the
-    full LP's row order; None keeps every row.
+    full LP's row order; None keeps every row.  Before they are allocated, a
+    SpecError refuses rows beyond ``MAX_LP_BYTES`` at 12 bytes per nonzero
+    (float64 coefficient, int32 column) and 28 per row (int32 row pointer;
+    float64 bound, dual and slack): each HiGHS round and the full LP written.
     """
-    from scipy import sparse
-
     m = instance.m
     opts = list(instance.sellable)
     K = len(opts)
+    n_ir = m if pairs is None else int(np.count_nonzero(pairs.diagonal()))
+    n_ic = m * (m - 1) if pairs is None else int(np.count_nonzero(pairs)) - n_ir
+    rows = n_ic + n_ir + m
+    lp_bytes = 12 * (n_ic * (2 * K + 2) + n_ir * (K + 1) + m * K) + 28 * rows
+    _check_budget(lp_bytes, f"the oracle LP at m={m} with {K} sellable bundles and {rows} rows")
+    from scipy import sparse
+
     n_a = m * K
     V = instance.values[opts].T  # (m, K): V[k, j] = v_j(t_k)
     lottery = np.arange(n_a).reshape(m, K)  # columns of a[k, :]
@@ -439,7 +424,8 @@ def dump_lp_text(instance: DiscretizedInstance) -> str:
     """Instance as a plain-text LP for external solvers (CPLEX LP format).
 
     Written row by row from ``_lp``'s full matrix with round-trip floats, so
-    the text is the LP whose optimum ``solve_lp`` certifies.
+    the text is the LP whose optimum ``solve_lp`` certifies; ``_lp`` refuses
+    it (SpecError) where that matrix exceeds ``MAX_LP_BYTES``.
     """
     m = instance.m
     c, A, b_ub = _lp(instance)

@@ -578,6 +578,17 @@ def reference_validation(spec):
     return report
 
 
+def reference_lp_monotone(instance):
+    """Set inclusion on the LP types, checked as the oracle once did: the first
+    (b1, b2, t) with b1 a sellable subset of the sellable b2 whose value exceeds
+    b2's by more than 1e-9 at the LP type t, else None."""
+    for b1, b2 in subset_pairs(instance.sellable):
+        above = np.flatnonzero(instance.values[b1] > instance.values[b2] + 1e-9)
+        if above.size:
+            return b1, b2, float(instance.types[above[0]])
+    return None
+
+
 def reference_union_scan(spec, profiles):
     """Reference for ``dominance.check_union_elasticity``: every pair compares the
     three elasticity rows and their validity masks itself."""

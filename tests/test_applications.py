@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bundleopt import applications
+from bundleopt import menu as menu_module
 from bundleopt.applications import (
     QualityProblem,
     ScreeningProblem,
@@ -126,6 +127,23 @@ def test_quality_menu_zero_mass_member():
     doc = dict(_quality_doc([0.2, 0.2, 0.9, 1.6], qualities=(1.0, 2.0, 3.0, 4.0)), grid_size=1025)
     qp = QualityProblem.from_document(doc)
     assert quality_menu_from_sales(qp).menu == quality_menu_from_costs(qp).menu == (1, 2, 3)
+
+
+def test_crosscheck_runs_the_envelope_once_when_menus_agree(monkeypatch):
+    # the envelope menu equals the solver's, so the solver's envelope pass is
+    # the cross-check's too; where the solver drops a zero-mass member, the
+    # envelope over the sales menu runs again to compare profits
+    calls = []
+    switch_points = menu_module.switch_points
+    monkeypatch.setattr(menu_module, "switch_points",
+                        lambda *args: calls.append(1) or switch_points(*args))
+    problem = QualityProblem.from_document(_quality_doc([0.2, 0.2, 0.9]))
+    assert quality_menu_from_sales(problem).menu == (1, 2)
+    assert len(calls) == 1
+    calls.clear()
+    doc = dict(_quality_doc([0.2, 0.2, 0.9, 1.6], qualities=(1.0, 2.0, 3.0, 4.0)), grid_size=1025)
+    assert quality_menu_from_sales(QualityProblem.from_document(doc)).menu == (1, 2, 3)
+    assert len(calls) == 2
 
 
 def test_quality_menu_decreasing_volumes_keeps_all():

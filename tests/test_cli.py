@@ -388,6 +388,13 @@ def test_mistyped_document_exit_code(command, doc, field, tmp_path, capsys):
     assert err["error"] == "validation" and field in err["detail"]
 
 
+_SUB_CELL_DIP = {"n_items": 2, "distribution": _UNIFORM, "grid_size": 33,
+                 "values": {"[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]},
+                            "[1,2]": {"terms": [{"coef": 0.98, "exp": 1.0},
+                                                {"coef": 1.0, "exp": 2.0}]}}}
+_SUB_CELL_DIP_DETAIL = "monotonicity violation: value of {1} exceeds value of {1,2} at t=0.01"
+
+
 @pytest.mark.parametrize(
     "command, doc, detail",
     [
@@ -397,13 +404,10 @@ def test_mistyped_document_exit_code(command, doc, field, tmp_path, capsys):
         ("screening", {"qualities": [1.0], "distribution": _UNIFORM, "actions": [{"const": 0.0}]},
          "action 1 is identically zero"),
         ("quality", _quality(costs=[1.5, 1.6]), "interior sales volumes"),
-        # {1} = t exceeds {1,2} = 0.98t + t^2 below t = 0.02: between the
-        # spec's grid points, but at the LP's bottom type
-        ("verify", {"n_items": 2, "distribution": _UNIFORM, "grid_size": 33,
-                    "values": {"[1]": {"terms": [{"coef": 1.0, "exp": 1.0}]},
-                               "[1,2]": {"terms": [{"coef": 0.98, "exp": 1.0},
-                                                   {"coef": 1.0, "exp": 2.0}]}}},
-         "exceeds value of {1,2} at the LP type t=0.00248756"),
+        # {1} = t exceeds {1,2} = 0.98t + t^2 below t = 0.02, between the
+        # spec's grid points: every command refuses it at the dip's bottom
+        *(pytest.param(command, _SUB_CELL_DIP, _SUB_CELL_DIP_DETAIL, id=f"{command}-sub-cell-dip")
+          for command in ("analyze", "solve", "verify")),
     ],
 )
 def test_refused_assumption_exit_code(command, doc, detail, tmp_path, capsys):
@@ -517,8 +521,9 @@ def test_screening_lp_crosscheck_flag(tmp_path, capsys):
     [
         ("verify", two_item_doc(0.3, 0.5, grid_size=1025), 5, "m=5 outside supported range"),
         pytest.param(
-            "verify", random_instance_doc(np.random.default_rng(0), 6, grid_size=1025), 301,
-            "the oracle LP at m=301 with 63 sellable bundles needs 142.4 MB (limit 67.1 MB)",
+            "verify", random_instance_doc(np.random.default_rng(0), 6, grid_size=1025), 2500,
+            "the oracle at m=2500 with 6 items (value table, m x m arrays) needs 101.3 MB "
+            "(limit 67.1 MB)",
             id="verify-lp-memory-limit",
         ),
         ("screening", _SCREENING_DOC, 5, "m=5 outside supported range"),
@@ -537,10 +542,13 @@ def test_lp_size_refusal_exit_code(command, doc, types, detail, tmp_path, capsys
 @pytest.mark.parametrize(
     "argv, detail",
     [
-        (["verify", "--types", "301"], "needs 142.4 MB (limit 67.1 MB)"),
+        (["verify", "--types", "2500"], "needs 101.3 MB (limit 67.1 MB)"),
+        # the answer at m = 301 fits, but the full LP written out does not
+        (["verify", "--types", "301", "--dump-lp"],
+         "the oracle LP at m=301 with 63 sellable bundles and 90902 rows needs 141.7 MB"),
         (["reproduce", "--grid", "513", "--types", "5"], "m=5 outside supported range"),
     ],
-    ids=["verify", "reproduce"],
+    ids=["verify", "verify-dump-lp", "reproduce"],
 )
 def test_lp_size_refusal_precedes_menu_work(argv, detail, monkeypatch, tmp_path, capsys):
     # a refused LP size exits before any demand profile or menu is computed
@@ -555,6 +563,17 @@ def test_lp_size_refusal_precedes_menu_work(argv, detail, monkeypatch, tmp_path,
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "validation" and detail in err["detail"]
+
+
+def test_verify_six_items_at_m_301_in_closed_form(tmp_path, capsys):
+    # only the rows an answer builds count against the LP budget: the full LP
+    # of 63 bundles at m = 301 would need 141.7 MB, the closed form builds none
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(random_instance_doc(np.random.default_rng(0), 6, grid_size=1025)))
+    out = tmp_path / "o"
+    assert main(["verify", "--spec", str(path), "--out", str(out), "--types", "301"]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["lp_rounds"] == 0 and payload["verdict"] == "CONFIRMED"
 
 
 _SCIPY_PROBE = """
@@ -613,7 +632,7 @@ def test_only_lp_commands_import_scipy(tmp_path):
 
 
 def test_verify_six_items(tmp_path):
-    # 63 sellable bundles at m=201: 12,864 LP variables, under the LP memory limit
+    # 63 sellable bundles at m=201: 12,864 LP variables
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(random_instance_doc(np.random.default_rng(0), 6, grid_size=1025)))
     out = tmp_path / "out"

@@ -355,17 +355,15 @@ def test_envelope_menu_is_best_chain_and_passes_sales_test(nested_pool):
             assert check_menu_optimality(spec, profiles, menu.bundles).sufficient
 
 
-# {1,2} alone is undominated; its -0.235 t^0.245 term has slope -inf at the
-# bottom type, where its virtual surplus is +inf: the argmax sells {1,2} at
-# t = 0, nothing just above, and {1,2} again from t = 1.08
+# the -0.235 t^0.245 term has slope -inf at the bottom type, where the
+# virtual surplus is +inf: the argmax sells {1} at t = 0, nothing just
+# above, and {1} again higher up
 NON_MONOTONE_ENVELOPE_DOC = {
-    "n_items": 2,
+    "n_items": 1,
     "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.56},
     "values": {
-        "[1]": {"terms": [{"coef": 0.25, "exp": 2.8}]},
-        "[2]": {"terms": [{"coef": 1.0, "exp": 2.75}]},
-        "[1,2]": {"terms": [{"coef": 0.25, "exp": 2.8}, {"coef": 1.0, "exp": 2.75},
-                            {"coef": 0.625, "exp": 0.36}, {"coef": -0.235, "exp": 0.245}]},
+        "[1]": {"terms": [{"coef": 1.0, "exp": 2.75}, {"coef": 0.625, "exp": 0.36},
+                          {"coef": -0.235, "exp": 0.245}]},
     },
     "grid_size": 1025,
 }

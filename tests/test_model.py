@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bundleopt import (
     MonomialSum,
@@ -17,6 +18,7 @@ from bundleopt import (
     solve_nested_menu,
     validate_assumptions,
 )
+from bundleopt import model
 from bundleopt.demand import marginal_profit
 from bundleopt.model import (
     HazardClampWarning,
@@ -26,11 +28,13 @@ from bundleopt.model import (
     items_from_mask,
     mask_from_items,
 )
+from bundleopt.oracle import DiscretizedInstance
 
 from support import (
     random_instance_doc,
     reference_cdf,
     reference_inv_hazard,
+    reference_lp_monotone,
     reference_marginal_profit,
     reference_quantile,
     reference_rows,
@@ -112,6 +116,80 @@ def test_malformed_bundle_keys_rejected():
     doc["values"]["[7]"] = {"terms": []}
     with pytest.raises(SpecError, match="out of range"):
         load_spec(doc)
+
+
+def _two_item(lo, hi, small, inc_terms, inc_const=0.0, grid_size=33):
+    """{1} = ``small`` and {1,2} = {1} plus the increment's terms and constant."""
+    terms = lambda pairs: [{"coef": c, "exp": e} for c, e in pairs]  # noqa: E731
+    return {
+        "n_items": 2,
+        "distribution": {"kind": "uniform", "lo": lo, "hi": hi},
+        "values": {"[1]": {"terms": terms(small)},
+                   "[1,2]": {"terms": terms(small + inc_terms), "const": inc_const}},
+        "grid_size": grid_size,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, at",
+    [
+        # {1} = t exceeds {1,2} = 0.98t + t^2 on (0, 0.02), inside the first
+        # cell of 33 grid points; the dip's bottom is at t = 0.01
+        (_two_item(0.0, 1.0, [(1.0, 1.0)], [(-0.02, 1.0), (1.0, 2.0)]), "0.01"),
+        # {1} = t^0.5 and {1,2} = 0.999 t^0.5 + t^2 both have slope +inf at t = 0;
+        # only the difference expression's limit, -inf, shows the dip there
+        (_two_item(0.0, 1.0, [(1.0, 0.5)], [(-0.001, 0.5), (1.0, 2.0)]), "0.0039685"),
+        # below 0 one-signed coefficients prove nothing: the increment
+        # (t + 1)^2 - 0.02 (t + 1) dips inside the first cell, to t = -0.99
+        (_two_item(-1.0, 1.0, [(1.0, 1.0)], [(1.98, 1.0), (1.0, 2.0)], 0.98), "-0.99"),
+    ],
+    ids=["pinned", "fractional", "negative-support"],
+)
+def test_set_inclusion_checked_between_grid_points(doc, at):
+    with pytest.raises(SpecError) as err:
+        load_spec(doc)
+    assert str(err.value) == (
+        f"monotonicity violation: value of {{1}} exceeds value of {{1,2}} at t={at}"
+    )
+
+
+def test_one_signed_increments_skip_the_sub_cell_scan(monkeypatch):
+    # every increment of these instances has nonnegative coefficients, so the
+    # grid decides each pair; a support below 0 scans every pair and passes
+    # increments that are nonnegative anywhere
+    calls = []
+    monkeypatch.setattr(model, "_dip", lambda spec, b1, b2: calls.append((b1, b2)))
+    for seed in range(4):
+        load_spec(random_instance_doc(np.random.default_rng(seed), 4, grid_size=257))
+    assert calls == []
+    load_spec(_two_item(-1.0, 1.0, [(1.0, 1.0)], [(2.0, 1.0), (1.0, 2.0)], 1.0))
+    assert calls == [(1, 3)]
+
+
+_EXPONENTS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=60)
+@given(
+    hi=st.sampled_from([1.0, 2.0]),
+    small=st.tuples(st.integers(1, 50).map(lambda k: k / 50), _EXPONENTS),
+    exps=st.lists(_EXPONENTS, min_size=2, max_size=2, unique=True).map(sorted),
+    coefs=st.tuples(st.integers(-50, 50).map(lambda k: k / 1000),
+                    st.integers(-50, 50).map(lambda k: k / 50)),
+    const=st.sampled_from([0.0, 0.001, 0.005]),
+)
+@example(hi=1.0, small=(1.0, 1.0), exps=[1.0, 2.0], coefs=(-0.02, 1.0), const=0.0)
+def test_accepted_specs_are_monotone_on_the_lp_types(hi, small, exps, coefs, const):
+    # an increment c1 t^e1 + c2 t^e2 (e1 < e2) on t >= 0 has at most one
+    # coefficient sign change, so its slope has at most one root there
+    # (Descartes' rule of signs) and the sub-cell scan is exact
+    doc = _two_item(0.0, hi, [small], list(zip(coefs, exps)), const)
+    try:
+        spec = load_spec(doc)
+    except SpecError:
+        return
+    for m in (11, 51, 201):
+        assert reference_lp_monotone(DiscretizedInstance.from_spec(spec, m)) is None
 
 
 # ---------------------------------------------------------------------------

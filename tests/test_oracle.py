@@ -61,8 +61,9 @@ def test_instance_m_range_enforced():
     spec = load_spec(single_item_doc())
     with pytest.raises(ValueError):
         DiscretizedInstance.from_spec(spec, 5)
-    with pytest.raises(ValueError):
-        DiscretizedInstance.from_spec(spec, 1000)
+    # m = 3000: the two m x m arrays of the primal check alone take 144 MB
+    with pytest.raises(SpecError, match=r"the oracle at m=3000 with 1 items .* needs 144\.0 MB"):
+        DiscretizedInstance.from_spec(spec, 3000)
 
 
 def test_instance_evaluates_only_sellable_bundles(monkeypatch):
@@ -202,7 +203,7 @@ def test_row_generation_without_single_crossing():
         costs=np.zeros(4),
         sellable=(1, 2, 3),
     )
-    inst.check_monotone()
+    assert (inst.values[3] >= np.maximum(inst.values[1], inst.values[2])).all()
     for lp in _check_against_dense(inst):  # the closed form declines
         assert lp.rounds > 1
         assert 2 * m < lp.rows < m * (m - 1) + 2 * m
@@ -302,16 +303,21 @@ def test_closed_form_duals_certify_full_lp(doc):
     assert -(b_ub @ y) == pytest.approx(lp.objective, abs=1e-12)
 
 
-@pytest.mark.parametrize("m", [101, 201])
-def test_closed_form_declines_where_ironing_is_needed(monkeypatch, m):
-    # criterion 7's screening embedding at exponent 0.5: the pointwise argmax
-    # breaks IC by about 0.31, so HiGHS solves it and its answer certifies
+def _ironing_spec():
+    """Criterion 7's screening embedding at exponent 0.5, where the optimum irons."""
     problem = ScreeningProblem.from_document({
         "qualities": [1.0], "production_costs": [0.0], "values": {"kind": "multiplicative"},
         "actions": [{"terms": [{"coef": 0.3, "exp": 0.5}]}],
         "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
     })
-    spec, _info = embed_screening(problem)
+    return embed_screening(problem)[0]
+
+
+@pytest.mark.parametrize("m", [101, 201])
+def test_closed_form_declines_where_ironing_is_needed(monkeypatch, m):
+    # criterion 7's screening embedding at exponent 0.5: the pointwise argmax
+    # breaks IC by about 0.31, so HiGHS solves it and its answer certifies
+    spec = _ironing_spec()
     primal, violations = oracle._primal, []
 
     def recorded(*args):
@@ -324,6 +330,16 @@ def test_closed_form_declines_where_ironing_is_needed(monkeypatch, m):
     assert violations[0] == pytest.approx(0.31, abs=0.005)
     assert lp.rounds >= 1 and lp.rows > 2 * m
     assert max(lp.ic_violation, lp.stationarity, lp.duality_gap) <= CERT_TOL
+
+
+def test_row_generation_refuses_rows_over_budget(monkeypatch):
+    # the budget is checked where HiGHS's rows are built: the closed form
+    # declines the ironing instance, and its first round's 202 rows (15,316
+    # bytes) exceed a 10,000-byte budget
+    instance = DiscretizedInstance.from_spec(_ironing_spec(), 101)
+    monkeypatch.setattr(oracle, "MAX_LP_BYTES", 10_000)
+    with pytest.raises(SpecError, match="oracle LP at m=101 with 2 sellable bundles and 202 rows"):
+        solve_lp(instance)
 
 
 def test_failed_certificate_raises(monkeypatch):
