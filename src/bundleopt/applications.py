@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -481,13 +482,11 @@ class RotationSweep:
 
 
 def _quasiconvex(sizes: Sequence[int]) -> bool:
-    n = len(sizes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if sizes[j] > max(sizes[i], sizes[k]):
-                    return False
-    return True
+    """Whether no size exceeds both some size before it and some size after it:
+    each inner size against the minimum before it and the minimum after it."""
+    before = list(accumulate(sizes, min))  # before[j] = min(sizes[:j + 1])
+    after = list(accumulate(reversed(sizes), min))[::-1]  # after[j] = min(sizes[j:])
+    return not any(s > max(b, a) for s, b, a in zip(sizes[1:-1], before, after[2:]))
 
 
 def _minimal_menu(spec: ProblemSpec) -> tuple:

@@ -21,6 +21,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -95,8 +96,23 @@ def is_subset(b1: int, b2: int) -> bool:
 
 
 def subset_pairs(bundles: Sequence[int]) -> list[tuple[int, int]]:
-    """(b1, b2) of ``bundles`` with b1 a proper subset of b2, superset-major."""
-    return [(b1, b2) for b2 in bundles for b1 in bundles if b1 != b2 and is_subset(b1, b2)]
+    """(b1, b2) of ``bundles`` with b1 a proper subset of b2, superset-major and
+    subsets in the order of ``bundles``.  Each superset walks its submasks, or
+    scans ``bundles`` when they are fewer."""
+    rank = {b: k for k, b in enumerate(bundles)}
+    pairs = []
+    for b2 in bundles:
+        if 1 << bin(b2).count("1") > len(rank):
+            pairs += [(b1, b2) for b1 in bundles if b1 != b2 and b1 & ~b2 == 0]
+            continue
+        subs, s = [], b2
+        while s:  # every proper submask of b2, descending to 0
+            s = (s - 1) & b2
+            if s in rank:
+                subs.append(rank[s])
+        subs.sort()
+        pairs += [(bundles[k], b2) for k in subs]
+    return pairs
 
 
 def format_bundle(mask: int) -> str:
@@ -618,7 +634,12 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
     where positive and monotone in set inclusion on the whole support (``_dip``
     between grid points), an efficient grand bundle at the top type, and no
     hard failure of ``validate_assumptions`` (its warnings wait for the first
-    read of ``spec.validation``), refused in that order."""
+    read of ``spec.validation``), refused in that order.
+
+    ``_one_signed``'s coefficient table decides what needs no grid scan: a
+    nondecreasing value skips its scan, and nondecreasing increments are
+    checked at t = lo alone and cannot fail the "decreases where positive"
+    check.  Mixed and nonincreasing rows are scanned on the grid."""
     _check_n_items(spec.n_items)
     for b, c in spec.costs.items():
         if c < 0:
@@ -629,11 +650,16 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
 
     # values may dip negative (damaged goods): such types never buy, so only
     # monotonicity where positive; the first table read bounds the spec's size
-    bundles = spec.nonzero_bundles()
-    for b in bundles:
-        v = spec.value_rows[b]
+    bundles, rows = spec.nonzero_bundles(), spec.value_rows
+    pairs = subset_pairs(bundles)
+    sub, sup = _pair_rows(bundles, pairs)
+    bundle_up, pair_up, pair_monotone = _one_signed(spec, bundles, sub, sup)
+    for b, up in zip(bundles, bundle_up):
+        v = rows[b]
         if not np.isfinite(v).all():
             raise SpecError(f"value of {format_bundle(b)} is non-finite on the grid")
+        if up:
+            continue
         dv = v[1:] - v[:-1]
         if dv.min() < -STRICT_TOL and (drop := (dv < -STRICT_TOL) & (v[:-1] > STRICT_TOL)).any():
             raise SpecError(
@@ -642,12 +668,17 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
             )
 
     # monotone in set inclusion; pairs with an omitted (zero) superset are the
-    # ignore convention and are skipped
-    pairs, failures = subset_pairs(bundles), []
-    for (b1, b2), exact in zip(pairs, _one_signed(spec, bundles, pairs)):
-        inc = spec.value_rows[b2] - spec.value_rows[b1]
+    # ignore convention and are skipped.  A nondecreasing increment is least at
+    # t = lo, so one vector of the value rows there passes all of them but
+    # those below -STRICT_TOL at t = lo, which the grid scan refuses there.
+    at_lo = np.array([rows[b][0] for b in bundles])
+    scan = ~pair_up | (at_lo[sup] - at_lo[sub] < -STRICT_TOL)
+    failures = []
+    for k in np.flatnonzero(scan):
+        b1, b2 = pairs[k]
+        inc = rows[b2] - rows[b1]
         at = spec.t_grid[np.argmax(inc < -STRICT_TOL)] if inc.min() < -STRICT_TOL else (
-            None if exact else _dip(spec, b1, b2))
+            None if pair_monotone[k] else _dip(spec, b1, b2))
         if at is not None:
             raise SpecError(
                 f"monotonicity violation: value of {format_bundle(b1)} exceeds "
@@ -676,10 +707,25 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
     return spec
 
 
-def _one_signed(spec: ProblemSpec, bundles, pairs) -> np.ndarray:
-    """Whether each pair's increment v_b2 - v_b1 is monotone on the support, by
-    a coefficient-by-exponent table: so it is on t >= 0 when its nonzero
-    non-constant coefficients share one sign, and its minimum is a grid end."""
+def _pair_rows(bundles, pairs) -> np.ndarray:
+    """The rows in the ascending ``bundles`` of each pair's subset and superset."""
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    return np.searchsorted(bundles, flat.reshape(-1, 2)).T
+
+
+def _one_signed(spec: ProblemSpec, bundles, sub, sup):
+    """Which bundle values and which pair increments v_sup - v_sub are monotone
+    on the support, by one coefficient-by-exponent table: a row is
+    nondecreasing when every non-constant coefficient is >= 0 and
+    nonincreasing when every one is <= 0, as t^e is on t >= 0 (so no row is
+    monotone by its table when lo < 0).  A nondecreasing row is least at t =
+    lo, so no grid scan of it can fail; a monotone one is least at a grid end,
+    so the grid decides it without ``_dip``.  The signs are those of the
+    rounded coefficient sums.  Returns (bundle nondecreasing, pair
+    nondecreasing, pair monotone) as boolean arrays."""
+    if spec.dist.lo < 0.0:
+        none = np.zeros(len(sub), dtype=bool)
+        return np.zeros(len(bundles), dtype=bool), none, none
     exprs = [spec.value_expr(b).terms for b in bundles]
     cols = {e: j for j, e in enumerate({e for terms in exprs for _c, e in terms} - {0.0})}
     table = [[0.0] * len(cols) for _ in bundles]
@@ -687,10 +733,10 @@ def _one_signed(spec: ProblemSpec, bundles, pairs) -> np.ndarray:
         for c, e in terms:
             if e != 0.0:
                 row[cols[e]] += c
-    lo, hi = np.searchsorted(bundles, np.array(pairs, dtype=np.int64).reshape(-1, 2)).T  # sorted
-    inc = np.array(table).reshape(len(bundles), len(cols))
-    inc = inc[hi] - inc[lo]
-    return (spec.dist.lo >= 0.0) & ((inc >= 0.0).all(axis=1) | (inc <= 0.0).all(axis=1))
+    table = np.array(table).reshape(len(bundles), len(cols))
+    inc = table[sup] - table[sub]
+    up = (inc >= 0.0).all(axis=1)
+    return (table >= 0.0).all(axis=1), up, up | (inc <= 0.0).all(axis=1)
 
 
 def _dip(spec: ProblemSpec, b1: int, b2: int) -> Optional[float]:
@@ -745,10 +791,12 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
                 f"profit curve of {format_bundle(b)} has multiple peaks on [0,1]"
             )
 
-    for b1, b2 in subset_pairs(bundles):
+    pairs = subset_pairs(bundles)
+    sub, sup = _pair_rows(bundles, pairs)
+    for (b1, b2), up in zip(pairs, _one_signed(spec, bundles, sub, sup)[1].tolist()):
         report.checked_pairs += 1
         inc = spec.value_rows[b2] - spec.value_rows[b1]
-        failure = _increment(spec, b1, b2, inc)
+        failure = None if up else _increment(spec, b1, b2, inc)
         if failure:
             report.hard_failures.append(failure)
         elif ((inc[:-1] > STRICT_TOL) & (np.abs(inc[1:] - inc[:-1]) <= STRICT_TOL)).any():

@@ -159,9 +159,11 @@ def chain_dp(potentials: Mapping[int, np.ndarray], bundles: Sequence[int], fixed
     best[p] before (``fixed``: up to) each index minus a finite Psi_p, -inf
     elsewhere.  When bundles fill half the masks below the largest, one
     ascending walk keeps each mask's max over its subsets (a subset-max
-    transform, O(n * 2^n * grid)); sparser bundles scan their subsets.  Ties
-    keep the smallest predecessor, the last index attaining each running max
-    and the smallest final mask.  Returns (value, [(bundle, index), ...]).
+    transform, O(n * 2^n * grid)), taken in place in the mask's row from its
+    immediate subsets' rows in ascending bit order; sparser bundles scan their
+    subsets.  Ties keep the smallest predecessor, the last index attaining
+    each running max and the smallest final mask.  Returns (value,
+    [(bundle, index), ...]).
     """
     if fixed and any(lo & ~hi for lo, hi in zip(bundles[:-1], bundles[1:])):
         raise ValueError(f"masks {list(bundles)} are not a nested chain")
@@ -185,10 +187,13 @@ def chain_dp(potentials: Mapping[int, np.ndarray], bundles: Sequence[int], fixed
     if not fixed and masks <= 2 * len(bundles):
         sellable, below = set(bundles), np.zeros((masks, width))  # max of gain over subsets
         for s in range(1, masks):
-            below[s] = below[[s ^ 1 << j for j in range(s.bit_length()) if s >> j & 1]].max(axis=0)
+            row, bits = below[s], [j for j in range(s.bit_length()) if s >> j & 1]
+            np.copyto(row, below[s ^ 1 << bits[0]])
+            for j in bits[1:]:
+                np.maximum(row, below[s ^ 1 << j], out=row)
             if s in sellable:
-                visit(s, below[s])
-                np.maximum(below[s], gain[s], out=below[s])
+                visit(s, row)
+                np.maximum(row, gain[s], out=row)
     else:
         for b in bundles:
             visit(b, np.max([gain[p] for p in preds(b)], axis=0))

@@ -5,8 +5,8 @@ generation, the per-value CSV writer that cross-checks the CLI's column-wise
 one, the document route and unit-value specs that cross-check the
 applications' directly built specs and virtual values, the 0-d-array formulas
 that cross-check the model's point evaluations on plain floats, the
-per-bundle rows and per-pair checks that cross-check its grid tables and
-``validate_assumptions``, the per-pair union-elasticity scan that
+per-bundle rows and per-pair checks that cross-check its grid tables,
+``check_spec``'s monotonicity scans and ``validate_assumptions``, the per-pair union-elasticity scan that
 cross-checks ``check_union_elasticity``, and the menu checks no command runs
 (``ic_report``, ``two_item_base_test``)."""
 
@@ -62,6 +62,19 @@ def two_item_doc(beta, gamma, alpha=1.0, hi=2.0, grid_size=4097):
 
 def two_item_spec(beta, gamma, alpha=1.0, hi=2.0, grid_size=4097):
     return load_spec(two_item_doc(beta, gamma, alpha=alpha, hi=hi, grid_size=grid_size))
+
+
+def rounding_noise_doc():
+    """{1} = 3.14159e8 t^1.3, {2} = 1e-6 t and {1,2} their sum on U[0, 1.7]: the
+    increment {1} -> {1,2} is 1e-6 t, increasing, but its grid row subtracts
+    two values near 3e8, whose rounding steps are larger than its own."""
+    big, small = {"coef": 3.14159e8, "exp": 1.3}, {"coef": 1e-6, "exp": 1.0}
+    return {
+        "n_items": 2,
+        "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.7},
+        "values": {"[1]": {"terms": [big]}, "[2]": {"terms": [small]},
+                   "[1,2]": {"terms": [big, small]}},
+    }
 
 
 def single_item_doc(coef=1.0, exp=1.0, lo=0.0, hi=1.0, cost=0.0, grid_size=4097):
@@ -576,6 +589,49 @@ def reference_validation(spec):
                 f"incremental profit {pair} has multiple peaks before both sales volumes"
             )
     return report
+
+
+def reference_dip(spec, b1, b2):
+    """Where v_b2 - v_b1 first falls below -STRICT_TOL between grid points, or
+    None: the minimum in each cell where the difference expression's slope
+    (``reference_slope``) rises from < 0 to >= 0, polished by ``rising_root``."""
+    inc = spec.value_expr(b2) - spec.value_expr(b1)
+    t = spec.t_grid
+    slope = reference_slope(inc, t)
+    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
+        root = rising_root(lambda x: reference_slope(inc, x), float(t[k]), float(t[k + 1]))
+        if root is not None and reference_value(inc, root) < -STRICT_TOL:
+            return root
+    return None
+
+
+def reference_monotone_scans(spec):
+    """Reference for ``check_spec``'s monotonicity checks: every bundle's value
+    and every subset pair's increment scanned on the grid, and each pair's
+    increment between grid points by ``reference_dip``, whatever its
+    coefficients.  Returns the first refusal message, or None, and the
+    "decreases where positive" failures of the pairs, in pair order."""
+    bundles = spec.nonzero_bundles()
+    values = {b: reference_value(spec.value_expr(b), spec.t_grid) for b in bundles}
+    for b in bundles:
+        v = values[b]
+        drop = np.flatnonzero((np.diff(v) < -STRICT_TOL) & (v[:-1] > STRICT_TOL))
+        if drop.size:
+            return (f"value of {format_bundle(b)} decreases in t at "
+                    f"t={spec.t_grid[drop[0]]:.6g} where it is positive"), []
+    failures = []
+    for b1, b2 in subset_pairs(bundles):
+        inc = values[b2] - values[b1]
+        below = np.flatnonzero(inc < -STRICT_TOL)
+        at = spec.t_grid[below[0]] if below.size else reference_dip(spec, b1, b2)
+        if at is not None:
+            return (f"monotonicity violation: value of {format_bundle(b1)} exceeds "
+                    f"value of {format_bundle(b2)} at t={at:.6g}"), []
+        fall = np.flatnonzero((np.diff(inc) < -STRICT_TOL) & (inc[:-1] > STRICT_TOL))
+        if fall.size:
+            failures.append(f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
+                            f"decreases at t={spec.t_grid[fall[0]]:.6g} where it is positive")
+    return None, failures
 
 
 def reference_lp_monotone(instance):

@@ -1,9 +1,11 @@
 """Quality envelopes, costly screening, rotation comparative statics."""
 
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundleopt import applications
 from bundleopt import menu as menu_module
@@ -302,6 +304,28 @@ def test_rotation_sweep_conclusions():
     assert menus[0] == (0b10, 0b11)
     assert (0b11,) in menus
     assert menus[-1] == (0b01, 0b11)
+
+
+def _quasiconvex_by_triples(sizes):
+    return not any(sizes[j] > max(sizes[i], sizes[k])
+                   for i in range(len(sizes)) for j in range(i + 1, len(sizes))
+                   for k in range(j + 1, len(sizes)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 4), max_size=9))
+def test_quasiconvex_equals_triple_scan(sizes):
+    assert applications._quasiconvex(sizes) == _quasiconvex_by_triples(sizes)
+
+
+def test_quasiconvex_at_the_sweep_point_limit():
+    # 10,001 sizes, as many points as MAX_BETA_POINTS admits: C(n, 3) triples
+    # would take hours, prefix and suffix minima take one pass
+    valley = [abs(k - 5000) // 100 + 1 for k in range(10_001)]
+    start = time.perf_counter()
+    assert applications._quasiconvex(valley)
+    assert not applications._quasiconvex(valley[:5000] + [100] + valley[5001:])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rotation_sweep_constant_family_trivial():

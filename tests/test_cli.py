@@ -19,7 +19,13 @@ from bundleopt.dominance import TiedBestSellerWarning
 from bundleopt.model import MonomialSum
 from bundleopt.oracle import DiscretizedInstance, _lp, solve_lp
 
-from support import csv_text_reference, random_instance_doc, single_item_doc, two_item_doc
+from support import (
+    csv_text_reference,
+    random_instance_doc,
+    rounding_noise_doc,
+    single_item_doc,
+    two_item_doc,
+)
 
 
 @pytest.fixture
@@ -188,6 +194,18 @@ def test_solve_nesting_failure_exit_code(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "nesting"
+
+
+@pytest.mark.parametrize("command, code", [("analyze", 0), ("solve", 3)])
+def test_rounding_noise_is_no_validation_failure(command, code, tmp_path, capsys):
+    # {1,2} - {1} = 1e-6 t is increasing, so the rounding of its 3e8-sized grid
+    # rows is no validation failure; solve still exits 3, as that rounding
+    # gives the incremental profit several peaks, a validation warning
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(rounding_noise_doc()))
+    assert main([command, "--spec", str(path), "--out", str(tmp_path / "o")]) == code
+    if command == "solve":
+        assert "INVALID: validation warnings present" in capsys.readouterr().out
 
 
 def test_validation_failure_exit_code(bad_spec_file, tmp_path, capsys):

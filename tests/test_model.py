@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bundleopt import (
     MonomialSum,
@@ -36,11 +36,13 @@ from support import (
     reference_inv_hazard,
     reference_lp_monotone,
     reference_marginal_profit,
+    reference_monotone_scans,
     reference_quantile,
     reference_rows,
     reference_slope,
     reference_validation,
     reference_value,
+    rounding_noise_doc,
     single_item_doc,
     two_item_doc,
     two_item_spec,
@@ -190,6 +192,73 @@ def test_accepted_specs_are_monotone_on_the_lp_types(hi, small, exps, coefs, con
         return
     for m in (11, 51, 201):
         assert reference_lp_monotone(DiscretizedInstance.from_spec(spec, m)) is None
+
+
+_QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)  # coefficients of magnitude <= 2
+
+
+@st.composite
+def _inclusion_specs(draw):
+    """2-3-item specs on 65 grid points: each bundle is the bundle without its
+    top item plus one to three new terms, all >= 0, all <= 0 or of mixed
+    signs; the support is uniform or a quantile table, from lo = 0, 0.5 or -1
+    (integer exponents only below 0).  The grand bundle's constant makes it
+    efficient at the top type, so only the monotonicity checks refuse."""
+    n = draw(st.integers(2, 3))
+    lo, width = draw(st.sampled_from([0.0, 0.5, -1.0])), draw(st.sampled_from([1.0, 2.0]))
+    if draw(st.booleans()):
+        dist = TypeDistribution.uniform(lo, lo + width)
+    else:
+        dist = TypeDistribution.quantile_table([0.0, 0.3, 1.0], [lo, lo + 0.2 * width, lo + width])
+    exps = st.sampled_from([0.0, 1.0, 2.0, 3.0] if lo < 0 else [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    values = {}
+    for b in range(1, 1 << n):
+        sign = draw(st.sampled_from([1.0, 1.0, -1.0, None]))
+        new = draw(st.lists(st.tuples(_QUARTERS, exps), min_size=1, max_size=3))
+        new = tuple((c if sign is None else sign * abs(c), e) for c, e in new)
+        base = values.get(b & ~(1 << (b.bit_length() - 1)), MonomialSum(terms=()))
+        values[b] = MonomialSum(base.terms + new, base.const)
+    grand = values[(1 << n) - 1]
+    shift = max(-grand(dist.hi), max(v(dist.hi) for v in values.values()) - grand(dist.hi))
+    values[(1 << n) - 1] = MonomialSum(grand.terms, grand.const + shift)
+    assume(not values[(1 << n) - 1].is_zero())
+    return ProblemSpec(n, values, {}, dist, 65)
+
+
+@settings(max_examples=200)
+@given(spec=_inclusion_specs())
+def test_coefficient_table_agrees_with_grid_scans(spec):
+    # check_spec skips the grid scans the coefficient table shows cannot fail;
+    # it must accept and refuse as scanning every bundle and pair does
+    refusal, failures = reference_monotone_scans(spec)
+    try:
+        check_spec(spec)
+        got = None
+    except SpecError as err:
+        got = str(err)
+    assert got == (refusal or "; ".join(failures) or None)
+
+
+def test_sign_definite_increments_make_no_scan(monkeypatch):
+    # every bundle and increment of these specs has nonnegative coefficients on
+    # a support from 0: check_spec decides each pair at t = lo, and neither it
+    # nor validate_assumptions scans an increment for a decrease
+    calls = []
+    for name in ("_increment", "_dip"):
+        monkeypatch.setattr(model, name, lambda *args, name=name: calls.append(name))
+    docs = [random_instance_doc(np.random.default_rng(seed), n, grid_size=257)
+            for seed in range(4) for n in (2, 3, 4)]
+    docs += [two_item_doc(beta, gamma) for beta in (0.3, 1.2) for gamma in (0.5, 4.5)]
+    for doc in docs:
+        validate_assumptions(load_spec(doc))
+    assert calls == []
+
+
+def test_rounding_noise_of_an_increasing_increment_is_no_failure():
+    # {1,2} - {1} = 1e-6 t has a positive coefficient, so no rounding in the
+    # difference of two 3e8-sized grid rows reads as a decrease
+    spec = load_spec(rounding_noise_doc())
+    assert spec.validation.hard_failures == []
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +498,14 @@ def test_subset_relation_is_partial_order():
             for c in masks:
                 if is_subset(a, b) and is_subset(b, c):
                     assert is_subset(a, c)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 255), unique=True, max_size=40))
+def test_subset_pairs_equals_pairwise_scan(bundles):
+    for order in (bundles, sorted(bundles)):
+        want = [(b1, b2) for b2 in order for b1 in order if b1 != b2 and is_subset(b1, b2)]
+        assert model.subset_pairs(order) == want
 
 
 def test_content_hash_stable():
