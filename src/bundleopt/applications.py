@@ -38,7 +38,9 @@ from .model import (
 )
 from .numerics import count_descents_to_ascents, rising_root
 
-TIE_TOL = 1e-9
+ENVELOPE_TIE_TOL = 1e-9  # a cost or sales volume this close to its envelope or extreme ties
+REGULAR_TOL = 1e-10  # slack on the increase of the virtual value t - (1-F)/f
+IDENTITY_TOL = 1e-8  # cost route: largest |MR^-1(c_check) - d_hat| of the envelope identity
 NET_TOL = 1e-12  # screening: a net value or step this close to 0 is rounding, not a sign
 NET_DROP_TOL = 1e-10  # screening: a net value may fall this much per grid step and still rise
 CROSSCHECK_TOL = 1e-9  # envelope menu vs solver menu profit on the quality embedding
@@ -201,9 +203,9 @@ def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
 
 
 def is_regular(dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE) -> bool:
-    """Virtual value t - (1-F)/f strictly increasing (1e-10 slack)."""
+    """Virtual value t - (1-F)/f strictly increasing (``REGULAR_TOL`` slack)."""
     t = np.linspace(dist.lo, dist.hi, grid_size)
-    return bool(np.all(np.diff(t - dist.inv_hazard(t)) > -1e-10))
+    return bool(np.all(np.diff(t - dist.inv_hazard(t)) > -REGULAR_TOL))
 
 
 def unit_mr_inverse(dist: TypeDistribution, c: float) -> float:
@@ -226,12 +228,12 @@ def quality_menu_from_costs(problem: QualityProblem) -> EnvelopeResult:
     xs = np.asarray(problem.qualities, dtype=float)
     c_avg = np.asarray(problem.costs, dtype=float) / xs
     c_check = increasing_envelope(c_avg)
-    menu = tuple(int(k) for k in np.flatnonzero(c_avg - c_check <= TIE_TOL))
+    menu = tuple(int(k) for k in np.flatnonzero(c_avg - c_check <= ENVELOPE_TIE_TOL))
     d_star = problem.d_star
     d_hat = decreasing_envelope(d_star)
     d_hat_from_costs = np.array([unit_mr_inverse(problem.dist, c) for c in c_check])
     gap = float(np.max(np.abs(d_hat_from_costs - d_hat)))
-    if gap > 1e-8:
+    if gap > IDENTITY_TOL:
         raise RuntimeError(
             f"envelope identity violated: max |MR^-1(c_check) - d_hat| = {gap:.3g}"
         )
@@ -334,14 +336,14 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
     d_y = np.array([p.d_star for p in profiles_y])
     psi_x, psi_y = ([p.potential_rows[1] for p in ps] for ps in (problem.goods, problem.opt_outs))
 
-    x_star = int(np.flatnonzero(d_x >= d_x.max() - TIE_TOL)[-1])
-    y_star = int(np.flatnonzero(d_y <= d_y.min() + TIE_TOL)[0])
-    if np.sum(d_x >= d_x.max() - TIE_TOL) > 1:
+    x_star = int(np.flatnonzero(d_x >= d_x.max() - ENVELOPE_TIE_TOL)[-1])
+    y_star = int(np.flatnonzero(d_y <= d_y.min() + ENVELOPE_TIE_TOL)[0])
+    if np.sum(d_x >= d_x.max() - ENVELOPE_TIE_TOL) > 1:
         messages.append(
             "strictness violated: several qualities tie for the highest sales volume; "
             "keeping the largest"
         )
-    if np.sum(d_y <= d_y.min() + TIE_TOL) > 1:
+    if np.sum(d_y <= d_y.min() + ENVELOPE_TIE_TOL) > 1:
         messages.append(
             "strictness violated: several actions tie for the lowest opt-out volume; "
             "keeping the smallest"
@@ -397,7 +399,7 @@ def screening_optimal(problem: ScreeningProblem) -> ScreeningReport:
         report.messages.extend(failures)
         return report
 
-    report.optimal = bool(d_y.min() < d_x.max() - TIE_TOL)
+    report.optimal = bool(d_y.min() < d_x.max() - ENVELOPE_TIE_TOL)
     return report
 
 

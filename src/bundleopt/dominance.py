@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .demand import DemandProfile, elasticity_grid
-from .model import ProblemSpec, format_bundle, is_subset, subset_pairs
+from .model import ProblemSpec, format_bundle, is_subset
 
 EPS_Q = 1e-7  # tie tolerance on sales-volume comparisons; ties dominate
 ETA_TOL = 1e-6  # buffer around the -1 elasticity threshold
@@ -45,7 +45,8 @@ class DominanceRelation:
 
 
 def build_dominance(spec: ProblemSpec, profiles: dict[int, DemandProfile]) -> DominanceRelation:
-    """Relation over bundles with nonzero value; corner solutions are skipped."""
+    """Relation over the bundles of ``profiles``, the spec's nonzero bundles, read
+    off ``spec.subset_pairs``; corner solutions are skipped."""
     corner = tuple(sorted(b for b, p in profiles.items() if p.corner))
     if corner:
         warnings.warn(
@@ -59,7 +60,8 @@ def build_dominance(spec: ProblemSpec, profiles: dict[int, DemandProfile]) -> Do
     d_star = {b: profiles[b].d_star for b in eligible}
 
     pairs = {(b, b) for b in eligible} | {
-        (b1, b2) for b1, b2 in subset_pairs(eligible) if d_star[b1] <= d_star[b2] + EPS_Q
+        (b1, b2) for b1, b2 in spec.subset_pairs
+        if b1 in d_star and b2 in d_star and d_star[b1] <= d_star[b2] + EPS_Q
     }
 
     dominated = {b1 for (b1, b2) in pairs if b1 != b2}

@@ -32,6 +32,7 @@ DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 33  # fewest grid points the validation checks are reliable on
 STRICT_TOL = 1e-10  # slack for strictness checks on the validation grid
 TOP_SLACK = 1e-9  # slack for the efficiency-at-top comparison
+KNOT_END_TOL = 1e-12  # a quantile table's end u knots may miss 0 and 1 by this much
 # Size limits: every bundle of 9 items at the default grid.  On a 2-vCPU
 # host that spec loads, profiles and finds its best nested menu in about
 # 0.75 s and 210 MB peak; one more item takes about 1.6 s and 340 MB.
@@ -238,15 +239,18 @@ class TypeDistribution:
 
     @staticmethod
     def quantile_table(u: Sequence[float], t: Sequence[float]) -> "TypeDistribution":
-        u_arr = np.asarray(u, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
+        """The table of read-only copies of ``u`` and ``t``, end u knots snapped to 0 and 1."""
+        u_arr = np.array(u, dtype=float)
+        t_arr = np.array(t, dtype=float)
         if u_arr.ndim != 1 or u_arr.shape != t_arr.shape or u_arr.size < 2:
             raise SpecError("quantile table needs matching 1-d u and t arrays")
-        if abs(u_arr[0]) > 1e-12 or abs(u_arr[-1] - 1.0) > 1e-12:
+        if abs(u_arr[0]) > KNOT_END_TOL or abs(u_arr[-1] - 1.0) > KNOT_END_TOL:
             raise SpecError("quantile table u knots must run from 0 to 1")
         if np.any(np.diff(u_arr) <= 0) or np.any(np.diff(t_arr) <= 0):
             raise SpecError("quantile table knots must be strictly increasing")
         u_arr[0], u_arr[-1] = 0.0, 1.0
+        u_arr.setflags(write=False)
+        t_arr.setflags(write=False)
         return TypeDistribution(
             kind="quantile_table",
             lo=float(t_arr[0]),
@@ -380,6 +384,12 @@ class ProblemSpec:
     def nonzero_bundles(self) -> tuple[int, ...]:
         """Bundles with a non-trivial value expression, ascending by mask."""
         return tuple(sorted(b for b, v in self.values.items() if b != 0 and not v.is_zero()))
+
+    @cached_property
+    def subset_pairs(self) -> tuple[tuple[int, int], ...]:
+        """``subset_pairs`` of the nonzero bundles once ``_table_bundles`` has bounded
+        their count: the one pair list of ``check_spec``, validation and dominance."""
+        return tuple(subset_pairs(self._table_bundles))
 
     # grid tables, one read-only row per nonzero bundle, built on first read;
     # each raises every distinct exponent on its grid once, through a Powers memo
@@ -628,18 +638,19 @@ def check_grid_size(grid_size: int) -> int:
 
 
 def check_spec(spec: ProblemSpec) -> ProblemSpec:
-    """``spec`` once its load-time assumptions hold, else a SpecError: n_items
-    in 1..16, nonnegative costs, ``MIN_GRID_SIZE`` grid points, fractional
-    exponents on a nonnegative support only, values finite, nondecreasing in t
-    where positive and monotone in set inclusion on the whole support (``_dip``
-    between grid points), an efficient grand bundle at the top type, and no
-    hard failure of ``validate_assumptions`` (its warnings wait for the first
-    read of ``spec.validation``), refused in that order.
+    """``spec`` once its assumptions hold, else a SpecError: n_items in 1..16,
+    nonnegative costs, ``MIN_GRID_SIZE`` grid points, fractional exponents on
+    a nonnegative support only, values finite, nondecreasing in t where
+    positive and monotone in set inclusion on the whole support (``_dip``
+    between grid points), an efficient grand bundle at the top type, and
+    incremental values nondecreasing where positive, refused in that order.
+    This is the one gate of every hard assumption; ``spec.validation`` holds
+    the warnings of a spec it accepts, computed on the first read.
 
     ``_one_signed``'s coefficient table decides what needs no grid scan: a
     nondecreasing value skips its scan, and nondecreasing increments are
-    checked at t = lo alone and cannot fail the "decreases where positive"
-    check.  Mixed and nonincreasing rows are scanned on the grid."""
+    checked at t = lo alone and cannot fall where positive.  Mixed and
+    nonincreasing rows are scanned on the grid."""
     _check_n_items(spec.n_items)
     for b, c in spec.costs.items():
         if c < 0:
@@ -650,21 +661,18 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
 
     # values may dip negative (damaged goods): such types never buy, so only
     # monotonicity where positive; the first table read bounds the spec's size
-    bundles, rows = spec.nonzero_bundles(), spec.value_rows
-    pairs = subset_pairs(bundles)
-    sub, sup = _pair_rows(bundles, pairs)
+    bundles, rows, pairs = spec.nonzero_bundles(), spec.value_rows, spec.subset_pairs
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    sub, sup = np.searchsorted(bundles, flat.reshape(-1, 2)).T  # each pair's rows
     bundle_up, pair_up, pair_monotone = _one_signed(spec, bundles, sub, sup)
     for b, up in zip(bundles, bundle_up):
         v = rows[b]
         if not np.isfinite(v).all():
             raise SpecError(f"value of {format_bundle(b)} is non-finite on the grid")
-        if up:
-            continue
-        dv = v[1:] - v[:-1]
-        if dv.min() < -STRICT_TOL and (drop := (dv < -STRICT_TOL) & (v[:-1] > STRICT_TOL)).any():
+        if not up and (k := _fall(v)) is not None:
             raise SpecError(
                 f"value of {format_bundle(b)} decreases in t at "
-                f"t={spec.t_grid[drop.argmax()]:.6g} where it is positive"
+                f"t={spec.t_grid[k]:.6g} where it is positive"
             )
 
     # monotone in set inclusion; pairs with an omitted (zero) superset are the
@@ -684,7 +692,9 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
                 f"monotonicity violation: value of {format_bundle(b1)} exceeds "
                 f"value of {format_bundle(b2)} at t={at:.6g}"
             )
-        failures.append(_increment(spec, b1, b2, inc))
+        if (k := _fall(inc)) is not None:
+            failures.append(f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
+                            f"decreases at t={spec.t_grid[k]:.6g} where it is positive")
 
     t_top, grand = spec.dist.hi, spec.grand_bundle
     top_surplus = spec.value(grand, t_top) - spec.cost(grand)
@@ -702,15 +712,18 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
                 f"efficiency-at-top failure: bundle {format_bundle(b)} has surplus "
                 f"{surplus:.6g} > {top_surplus:.6g} of the grand bundle at the top type"
             )
-    if any(failures):
-        raise SpecError("; ".join(filter(None, failures)))
+    if failures:
+        raise SpecError("; ".join(failures))
     return spec
 
 
-def _pair_rows(bundles, pairs) -> np.ndarray:
-    """The rows in the ascending ``bundles`` of each pair's subset and superset."""
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    return np.searchsorted(bundles, flat.reshape(-1, 2)).T
+def _fall(row: np.ndarray) -> Optional[int]:
+    """The first grid step where ``row`` falls by more than STRICT_TOL from above
+    STRICT_TOL, or None: a value or an increment that decreases where positive."""
+    step = row[1:] - row[:-1]
+    if step.min() < -STRICT_TOL and (fall := (step < -STRICT_TOL) & (row[:-1] > STRICT_TOL)).any():
+        return int(fall.argmax())
+    return None
 
 
 def _one_signed(spec: ProblemSpec, bundles, sub, sup):
@@ -760,28 +773,20 @@ def _dip(spec: ProblemSpec, b1: int, b2: int) -> Optional[float]:
 
 @dataclass
 class ValidationReport:
-    """Outcome of the grid checks on quasi-concavity and incremental values."""
+    """The warnings on a spec ``check_spec`` accepted, and its subset pairs' count."""
 
-    hard_failures: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     checked_pairs: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.hard_failures
-
-    @property
-    def clean(self) -> bool:
-        return not self.hard_failures and not self.warnings
-
 
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
-    """Grid checks: monotone incremental values (hard), single-peaked profit
-    and incremental profit curves (warnings only, so near-degenerate cases
-    remain explorable), on the potential rows; a pair's incremental profit is
-    read above both grid peaks, each the largest type among tied maxima."""
-    report = ValidationReport()
+    """Warnings only, so near-degenerate cases remain explorable: multi-peaked
+    profit curves (the potential rows), incremental values locally flat where
+    positive, and incremental profit with multiple peaks above both grid
+    peaks, each the largest type among tied maxima.  ``check_spec`` decides
+    every hard assumption; this report reads a spec it accepted."""
     bundles = spec.nonzero_bundles()
+    report = ValidationReport(checked_pairs=len(spec.subset_pairs))
 
     profits = spec.potential_rows
     from_top = {b: int(profits[b][::-1].argmax()) for b in bundles}  # grid steps down to the peak
@@ -791,15 +796,9 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
                 f"profit curve of {format_bundle(b)} has multiple peaks on [0,1]"
             )
 
-    pairs = subset_pairs(bundles)
-    sub, sup = _pair_rows(bundles, pairs)
-    for (b1, b2), up in zip(pairs, _one_signed(spec, bundles, sub, sup)[1].tolist()):
-        report.checked_pairs += 1
+    for b1, b2 in spec.subset_pairs:
         inc = spec.value_rows[b2] - spec.value_rows[b1]
-        failure = None if up else _increment(spec, b1, b2, inc)
-        if failure:
-            report.hard_failures.append(failure)
-        elif ((inc[:-1] > STRICT_TOL) & (np.abs(inc[1:] - inc[:-1]) <= STRICT_TOL)).any():
+        if ((inc[:-1] > STRICT_TOL) & (np.abs(inc[1:] - inc[:-1]) <= STRICT_TOL)).any():
             report.warnings.append(
                 f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
                 "is locally flat where positive"
@@ -813,13 +812,3 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
                     "has multiple peaks before both sales volumes"
                 )
     return report
-
-
-def _increment(spec: ProblemSpec, b1: int, b2: int, inc: np.ndarray) -> Optional[str]:
-    """The hard failure of b1 -> b2's grid increment ``inc``, a decrease where
-    positive, or None."""
-    step = inc[1:] - inc[:-1]
-    if step.min() < -STRICT_TOL and (fall := (step < -STRICT_TOL) & (inc[:-1] > STRICT_TOL)).any():
-        return (f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
-                f"decreases at t={spec.t_grid[fall.argmax()]:.6g} where it is positive")
-    return None

@@ -830,6 +830,20 @@ def test_perfbench_traced_names_resolve():
         assert callable(obj), f"bundleopt.{mod_name}.{attr}"
 
 
+def test_perfbench_observers_read_a_traced_run(spec_file, tmp_path, capsys):
+    # installing the tracer rebinds every traced name, and its observers read
+    # the results' fields (``ValidationReport.checked_pairs`` among them)
+    layers = _perfbench_layers()
+    with layers.Tracer() as tracer:
+        for command in ("solve", "verify"):
+            assert cli.main([command, "--spec", spec_file, "--out", str(tmp_path / command)]) == 0
+    metrics = tracer.metrics(2)
+    assert tracer.calls["cli.main"] == 2 and metrics["model.load_spec.calls"] == 1.0
+    assert metrics["model.bundles"] == 3.0 and metrics["model.subset_pairs"] == 2.0
+    assert metrics["oracle.lp_rows"] > 0 and metrics["dominance.nested_share"] == 1.0
+    assert cli.main is main  # uninstalled
+
+
 @pytest.mark.parametrize("n_items", [2, 3])
 def test_perfbench_lp_metrics_match_oracle(n_items):
     # the benchmark computes LP sizes from m and K and IC violations from the

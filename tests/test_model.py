@@ -1,5 +1,6 @@
 """Problem loading, validation, distributions, and bundle arithmetic."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -242,9 +243,9 @@ def test_coefficient_table_agrees_with_grid_scans(spec):
 def test_sign_definite_increments_make_no_scan(monkeypatch):
     # every bundle and increment of these specs has nonnegative coefficients on
     # a support from 0: check_spec decides each pair at t = lo, and neither it
-    # nor validate_assumptions scans an increment for a decrease
+    # nor validate_assumptions scans a value or an increment for a decrease
     calls = []
-    for name in ("_increment", "_dip"):
+    for name in ("_fall", "_dip"):
         monkeypatch.setattr(model, name, lambda *args, name=name: calls.append(name))
     docs = [random_instance_doc(np.random.default_rng(seed), n, grid_size=257)
             for seed in range(4) for n in (2, 3, 4)]
@@ -254,11 +255,32 @@ def test_sign_definite_increments_make_no_scan(monkeypatch):
     assert calls == []
 
 
+def test_one_subset_pair_list_per_spec(monkeypatch):
+    # check_spec, validate_assumptions and build_dominance read one pair list
+    calls = []
+    original = model.subset_pairs
+
+    def counting(bundles):
+        calls.append(tuple(bundles))
+        return original(bundles)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bundleopt":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    spec = load_spec(random_instance_doc(np.random.default_rng(2), 4, grid_size=257))
+    spec.validation
+    build_dominance(spec, compute_profiles(spec))
+    assert calls == [spec.nonzero_bundles()]
+    assert spec.validation.checked_pairs == len(spec.subset_pairs) > 0
+
+
 def test_rounding_noise_of_an_increasing_increment_is_no_failure():
     # {1,2} - {1} = 1e-6 t has a positive coefficient, so no rounding in the
     # difference of two 3e8-sized grid rows reads as a decrease
-    spec = load_spec(rounding_noise_doc())
-    assert spec.validation.hard_failures == []
+    spec = load_spec(rounding_noise_doc())  # accepted: no decrease where positive
+    assert spec.validation.checked_pairs == 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +297,8 @@ def test_validation_passes_clean_pair():
             "[1,2]": {"terms": [{"coef": 1.0, "exp": 1.0}, {"coef": 1.0, "exp": 2.5}]},
         },
     }
-    report = validate_assumptions(load_spec(doc))
-    assert report.ok and report.clean
+    report = validate_assumptions(load_spec(doc))  # load_spec accepts
+    assert not report.warnings
 
 
 def test_offset_pair_warns_but_loads():
@@ -293,14 +315,13 @@ def test_offset_pair_warns_but_loads():
     }
     spec = load_spec(doc)  # must not raise
     report = validate_assumptions(spec)
-    assert report.ok
     assert not any("incremental profit" in w for w in report.warnings)
 
 
 def test_single_item_profit_is_concave_parabola():
-    spec = load_spec(single_item_doc())
+    spec = load_spec(single_item_doc())  # load_spec accepts
     report = validate_assumptions(spec)
-    assert report.ok and report.clean
+    assert not report.warnings
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +489,26 @@ def test_quantile_table_rejects_nonmonotone():
         TypeDistribution.quantile_table([0.0, 0.5, 0.9], [0.0, 1.0, 2.0])
 
 
+def test_quantile_table_keeps_its_own_knots():
+    # the table stores read-only copies, so its caller's arrays stay as they
+    # were given and writing into them later leaves the distribution as built
+    u, t = np.array([1e-13, 0.5, 1.0]), np.array([0.0, 1.0, 2.0])
+    dist = TypeDistribution.quantile_table(u, t)
+    assert u[0] == 1e-13 and dist.u_knots[0] == 0.0
+    u[1], t[1] = 0.25, 1.9
+    assert dist.quantile(0.5) == 1.0 and dist.cdf(1.0) == 0.5
+    assert list(dist.u_knots) == [0.0, 0.5, 1.0] and list(dist.t_knots) == [0.0, 1.0, 2.0]
+    for knots in (dist.u_knots, dist.t_knots):
+        with pytest.raises(ValueError):
+            knots[1] = 0.0
+
+
 def test_table_backed_spec_loads_and_validates():
     u = np.linspace(0.0, 1.0, 201)
     doc = single_item_doc()
     doc["distribution"] = {"kind": "quantile_table", "u": list(u), "t": list(2.0 * np.sqrt(u))}
-    spec = load_spec(doc)
-    assert validate_assumptions(spec).ok
+    spec = load_spec(doc)  # load_spec accepts
+    assert not validate_assumptions(spec).warnings
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +679,9 @@ def test_validation_equals_per_pair_reference():
     for spec in _validation_pool():
         report = validate_assumptions(spec)
         assert report == reference_validation(spec)
-        for line in report.hard_failures + report.warnings:
+        for line in report.warnings:
             found.add(" ".join(w for w in line.split() if w.isalpha() and w != "t"))
     assert {
-        "incremental value decreases at where it is positive",
         "incremental value is locally flat where positive",
         "profit curve of has multiple peaks on",
         "incremental profit has multiple peaks before both sales volumes",
@@ -655,8 +689,8 @@ def test_validation_equals_per_pair_reference():
 
 
 def test_check_spec_raises_on_hard_failures_and_defers_warnings():
-    # check_spec refuses a spec on the report's hard failures alone; a spec
-    # it passes computes the whole report on the first read of validation
+    # check_spec is the one gate of the hard assumptions; a spec it passes
+    # computes the whole report of warnings on the first read of validation
     passed = 0
     for spec in _validation_pool():
         try:
@@ -664,16 +698,17 @@ def test_check_spec_raises_on_hard_failures_and_defers_warnings():
         except SpecError:
             continue
         assert "validation" not in vars(spec)
-        want = reference_validation(spec)
-        assert spec.validation == want and not want.hard_failures
+        assert spec.validation == reference_validation(spec)
         passed += 1
     assert passed
     # both increments 0.3 + 0.2t - 0.3t^2 fall beyond t = 1/3
     t = MonomialSum(terms=((1.0, 1.0),))
     top = MonomialSum(terms=((1.2, 1.0), (-0.3, 2.0)), const=0.3)
     spec = ProblemSpec(2, {1: t, 2: t, 3: top}, {}, TypeDistribution.uniform(0.0, 1.0), 257)
-    failures = reference_validation(spec).hard_failures
-    assert len(failures) == 2
+    refusal, failures = reference_monotone_scans(spec)
+    assert refusal is None and len(failures) == 2
+    assert failures == [f"incremental value {{{b}}} -> {{1,2}} decreases at t=0.332031 "
+                        "where it is positive" for b in (1, 2)]
     with pytest.raises(SpecError) as err:
         check_spec(spec)
     assert str(err.value) == "; ".join(failures)
