@@ -35,6 +35,7 @@ from .model import (
     _parse_expression,
     check_grid_size,
     check_spec,
+    type_grid,
 )
 from .numerics import count_descents_to_ascents, rising_root
 
@@ -203,8 +204,9 @@ def quality_menu_from_sales(problem: QualityProblem) -> EnvelopeResult:
 
 
 def is_regular(dist: TypeDistribution, grid_size: int = DEFAULT_GRID_SIZE) -> bool:
-    """Virtual value t - (1-F)/f strictly increasing (``REGULAR_TOL`` slack)."""
-    t = np.linspace(dist.lo, dist.hi, grid_size)
+    """Virtual value t - (1-F)/f strictly increasing (``REGULAR_TOL`` slack) on the
+    distribution's shared type grid."""
+    t = type_grid(dist, grid_size).t
     return bool(np.all(np.diff(t - dist.inv_hazard(t)) > -REGULAR_TOL))
 
 
@@ -582,10 +584,12 @@ def rotation_sweep(
 
 
 def refine_menu_transition(
-    family: Callable[[float], ProblemSpec], s_lo: float, s_hi: float
+    family: Callable[[float], ProblemSpec], s_lo: float, s_hi: float, left: Optional[tuple] = None
 ) -> float:
-    """Bisect the parameter where the minimal optimal menu changes, to ``TRANSITION_TOL``."""
-    left = _minimal_menu(family(s_lo))
+    """Bisect the parameter where the minimal optimal menu changes, to ``TRANSITION_TOL``;
+    ``left`` is the minimal menu at s_lo, computed here when not given."""
+    if left is None:
+        left = _minimal_menu(family(s_lo))
     while s_hi - s_lo > TRANSITION_TOL:
         mid = 0.5 * (s_lo + s_hi)
         if _minimal_menu(family(mid)) == left:
@@ -611,7 +615,7 @@ def menu_regions(family: Callable[[float], ProblemSpec], s_values: Sequence[floa
             )
             if k < len(s_values):
                 regions[-1]["transition"] = refine_menu_transition(
-                    family, float(s_values[k - 1]), float(s_values[k])
+                    family, float(s_values[k - 1]), float(s_values[k]), menus[k - 1]
                 )
             start = k
     return regions

@@ -47,8 +47,9 @@ def _provenance(spec: ProblemSpec) -> str:
 def _csv_text(provenance: str, header, columns) -> str:
     """CSV text of equal-length columns under a provenance comment and a header.
 
-    A float64 array column is written with ``%.12g`` from one ``tolist()``, any
-    other column through ``_fmt``; each row is one ``%`` on the field template.
+    A float64 array column is written with ``%.12g`` from one ``tolist()``, a
+    column of ``str`` as it is, any other column through ``_fmt``; each row is
+    one ``%`` on the field template.
     """
     fields, cols = [], []
     for col in columns:
@@ -57,7 +58,7 @@ def _csv_text(provenance: str, header, columns) -> str:
             cols.append(col.tolist())
         else:
             fields.append("%s")
-            cols.append(list(map(_fmt, col)))
+            cols.append(col if set(map(type, col)) == {str} else list(map(_fmt, col)))
     template = ",".join(fields)
     lines = [f"# {provenance}", ",".join(header)]
     lines.extend(template % row for row in zip(*cols))

@@ -9,6 +9,12 @@ spec evaluates a bundle's curves on its grids once, into read-only tables
 whose size is bounded before the first is built; n <= 16 bounds the LP
 oracle, which evaluates all 2^n masks.  ``check_spec`` is the one gate of a
 spec, whether ``load_spec`` parsed it or a program built it directly.
+
+The grids belong to the distribution: all specs on one distribution and
+grid size read one read-only ``TypeGrid``, whose grid arrays t and Q(1-q)
+each keep the ``POWER_MEMO_SIZE`` powers raised on them last, so a family of
+specs raises each shared exponent once.  That memo holds at most
+POWER_MEMO_SIZE * grid_size * 8 bytes per grid array.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ import hashlib
 import json
 import math
 import numbers
+import struct
+import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -39,6 +47,8 @@ KNOT_END_TOL = 1e-12  # a quantile table's end u knots may miss 0 and 1 by this 
 MAX_BUNDLES = 511
 MAX_SUBSET_PAIRS = 18_660  # 3^9 - 2^10 + 1 proper-subset pairs
 MAX_TABLE_BYTES = 5 * MAX_BUNDLES * DEFAULT_GRID_SIZE * 8  # five float64 tables
+GRID_CACHE_SIZE = 4  # (distribution, grid size) pairs whose TypeGrid is kept
+POWER_MEMO_SIZE = 8  # powers kept per grid array of a TypeGrid
 
 
 class SpecError(ValueError):
@@ -199,16 +209,37 @@ class MonomialSum:
 ZERO_VALUE = MonomialSum(terms=(), const=0.0)
 
 
-class Powers(dict):
-    """``grid ** exp`` by exponent, each raised once: the memo of the one grid array
-    it is made for, which lives while one table is built."""
+class PowerMemo(dict):
+    """Read-only ``grid ** exp`` by exponent, least recently used first: the
+    ``POWER_MEMO_SIZE`` powers of one grid array used last, shared by every spec
+    on the grid, so it holds at most POWER_MEMO_SIZE * grid.size * 8 bytes."""
 
     def __init__(self, grid: np.ndarray):
         super().__init__()
-        self.grid = grid
+        self.grid, self.lock = grid, threading.Lock()
+
+    def power(self, exp) -> np.ndarray:
+        with self.lock:
+            power = self.pop(exp, None)  # put back last: the most recently used
+            if power is None:
+                power = np.power(self.grid, exp)
+                power.setflags(write=False)
+            self[exp] = power
+            if len(self) > POWER_MEMO_SIZE:
+                del self[next(iter(self))]
+        return power
+
+
+class Powers(dict):
+    """The powers one table takes from its grid's ``PowerMemo``, each asked for once
+    while the table is built, however many the memo drops meanwhile."""
+
+    def __init__(self, memo: PowerMemo):
+        super().__init__()
+        self.memo, self.grid = memo, memo.grid
 
     def __missing__(self, exp):
-        self[exp] = power = np.power(self.grid, exp)
+        self[exp] = power = self.memo.power(exp)
         return power
 
 
@@ -216,13 +247,15 @@ class Powers(dict):
 # type distributions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeDistribution:
     """Type distribution on [lo, hi]: uniform or a monotone quantile table.
 
     Quantile tables map probability knots u (0 -> 1, strictly increasing) to
     type knots t (strictly increasing) with linear interpolation.  (1-F)/f =
     (1-u) * Q'(u) reads the exact ``quantile_slope`` Q', the reciprocal density.
+    Two distributions are equal, and hash alike, when their kind, bounds and
+    knots agree bit for bit, so -0.0 and 0.0 bounds differ.
     """
 
     kind: str  # "uniform" | "quantile_table"
@@ -258,6 +291,16 @@ class TypeDistribution:
             u_knots=u_arr,
             t_knots=t_arr,
         )
+
+    def _bits(self) -> tuple:
+        knots = b"" if self.u_knots is None else self.u_knots.tobytes() + self.t_knots.tobytes()
+        return self.kind, struct.pack("<2d", self.lo, self.hi), knots
+
+    def __eq__(self, other):
+        return isinstance(other, TypeDistribution) and self._bits() == other._bits()
+
+    def __hash__(self) -> int:
+        return hash(self._bits())
 
     def cdf(self, t):
         if self.kind == "uniform":
@@ -318,6 +361,54 @@ class TypeDistribution:
         }
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class TypeGrid:
+    """One distribution's grids at one size, read-only, each built on first read:
+    types ``t`` on [lo, hi], quantities ``q`` on [0, 1], the marginal types
+    Q(1-q), the rows 1 - F(t) and Q'(1-q), and the ``PowerMemo`` of t and of Q(1-q)."""
+
+    def __init__(self, dist: TypeDistribution, size: int):
+        self.dist, self.size = dist, size
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return _frozen(np.linspace(self.dist.lo, self.dist.hi, self.size))
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return _frozen(np.linspace(0.0, 1.0, self.size))
+
+    @cached_property
+    def price_types(self) -> np.ndarray:
+        return _frozen(self.dist.quantile(1.0 - self.q))
+
+    @cached_property
+    def survive(self) -> np.ndarray:
+        return _frozen(1.0 - self.dist.cdf(self.t))
+
+    @cached_property
+    def quantile_slope(self) -> np.ndarray:
+        return _frozen(self.dist.quantile_slope(1.0 - self.q))
+
+    @cached_property
+    def t_powers(self) -> PowerMemo:
+        return PowerMemo(self.t)
+
+    @cached_property
+    def price_powers(self) -> PowerMemo:
+        return PowerMemo(self.price_types)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def type_grid(dist: TypeDistribution, size: int) -> TypeGrid:
+    """The one ``TypeGrid`` of ``dist`` at ``size`` points, kept while among those used last."""
+    return TypeGrid(dist, size)
+
+
 # ---------------------------------------------------------------------------
 # problem spec
 
@@ -332,16 +423,24 @@ class ProblemSpec:
     dist: TypeDistribution
     grid_size: int = DEFAULT_GRID_SIZE
 
-    # built on first read, once ``_table_bundles`` has bounded the tables on them
+    @cached_property
+    def grid(self) -> TypeGrid:
+        """The shared ``type_grid``, once ``_table_bundles`` has bounded the tables on it."""
+        self._table_bundles
+        return type_grid(self.dist, self.grid_size)
+
     @cached_property
     def t_grid(self) -> np.ndarray:
-        self._table_bundles
-        return np.linspace(self.dist.lo, self.dist.hi, self.grid_size)
+        return self.grid.t
 
     @cached_property
     def q_grid(self) -> np.ndarray:
-        self._table_bundles
-        return np.linspace(0.0, 1.0, self.grid_size)
+        return self.grid.q
+
+    @cached_property
+    def price_types(self) -> np.ndarray:
+        """The marginal type Q(1-q) at each quantity of ``q_grid``."""
+        return self.grid.price_types
 
     @property
     def grand_bundle(self) -> int:
@@ -392,43 +491,39 @@ class ProblemSpec:
         return tuple(subset_pairs(self._table_bundles))
 
     # grid tables, one read-only row per nonzero bundle, built on first read;
-    # each raises every distinct exponent on its grid once, through a Powers memo
+    # each takes every distinct exponent on its grid once, through Powers
     @cached_property
     def value_rows(self) -> "GridRows":
         """v(b, t) on ``t_grid``."""
-        powers = Powers(self.t_grid)
+        powers = Powers(self.grid.t_powers)
         return self._table(lambda b: self.value(b, powers.grid, powers))
-
-    @cached_property
-    def price_types(self) -> np.ndarray:
-        """The marginal type Q(1-q) at each quantity of ``q_grid``."""
-        return self.dist.quantile(1.0 - self.q_grid)
 
     @cached_property
     def price_rows(self) -> "GridRows":
         """Inverse demand v(b, Q(1-q)) on ``q_grid``, read by elasticities and ``analyze``."""
-        powers = Powers(self.price_types)
+        powers = Powers(self.grid.price_powers)
         return self._table(lambda b: self.value(b, powers.grid, powers))
 
     @cached_property
     def potential_rows(self) -> "GridRows":
-        """``potential`` on ``t_grid``, from the value rows and one row of 1 - F."""
-        survive = 1.0 - self.dist.cdf(self.t_grid)
+        """``potential`` on ``t_grid``, from the value rows and the grid's 1 - F row."""
+        survive = self.grid.survive
         return self._table(lambda b: (self.value_rows[b] - self.cost(b)) * survive)
 
     @cached_property
     def surplus_rows(self) -> "GridRows":
-        """Virtual surplus on ``t_grid``."""
-        powers = Powers(self.t_grid)
+        """Virtual surplus on ``t_grid``; (1-F)/f is computed for each spec, so each
+        one that clamps it warns."""
+        powers = Powers(self.grid.t_powers)
         inv_hazard = self.dist.inv_hazard(powers.grid)
         return self._table(lambda b: self.virtual_surplus(b, powers.grid, powers, inv_hazard))
 
     @cached_property
     def slope_rows(self) -> "GridRows":
         """``price_slope`` on ``q_grid``: a fifth table, built only by elasticities,
-        from the powers e - 1 of ``price_types`` and one Q'(1-q) row."""
-        powers = Powers(self.price_types)
-        dq = self.dist.quantile_slope(1.0 - self.q_grid)
+        from the powers e - 1 of ``price_types`` and the grid's Q'(1-q) row."""
+        powers = Powers(self.grid.price_powers)
+        dq = self.grid.quantile_slope
         return self._table(lambda b: -self.value_expr(b).slope(powers.grid, powers) * dq)
 
     @cached_property
@@ -696,17 +791,18 @@ def check_spec(spec: ProblemSpec) -> ProblemSpec:
             failures.append(f"incremental value {format_bundle(b1)} -> {format_bundle(b2)} "
                             f"decreases at t={spec.t_grid[k]:.6g} where it is positive")
 
-    t_top, grand = spec.dist.hi, spec.grand_bundle
-    top_surplus = spec.value(grand, t_top) - spec.cost(grand)
+    grand = spec.grand_bundle
     if grand not in spec.values or spec.value_expr(grand).is_zero():
         raise SpecError("the grand bundle must carry a nonzero value expression")
+    # np.linspace ends t_grid at dist.hi exactly: the rows' last entries are the top type's
+    top_surplus = rows[grand][-1] - spec.cost(grand)
     if top_surplus < -TOP_SLACK:
         raise SpecError(
             "efficiency-at-top failure: the grand bundle has negative surplus "
             f"{top_surplus:.6g} at the top type"
         )
     for b in bundles:
-        surplus = spec.value(b, t_top) - spec.cost(b)
+        surplus = rows[b][-1] - spec.cost(b)
         if surplus > top_surplus + TOP_SLACK:
             raise SpecError(
                 f"efficiency-at-top failure: bundle {format_bundle(b)} has surplus "

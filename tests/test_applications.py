@@ -348,6 +348,29 @@ def test_rotation_premises_fail_reported_high_gamma():
     assert sweep.tier_up_ok is None  # conclusions not asserted
 
 
+def test_menu_regions_builds_each_spec_once():
+    # one transition, between 0.7 and 0.8: each beta is built once, then each
+    # bisection step; the menu at the left end is the one already found there
+    calls = []
+
+    def fam(b):
+        calls.append(b)
+        return two_item_power_family(b, 0.5, grid_size=513)
+
+    betas = [0.5, 0.6, 0.7, 0.8]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        regions = menu_regions(fam, betas)
+    assert len(regions) == 2
+    steps, lo, hi = 0, 0.7, 0.8
+    while hi - lo > applications.TRANSITION_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid < regions[0]["transition"] else (lo, mid)
+        steps += 1
+    assert calls[:len(betas)] == betas
+    assert len(calls) == len(betas) + steps
+
+
 def test_menu_region_boundaries():
     fam = lambda b: two_item_power_family(b, 0.5, grid_size=1025)
     with warnings.catch_warnings():

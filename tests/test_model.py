@@ -1,6 +1,7 @@
 """Problem loading, validation, distributions, and bundle arithmetic."""
 
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from bundleopt import (
     solve_nested_menu,
     validate_assumptions,
 )
-from bundleopt import model
+from bundleopt import applications, model
 from bundleopt.demand import marginal_profit
 from bundleopt.model import (
     HazardClampWarning,
@@ -605,6 +606,163 @@ def test_grid_tables_equal_direct_evaluation():
                 getattr(spec, name)[0]
 
 
+def test_type_distributions_compare_and_hash_bit_for_bit():
+    a = TypeDistribution.quantile_table([0, 0.5, 1], [0, 1, 2])
+    b = TypeDistribution.quantile_table([0, 0.5, 1], [0, 1, 2])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != TypeDistribution.quantile_table([0, 0.5, 1], [0, 1, 2.5])
+    assert a != TypeDistribution.quantile_table([0, 0.25, 1], [0, 1, 2])
+    assert a != TypeDistribution.uniform(0.0, 2.0)
+    one = MonomialSum(terms=((1.0, 1.0),))
+    assert ProblemSpec(1, {1: one}, {}, a, 65) == ProblemSpec(1, {1: one}, {}, b, 65)
+    # a -0.0 bound is another distribution, with its own grid: np.linspace ends
+    # the grid at hi exactly, sign included
+    neg, pos = TypeDistribution.uniform(-1.0, -0.0), TypeDistribution.uniform(-1.0, 0.0)
+    assert neg != pos and neg == TypeDistribution.uniform(-1.0, -0.0)
+    t_neg = ProblemSpec(1, {1: one}, {}, neg, 65).t_grid
+    t_pos = ProblemSpec(1, {1: one}, {}, pos, 65).t_grid
+    assert np.signbit(t_neg[-1]) and not np.signbit(t_pos[-1])
+    assert model.type_grid(neg, 65) is not model.type_grid(pos, 65)
+
+
+def test_specs_on_one_distribution_share_the_grid(monkeypatch):
+    dist = TypeDistribution.quantile_table([0, 0.5, 1], [0, 1, 2])
+    one = MonomialSum(terms=((1.0, 1.0),))
+    first = check_spec(ProblemSpec(1, {1: one}, {}, dist, 129))
+    second = check_spec(ProblemSpec(1, {1: MonomialSum(terms=((2.0, 0.5),))}, {}, dist, 129))
+    for name in ("t_grid", "q_grid", "price_types"):
+        assert getattr(first, name) is getattr(second, name)
+    grid = model.type_grid(TypeDistribution.quantile_table([0, 0.5, 1], [0, 1, 2]), 129)
+    assert first.grid is second.grid is grid
+    for spec in (first, second):
+        for name in TABLES:
+            getattr(spec, name)
+    # is_regular builds no grid of its own
+    monkeypatch.setattr(np, "linspace", None)
+    assert applications.is_regular(dist, 129)
+    monkeypatch.undo()
+    shared = [grid.t, grid.q, grid.price_types, grid.survive, grid.quantile_slope,
+              *grid.t_powers.values(), *grid.price_powers.values()]
+    assert len(shared) > 5
+    for row in shared:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+
+def test_power_memo_stays_within_its_bound():
+    betas = np.linspace(0.3, 2.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        applications.rotation_sweep(
+            lambda b: applications.two_item_power_family(b, 0.5, grid_size=257), betas)
+    grid = model.type_grid(TypeDistribution.uniform(0.0, 2.0), 257)
+    for memo in (grid.t_powers, grid.price_powers):
+        assert 0 < len(memo) <= model.POWER_MEMO_SIZE
+    # the memo keeps the exponents used last: the last spec's beta and beta - 1
+    assert betas[-1] in grid.t_powers and betas[-1] - 1.0 in grid.t_powers
+
+
+def test_tables_from_a_warm_memo_equal_direct_evaluation(monkeypatch):
+    # a second spec on the distribution and grid of the first reads the powers
+    # the first left in the shared memo; its rows must still be the per-bundle
+    # formula's, bit for bit
+    lookups = hits = 0
+    missing = model.Powers.__missing__
+
+    def counting(self, exp):
+        nonlocal lookups, hits
+        lookups, hits = lookups + 1, hits + (exp in self.memo)
+        return missing(self, exp)
+
+    for spec in _table_specs():
+        for name in TABLES:
+            getattr(spec, name)
+        twin = ProblemSpec(spec.n_items, spec.values, spec.costs, spec.dist, spec.grid_size)
+        assert twin.grid is spec.grid
+        monkeypatch.setattr(model.Powers, "__missing__", counting)
+        rows = {name: getattr(twin, name) for name in TABLES}
+        monkeypatch.undo()
+        for b in twin.nonzero_bundles():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HazardClampWarning)
+                want = reference_rows(twin, b)
+            for name in TABLES:
+                assert rows[name][b].tobytes() == want[name].tobytes(), (name, format_bundle(b))
+    assert 0 < hits < lookups
+
+
+def test_no_table_raises_an_exponent_twice(monkeypatch):
+    # twelve value exponents, more than the memo keeps: each table still raises
+    # each of its exponents at most once, and a twin spec no more than that
+    exps = [0.25 + 0.15 * k for k in range(12)]
+    values = {1: MonomialSum(terms=tuple((1.0, e) for e in exps))}
+    dist = TypeDistribution.uniform(0.0, 1.375)
+    raised = []
+    power = np.power
+
+    def counting(x, exp, *args, **kwargs):
+        raised.append(exp)
+        return power(x, exp, *args, **kwargs)
+
+    for k in range(2):
+        spec = ProblemSpec(1, values, {}, dist, 65)
+        spec.t_grid, spec.price_types
+        monkeypatch.setattr(np, "power", counting)
+        for name in TABLES:
+            raised.clear()
+            getattr(spec, name)
+            assert len(raised) == len(set(raised)), name
+            if k == 0 and name == "value_rows":  # a fresh grid: every exponent raised
+                assert sorted(raised) == exps
+        monkeypatch.undo()
+    assert len(spec.grid.t_powers) == len(spec.grid.price_powers) == model.POWER_MEMO_SIZE
+
+
+def test_power_memo_shared_across_threads():
+    # four threads take eleven exponents in turn from one memo of eight: every
+    # power is np.power's, nothing raises, and the memo keeps its bound
+    grid = np.linspace(0.0, 1.0, 9)
+    memo = model.PowerMemo(grid)
+    errors = []
+
+    def take(i):
+        try:
+            for k in range(10_000):
+                exp = float((7 * k + i) % 11)
+                if memo.power(exp).tobytes() != np.power(grid, exp).tobytes():
+                    errors.append(exp)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(memo) == model.POWER_MEMO_SIZE
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_each_spec_on_a_clamping_table_warns():
+    # Q' overflows on the first segment, so (1-F)/f is clamped near t = 0; the
+    # grid is shared, (1-F)/f is not, and each spec's surplus rows warn
+    dist = TypeDistribution.quantile_table([0.0, 1e-310, 1.0], [0.0, 1.0, 2.0])
+    one = MonomialSum(terms=((1.0, 1.0),))
+    specs = [ProblemSpec(1, {1: one}, {}, dist, 65), ProblemSpec(1, {1: one}, {1: 0.1}, dist, 65)]
+    assert specs[0].grid is specs[1].grid
+    for spec in specs:
+        with pytest.warns(HazardClampWarning):
+            spec.surplus_rows
+
+
 def _richardson_slope(price, q, room):
     """dP/dq at q by a Richardson-extrapolated difference whose stencil spans no
     quantile knot: central when ``room`` (the distance from q to the nearest
@@ -733,6 +891,25 @@ def test_pipeline_evaluates_each_bundle_curve_once(monkeypatch):
     best_nested_menu(spec)
     for b in spec.nonzero_bundles():
         assert calls[id(spec.values[b])] == 1, format_bundle(b)
+
+
+def test_check_spec_reads_the_top_type_from_the_value_rows(monkeypatch):
+    # efficiency at the top reads the rows' last entries, at t = hi exactly;
+    # one-signed instances make no scalar evaluation of a value expression
+    points = []
+    original = MonomialSum.__call__
+
+    def counting(self, t, powers=None):
+        if np.ndim(t) == 0:
+            points.append(t)
+        return original(self, t, powers)
+
+    monkeypatch.setattr(MonomialSum, "__call__", counting)
+    spec = load_spec(random_instance_doc(np.random.default_rng(1), 5))
+    assert points == []
+    assert spec.t_grid[-1] == spec.dist.hi
+    for b in spec.nonzero_bundles():
+        assert spec.value_rows[b][-1] == spec.value(b, spec.dist.hi)
 
 
 def test_profiles_and_menu_evaluate_only_table_grids(monkeypatch):
