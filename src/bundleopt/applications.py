@@ -584,12 +584,10 @@ def rotation_sweep(
 
 
 def refine_menu_transition(
-    family: Callable[[float], ProblemSpec], s_lo: float, s_hi: float, left: Optional[tuple] = None
+    family: Callable[[float], ProblemSpec], s_lo: float, s_hi: float, left: tuple
 ) -> float:
     """Bisect the parameter where the minimal optimal menu changes, to ``TRANSITION_TOL``;
-    ``left`` is the minimal menu at s_lo, computed here when not given."""
-    if left is None:
-        left = _minimal_menu(family(s_lo))
+    ``left`` is the minimal menu at s_lo."""
     while s_hi - s_lo > TRANSITION_TOL:
         mid = 0.5 * (s_lo + s_hi)
         if _minimal_menu(family(mid)) == left:

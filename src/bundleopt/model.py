@@ -14,7 +14,9 @@ The grids belong to the distribution: all specs on one distribution and
 grid size read one read-only ``TypeGrid``, whose grid arrays t and Q(1-q)
 each keep the ``POWER_MEMO_SIZE`` powers raised on them last, so a family of
 specs raises each shared exponent once.  That memo holds at most
-POWER_MEMO_SIZE * grid_size * 8 bytes per grid array.
+POWER_MEMO_SIZE * grid_size * 8 bytes per grid array, and a whole grid at
+most GRID_ROWS * grid_size * 8 bytes, which the size limit counts with the
+spec's tables.  The ``GRID_CACHE_SIZE`` grids used last outlive their specs.
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ KNOT_END_TOL = 1e-12  # a quantile table's end u knots may miss 0 and 1 by this 
 # 0.75 s and 210 MB peak; one more item takes about 1.6 s and 340 MB.
 MAX_BUNDLES = 511
 MAX_SUBSET_PAIRS = 18_660  # 3^9 - 2^10 + 1 proper-subset pairs
-MAX_TABLE_BYTES = 5 * MAX_BUNDLES * DEFAULT_GRID_SIZE * 8  # five float64 tables
-GRID_CACHE_SIZE = 4  # (distribution, grid size) pairs whose TypeGrid is kept
 POWER_MEMO_SIZE = 8  # powers kept per grid array of a TypeGrid
+GRID_ROWS = 5 + 2 * POWER_MEMO_SIZE  # float64 rows a TypeGrid holds at most
+# five float64 tables per bundle plus the TypeGrid they are built on
+MAX_TABLE_BYTES = (5 * MAX_BUNDLES + GRID_ROWS) * DEFAULT_GRID_SIZE * 8
+# (distribution, grid size) pairs whose TypeGrid is kept: every perfbench
+# workload alternates between two, uniform on [0, 1] and on [0, 2]
+GRID_CACHE_SIZE = 2
 
 
 class SpecError(ValueError):
@@ -374,6 +380,10 @@ class TypeGrid:
     def __init__(self, dist: TypeDistribution, size: int):
         self.dist, self.size = dist, size
 
+    def __reduce__(self):
+        # a pickled or copied spec reattaches to the receiving process's grid
+        return type_grid, (self.dist, self.size)
+
     @cached_property
     def t(self) -> np.ndarray:
         return _frozen(np.linspace(self.dist.lo, self.dist.hi, self.size))
@@ -530,7 +540,7 @@ class ProblemSpec:
     def _table_bundles(self) -> tuple[int, ...]:
         """Bundles with a table row; once per spec, before any grid exists, a SpecError
         states their count, proper-subset pairs (a sum over subsets of the 2^n masks)
-        and table size if one exceeds its limit."""
+        and table and grid size if one exceeds its limit."""
         bundles = list(self.nonzero_bundles())
         below = np.zeros(1 << self.n_items, dtype=np.int64)
         below[bundles] = 1
@@ -539,11 +549,14 @@ class ProblemSpec:
             halves[:, 1, :] += halves[:, 0, :]
         pairs = int(below[bundles].sum()) - len(bundles)
         table_bytes = 5 * len(bundles) * self.grid_size * 8
-        if len(bundles) > MAX_BUNDLES or pairs > MAX_SUBSET_PAIRS or table_bytes > MAX_TABLE_BYTES:
+        grid_bytes = GRID_ROWS * self.grid_size * 8
+        too_big = table_bytes + grid_bytes > MAX_TABLE_BYTES
+        if len(bundles) > MAX_BUNDLES or pairs > MAX_SUBSET_PAIRS or too_big:
             raise SpecError(
                 f"spec too large: {len(bundles)} bundles (limit {MAX_BUNDLES}), "
                 f"{pairs} subset pairs (limit {MAX_SUBSET_PAIRS}), "
-                f"{table_bytes / 1e6:.2f} MB of grid tables (limit {MAX_TABLE_BYTES / 1e6:.2f} MB)"
+                f"{table_bytes / 1e6:.2f} MB of grid tables and {grid_bytes / 1e6:.2f} MB "
+                f"of type grid (limit {MAX_TABLE_BYTES / 1e6:.2f} MB)"
             )
         return tuple(bundles)
 

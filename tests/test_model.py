@@ -1,5 +1,7 @@
 """Problem loading, validation, distributions, and bundle arithmetic."""
 
+import copy
+import pickle
 import sys
 import threading
 import warnings
@@ -748,6 +750,53 @@ def test_power_memo_shared_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(memo) == model.POWER_MEMO_SIZE
+
+
+def test_checked_specs_survive_pickle_and_deepcopy():
+    # a checked spec caches its shared grid, whose memos hold a lock: a pickled
+    # or copied spec reattaches to the grid of its distribution instead
+    doc = single_item_doc()
+    doc["distribution"] = {"kind": "quantile_table", "u": [0, 0.5, 1], "t": [0, 1, 2]}
+    for load in (lambda: load_spec(single_item_doc()), lambda: two_item_spec(0.7, 0.5),
+                 lambda: load_spec(doc)):
+        spec = load()
+        assert "grid" in vars(spec)
+        for name in TABLES[:-1]:
+            getattr(spec, name)
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and copied.grid is spec.grid
+            assert copied.grid is model.type_grid(spec.dist, spec.grid_size)
+            for name in TABLES:
+                for b, row in getattr(spec, name).items():
+                    assert getattr(copied, name)[b].tobytes() == row.tobytes(), name
+    grid = spec.grid
+    assert pickle.loads(pickle.dumps(grid)) is grid and copy.deepcopy(grid) is grid
+
+
+def test_grid_cache_keeps_two_distributions():
+    # the perfbench workloads alternate between uniform types on [0, 1] and on
+    # [0, 2]: both grids stay while the other is in use
+    a, b = TypeDistribution.uniform(0.0, 1.0), TypeDistribution.uniform(0.0, 2.0)
+    first = model.type_grid(a, 65)
+    assert model.type_grid(b, 65) is not first
+    assert model.type_grid(a, 65) is first
+
+
+def test_size_limit_counts_the_type_grid():
+    # one bundle on 500,000 points needs 20 MB of tables, but its type grid may
+    # hold 21 rows, 84 MB: together over the limit, so the spec is refused
+    one = MonomialSum(terms=((1.0, 1.0),))
+    spec = ProblemSpec(1, {1: one}, {}, TypeDistribution.uniform(0.0, 1.0), 500_000)
+    with pytest.raises(SpecError, match="1 bundles .* 20.00 MB of grid tables and 84.00 MB "
+                                        "of type grid"):
+        check_spec(spec)
+    assert "grid" not in vars(spec)
+    # every bundle of 9 items at the default grid, tables and grid, fits exactly
+    values = {b: one for b in range(1, 512)}
+    spec = ProblemSpec(9, values, {}, TypeDistribution.uniform(0.0, 1.0))
+    assert len(spec._table_bundles) == model.MAX_BUNDLES
+    table_bytes = (5 * model.MAX_BUNDLES + model.GRID_ROWS) * spec.grid_size * 8
+    assert table_bytes == model.MAX_TABLE_BYTES
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
